@@ -9,17 +9,30 @@ central d-powers reduces any SP_3 word to a V~ word.
 
 V~ is built from the free product V = <a13, b13> * <a23, b23> of two rank
 two free abelian groups by adjoining the stable letter b12, which commutes
-with c = a13 a23.  A V~ word is trivial exactly when, after cancelling
-every pinch b12^-e (c-power) b12^e, no stable letters remain and the free
-product normal form of the base word is empty; a reduced word that still
-contains stable letters is never trivial.  Triviality of the whole group
-element then needs d-exponent zero as well, and equality is triviality of
-the quotient.  A word of SG_3 is trivial when its projection to the
-symmetric group is trivial and its rewrite into SP_3 is.
+with c = a13 a23: an HNN extension of V with cyclic associated subgroup
+<c>.  ``britton_reduce`` reduces a V~ word with two stack passes.  The
+first reads the letters once, left to right: the base word between two
+stable letters keeps its syllables on a stack that merges same-factor
+neighbours, and a stable power that follows an empty base merges with the
+power before it, which gives the normal form in the free product V * <b12>.
+The second reads the bases and powers of that form once and cancels every
+pinch b12^-e c^k b12^e by sliding c^k into the base to its left; a
+cancellation can only expose another at the top of the stack.  Each stack
+entry records whether the syllables up to it spell a power of c, so the
+pinch test costs O(1), and the reduction takes time amortised linear in
+the letters plus the syllables that pinches slide.
+
+By Britton's lemma a reduced word that still contains stable letters is
+never trivial, so a V~ word is trivial exactly when its reduced form is an
+empty base with no stable letters.  Triviality of the whole group element
+then needs d-exponent zero as well, and equality is triviality of the
+quotient.  A word of SG_3 is trivial when its projection to the symmetric
+group is trivial and its rewrite into SP_3 is.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -65,27 +78,66 @@ class FactorSyllable(NamedTuple):
         return tuple(letters)
 
 
-def _merge_syllables(syllables: Iterable[FactorSyllable]) -> tuple[FactorSyllable, ...]:
-    """Merge same-factor neighbours and drop the trivial syllables that
-    appear, restoring alternation.  The stack never holds two adjacent
-    same-factor entries, so one pass suffices."""
-    stack: list[FactorSyllable] = []
-    for syllable in syllables:
-        if syllable.is_trivial:
-            continue
-        if stack and stack[-1].factor == syllable.factor:
-            merged = FactorSyllable(
-                syllable.factor,
-                stack[-1].a_exp + syllable.a_exp,
-                stack[-1].b_exp + syllable.b_exp,
-            )
-            if merged.is_trivial:
-                stack.pop()
-            else:
-                stack[-1] = merged
-        else:
-            stack.append(syllable)
-    return tuple(stack)
+# The syllables of c = a13 a23 and of c^-1 = a23^-1 a13^-1: the power c^k
+# repeats the pair for the sign of k, |k| times.
+_C_SYLLABLES = {
+    1: (FactorSyllable(F13, 1, 0), FactorSyllable(F23, 1, 0)),
+    -1: (FactorSyllable(F23, -1, 0), FactorSyllable(F13, -1, 0)),
+}
+
+
+class _BaseStack:
+    """A word of V held in normal form while it grows at the right end.
+
+    ``signs[i]`` is 1 or -1 when syllables[0..i] spell the start of a
+    positive or negative power of c, and 0 otherwise, so whether the whole
+    word is a power of c is read off the top in O(1).
+    """
+
+    __slots__ = ("syllables", "signs")
+
+    def __init__(self, syllables: Iterable[FactorSyllable] = ()) -> None:
+        self.syllables: list[FactorSyllable] = []
+        self.signs: list[int] = []
+        for syllable in syllables:
+            self.push(syllable)
+
+    def push(self, syllable: FactorSyllable) -> None:
+        """Append a syllable, merging it into a same-factor top and dropping
+        what cancels.  The stack never holds two adjacent same-factor
+        entries, so one merge restores alternation."""
+        syllables = self.syllables
+        signs = self.signs
+        if syllables and syllables[-1].factor == syllable.factor:
+            top = syllables.pop()
+            signs.pop()
+            a_exp = top.a_exp + syllable.a_exp
+            b_exp = top.b_exp + syllable.b_exp
+            if not (a_exp or b_exp):
+                return
+            syllable = FactorSyllable(syllable.factor, a_exp, b_exp)
+        elif syllable.is_trivial:
+            return
+        sign = signs[-1] if signs else (1 if syllable.a_exp > 0 else -1)
+        if sign and syllable != _C_SYLLABLES[sign][len(signs) % 2]:
+            sign = 0
+        syllables.append(syllable)
+        signs.append(sign)
+
+    def c_power(self) -> int | None:
+        """The k with this word = c^k, or None when there is none."""
+        if not self.syllables:
+            return 0
+        if len(self.syllables) % 2 or not self.signs[-1]:
+            return None
+        return self.signs[-1] * (len(self.syllables) // 2)
+
+    def word(self) -> FreeProductWord:
+        # The stack is in normal form already, so the merge in
+        # FreeProductWord.__post_init__ is skipped.
+        word = object.__new__(FreeProductWord)
+        object.__setattr__(word, "syllables", tuple(self.syllables))
+        return word
 
 
 @dataclass(frozen=True)
@@ -95,7 +147,7 @@ class FreeProductWord:
     syllables: tuple[FactorSyllable, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "syllables", _merge_syllables(self.syllables))
+        object.__setattr__(self, "syllables", tuple(_BaseStack(self.syllables).syllables))
 
     @property
     def is_empty(self) -> bool:
@@ -114,49 +166,28 @@ class FreeProductWord:
         return str(self.sp_word())
 
 
+def _syllable(letter: SPLetter) -> FactorSyllable:
+    factor = _FACTOR_OF.get(letter.name)
+    if factor is None:
+        raise ValueError(f"{letter.name} is not a generator of the base group")
+    if letter.name in (A13, A23):
+        return FactorSyllable(factor, letter.exponent, 0)
+    return FactorSyllable(factor, 0, letter.exponent)
+
+
 def free_product_nf(word: SPWord) -> FreeProductWord:
     """Normal form of a word over a13, b13, a23, b23 in V."""
-    syllables = []
-    for letter in word.letters:
-        factor = _FACTOR_OF.get(letter.name)
-        if factor is None:
-            raise ValueError(f"{letter.name} is not a generator of the base group")
-        if letter.name in (A13, A23):
-            syllables.append(FactorSyllable(factor, letter.exponent, 0))
-        else:
-            syllables.append(FactorSyllable(factor, 0, letter.exponent))
-    return FreeProductWord(tuple(syllables))
+    return _BaseStack(map(_syllable, word.letters)).word()
 
 
 def _c_power(k: int) -> FreeProductWord:
     """(a13 a23)^k in normal form."""
-    if k == 0:
-        return FreeProductWord()
-    if k > 0:
-        pattern = (FactorSyllable(F13, 1, 0), FactorSyllable(F23, 1, 0)) * k
-    else:
-        pattern = (FactorSyllable(F23, -1, 0), FactorSyllable(F13, -1, 0)) * (-k)
-    return FreeProductWord(pattern)
+    return FreeProductWord(_C_SYLLABLES[1 if k > 0 else -1] * abs(k))
 
 
 def cyclic_power_of_c(word: FreeProductWord) -> int | None:
-    """The k with word = (a13 a23)^k in V, or None when no such k exists.
-
-    Positive powers alternate F13(1,0) F23(1,0); negative powers alternate
-    F23(-1,0) F13(-1,0); the empty word is the zeroth power.  Any other
-    syllable shape rules membership out because normal forms are unique.
-    """
-    syllables = word.syllables
-    if not syllables:
-        return 0
-    if len(syllables) % 2:
-        return None
-    k = len(syllables) // 2
-    if syllables == _c_power(k).syllables:
-        return k
-    if syllables == _c_power(-k).syllables:
-        return -k
-    return None
+    """The k with word = (a13 a23)^k in V, or None when no such k exists."""
+    return _BaseStack(word.syllables).c_power()
 
 
 @dataclass(frozen=True)
@@ -246,72 +277,63 @@ def eliminate_a12(word: SPWord) -> tuple[int, SPWord]:
     return delta_exp, SPWord(tuple(letters))
 
 
-def _split_at_stable(word: SPWord) -> HNNForm:
-    bases: list[FreeProductWord] = []
-    powers: list[int] = []
-    current: list[SPLetter] = []
-    for letter in word.letters:
-        if letter.name == A12:
-            raise ValueError("eliminate a12 before Britton reduction")
-        if letter.name == B12:
-            bases.append(free_product_nf(SPWord(tuple(current))))
-            powers.append(letter.exponent)
-            current = []
-        else:
-            current.append(letter)
-    bases.append(free_product_nf(SPWord(tuple(current))))
-    return HNNForm(tuple(bases), tuple(powers))
-
-
 def britton_reduce(word: SPWord) -> HNNForm:
-    """Reduce a V~ word to a form with no pinch.
+    """Reduce a V~ word to a form with no pinch, in two stack passes.
 
-    Repeatedly: merge stable powers separated by a base that is trivial in
-    V, and cancel the leftmost pinch b12^-e (a13 a23)^k b12^e by sliding
-    the c-power out to the left.  Every step removes at least two stable
-    letters or one segment, so the loop terminates; by Britton's lemma the
+    The first pass pushes base letters onto the syllable stack of the open
+    base, and a stable power b12^e that follows an empty base merges with
+    the power before it: the normal form in the free product V * <b12>.
+    The second pass walks that form: when b12^e follows a base c^k and the
+    power before the base has the opposite sign, the pinch cancels by
+    sliding c^k, which commutes with b12, into the base to its left.  That
+    can empty the left base or make it the middle of another pinch, so
+    b12^e repeats both steps at the top of the stack until it cancels or
+    stops; everything below the top stays reduced.
+
+    Every merge comes before any pinch because a merge further right can
+    change the base that a pinch would slide; the order fixes which of the
+    equal reduced forms is returned.  The cost is amortised linear in the
+    letters, plus the syllables that pinches slide.  By Britton's lemma the
     resulting form is trivial only if it is an empty base with no stable
     letters.
     """
-    form = _split_at_stable(word)
-    bases = list(form.bases)
-    powers = list(form.powers)
-    while True:
-        # Merge through interior bases that are trivial in V.
-        merged = False
-        for i in range(1, len(bases) - 1):
-            if bases[i].is_empty:
-                combined = powers[i - 1] + powers[i]
-                if combined == 0:
-                    bases[i - 1 : i + 2] = [bases[i - 1] * bases[i + 1]]
-                    del powers[i - 1 : i + 1]
-                else:
-                    del bases[i]
-                    powers[i - 1 : i + 1] = [combined]
-                merged = True
-                break
-        if merged:
+    # Deques, so that the second pass can consume them from the left and
+    # free each base it slides away.
+    bases = deque([_BaseStack()])
+    powers: deque[int] = deque()
+    for letter in word.letters:
+        if letter.name == A12:
+            raise ValueError("eliminate a12 before Britton reduction")
+        if letter.name != B12:
+            bases[-1].push(_syllable(letter))
             continue
-        # Cancel the leftmost opposite-sign pinch around a c-power.
-        pinched = False
-        for i in range(1, len(bases) - 1):
-            if (powers[i - 1] > 0) == (powers[i] > 0):
-                continue
-            k = cyclic_power_of_c(bases[i])
-            if k is None:
-                continue
-            combined = powers[i - 1] + powers[i]
-            left = bases[i - 1] * _c_power(k)
-            if combined == 0:
-                bases[i - 1 : i + 2] = [left * bases[i + 1]]
-                del powers[i - 1 : i + 1]
-            else:
-                bases[i - 1 : i + 1] = [left]
-                powers[i - 1 : i + 1] = [combined]
-            pinched = True
-            break
-        if not pinched:
-            return HNNForm(tuple(bases), tuple(powers))
+        exponent = letter.exponent
+        if powers and not bases[-1].syllables:
+            bases.pop()
+            exponent += powers.pop()
+        if exponent:
+            powers.append(exponent)
+            bases.append(_BaseStack())
+    reduced = [bases.popleft()]
+    reduced_powers: list[int] = []
+    while powers:
+        exponent, base = powers.popleft(), bases.popleft()
+        while exponent and reduced_powers:
+            top = reduced[-1]
+            if top.syllables:
+                if (reduced_powers[-1] > 0) == (exponent > 0) or top.c_power() is None:
+                    break
+                for syllable in top.syllables:
+                    reduced[-2].push(syllable)
+            exponent += reduced_powers.pop()
+            reduced.pop()
+        if exponent:
+            reduced_powers.append(exponent)
+            reduced.append(base)
+        else:
+            for syllable in base.syllables:
+                reduced[-1].push(syllable)
+    return HNNForm(tuple(base.word() for base in reduced), tuple(reduced_powers))
 
 
 def center_split(word: SPWord) -> CenterSplitForm:

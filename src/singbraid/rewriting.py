@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .permutations import Permutation, Transversal, pi, schreier_transversal
+from .permutations import Permutation, pi, schreier_transversal
 from .words import SIGMA, TAU, BraidWord, Letter, concat, conjugate, sg3_relators
 
 
@@ -78,13 +78,10 @@ def schreier_word(factors) -> SchreierWord:
     return SchreierWord(tuple(stack))
 
 
-def s_generator_word(
-    generator: SchreierGenerator, transversal: Transversal | None = None
-) -> BraidWord:
+def s_generator_word(generator: SchreierGenerator) -> BraidWord:
     """The ambient word l a (rep(l a))^-1, freely reduced."""
     rep = generator.rep
-    if transversal is None:
-        transversal = schreier_transversal(rep.strands)
+    transversal = schreier_transversal(rep.strands)
     if transversal.rep_of(pi(rep)) != rep:
         raise ValueError(f"{rep} is not a transversal representative")
     stepped = concat(rep, BraidWord(rep.strands, (generator.letter,)))
@@ -93,7 +90,7 @@ def s_generator_word(
 
 @lru_cache(maxsize=None)
 def _canonical_ambient(generator: SchreierGenerator) -> BraidWord:
-    return s_generator_word(generator, schreier_transversal(generator.rep.strands))
+    return s_generator_word(generator)
 
 
 @dataclass(frozen=True)
@@ -120,19 +117,17 @@ def enumerate_generators(strands: int) -> tuple[GeneratorEntry, ...]:
     for rep in transversal.elements:
         for letter in _generator_letters(strands):
             generator = SchreierGenerator(rep, letter)
-            entries.append(GeneratorEntry(generator, s_generator_word(generator, transversal)))
+            entries.append(GeneratorEntry(generator, s_generator_word(generator)))
     return tuple(entries)
 
 
-def rewrite_tau(word: BraidWord, transversal: Transversal | None = None) -> SchreierWord:
+def rewrite_tau(word: BraidWord) -> SchreierWord:
     """Rewrite a kernel word as a word over the Schreier generators.
 
     Streams the projection over the prefixes of ``word`` once; generators
     with freely empty ambient words are skipped.
     """
-    canonical = schreier_transversal(word.strands)
-    if transversal is None:
-        transversal = canonical
+    transversal = schreier_transversal(word.strands)
     if not pi(word).is_identity:
         raise ValueError("can only rewrite words with trivial projection")
     prefix = Permutation.identity(word.strands)
@@ -144,11 +139,7 @@ def rewrite_tau(word: BraidWord, transversal: Transversal | None = None) -> Schr
         generator = SchreierGenerator(
             transversal.rep_of(key), Letter(letter.kind, letter.index, 1)
         )
-        if transversal is canonical:
-            ambient = _canonical_ambient(generator)
-        else:
-            ambient = s_generator_word(generator, transversal)
-        if ambient.is_empty:
+        if _canonical_ambient(generator).is_empty:
             continue
         factors.append((generator, letter.exponent))
     return schreier_word(factors)
@@ -156,11 +147,11 @@ def rewrite_tau(word: BraidWord, transversal: Transversal | None = None) -> Schr
 
 def expand(word: SchreierWord, strands: int = 3) -> BraidWord:
     """Substitute each Schreier generator by its ambient word."""
-    result = BraidWord(strands)
+    letters: list[Letter] = []
     for generator, exponent in word.factors:
         ambient = _canonical_ambient(generator)
-        result = concat(result, ambient if exponent == 1 else ambient.inverse())
-    return result
+        letters.extend((ambient if exponent == 1 else ambient.inverse()).letters)
+    return BraidWord(strands, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -177,6 +168,6 @@ def relator_rewrites() -> tuple[RelatorRewrite, ...]:
     rewrites = []
     for index, relator in enumerate(sg3_relators(), start=1):
         for rep in transversal.elements:
-            rewritten = rewrite_tau(conjugate(relator, rep), transversal)
+            rewritten = rewrite_tau(conjugate(relator, rep))
             rewrites.append(RelatorRewrite(index, rep, rewritten))
     return tuple(rewrites)

@@ -92,10 +92,7 @@ class SPWord:
     def __pow__(self, power: int) -> SPWord:
         if power < 0:
             return self.inverse() ** (-power)
-        result = SPWord()
-        for _ in range(power):
-            result = result * self
-        return result
+        return SPWord(self.letters * power)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -131,11 +128,11 @@ _SP_TO_SG = {
 
 def sp3_to_sg3(word: SPWord) -> BraidWord:
     """Substitute each SP_3 generator by its defining SG_3 word."""
-    result = BraidWord(3)
+    letters: list[Letter] = []
     for letter in word.letters:
         base = parse_braid_word(_SP_TO_SG[letter.name], 3)
-        result = concat(result, base**letter.exponent)
-    return result
+        letters.extend((base**letter.exponent).letters)
+    return BraidWord(3, tuple(letters))
 
 
 def _schreier_generator(rep_text: str, letter_token: str) -> rewriting.SchreierGenerator:
@@ -194,16 +191,24 @@ def express_schreier_gen(generator: rewriting.SchreierGenerator) -> SPWord:
         raise ValueError(f"unknown Schreier generator {generator}") from None
 
 
+def _express(word: rewriting.SchreierWord) -> SPWord:
+    """Substitute each Schreier factor by its table row, or the inverse of
+    the row, and freely reduce the whole word once."""
+    letters: list[SPLetter] = []
+    for generator, exponent in word.factors:
+        row = express_schreier_gen(generator).letters
+        if exponent == 1:
+            letters.extend(row)
+        else:
+            letters.extend(letter.inverse() for letter in reversed(row))
+    return SPWord(tuple(letters))
+
+
 def rewrite_to_sp3(word: BraidWord) -> SPWord:
     """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators."""
     if word.strands != 3:
         raise ValueError("SP_3 rewriting needs a 3-strand word")
-    schreier = rewriting.rewrite_tau(word)
-    result = SPWord()
-    for generator, exponent in schreier.factors:
-        expressed = express_schreier_gen(generator)
-        result = result * (expressed if exponent == 1 else expressed.inverse())
-    return result
+    return _express(rewriting.rewrite_tau(word))
 
 
 def presentation_relators() -> list[SPWord]:
@@ -321,10 +326,10 @@ def conjugate_by_sg3_generator(word: SPWord, generator: Letter) -> SPWord:
     table = ACTION_TABLES[(token, 1 if generator.exponent > 0 else -1)]
     result = word
     for _ in range(abs(generator.exponent)):
-        image = SPWord()
+        letters: list[SPLetter] = []
         for letter in result.letters:
-            image = image * (table[letter.name] ** letter.exponent)
-        result = image
+            letters.extend((table[letter.name] ** letter.exponent).letters)
+        result = SPWord(tuple(letters))
     return result
 
 
@@ -407,10 +412,7 @@ GROUP_EXPRESSION = "expression-table"
 def _check_rewritten_relators(is_trivial_sp3) -> CheckGroup:
     checks = []
     for rewrite in rewriting.relator_rewrites():
-        expressed = SPWord()
-        for generator, exponent in rewrite.word.factors:
-            row = express_schreier_gen(generator)
-            expressed = expressed * (row if exponent == 1 else row.inverse())
+        expressed = _express(rewrite.word)
         checks.append(
             Check(
                 label=f"r{rewrite.relator_index} @ {rewrite.rep}",

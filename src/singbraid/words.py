@@ -105,10 +105,7 @@ class BraidWord:
     def __pow__(self, power: int) -> BraidWord:
         if power < 0:
             return self.inverse() ** (-power)
-        result = BraidWord(self.strands)
-        for _ in range(power):
-            result = result * self
-        return result
+        return BraidWord(self.strands, self.letters * power)
 
     def __str__(self) -> str:
         if not self.letters:

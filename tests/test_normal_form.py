@@ -97,6 +97,16 @@ def test_britton_examples():
     assert vanished.is_trivial
 
 
+def test_britton_merges_before_pinching():
+    # The pinch b12 (a13 a23) b12^-1 shows first, but the base after b12^-1
+    # is trivial in V, so b12^-1 merges with the next b12 and the c-power
+    # stays where it is.
+    word = parse_sp_word(
+        "a13^-1 b12 a13 a23 b12^-1 b13^-1 a13 b13 a13^-1 b12 b23^-1 a13 b23^-1 b12"
+    )
+    assert str(britton_reduce(word)) == "a13^-1 b12 a13 a23 b23^-1 a13 b23^-1 b12"
+
+
 def test_britton_rejects_a12():
     with pytest.raises(ValueError):
         britton_reduce(parse_sp_word("a12 b12"))
