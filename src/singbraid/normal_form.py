@@ -361,35 +361,52 @@ def is_trivial_sg3(word: BraidWord) -> bool:
     return is_trivial_sp3(rewrite_to_sp3(word))
 
 
+def _best_slide(syllables: tuple[FactorSyllable, ...]) -> int:
+    """The k for which c^-k B has the fewest syllables, the smallest |k|
+    among equals.
+
+    c^-k cancels the longest prefix of B that matches the syllable pattern
+    of c^k, up to its own 2|k| syllables; only one sign of k has a
+    nonempty such prefix, and the other only adds syllables.  Each k up to
+    half the prefix removes two syllables.  Past an odd prefix that B
+    continues, one more c-syllable cancels the last prefix syllable and
+    merges with the next, which shares its factor by alternation: one
+    syllable fewer again.  Any larger |k| adds syllables.
+    """
+    n = len(syllables)
+    for sign, pattern in _C_SYLLABLES.items():
+        j = 0
+        while j < n and syllables[j] == pattern[j % 2]:
+            j += 1
+        if j:
+            return sign * ((j + 1) // 2 if j % 2 and j < n else j // 2)
+    return 0
+
+
 def canonical_display(form: CenterSplitForm) -> str:
     """A prettier, display-only rendering of a reduced form.
 
     Each interior base is replaced by its minimal-syllable representative
     modulo sliding powers of c = a13 a23 across the stable letter to its
-    left (searching |k| up to half the syllable count plus one, smallest
-    |k| wins ties).  Equal group elements may still print differently;
-    only the decision procedures are contractual.
+    left (see ``_best_slide``).  Equal group elements may still print
+    differently; only the decision procedures are contractual.  The cost
+    is linear in the syllables.
     """
     bases = list(form.v.bases)
-    powers = list(form.v.powers)
     for i in range(1, len(bases)):
-        window = len(bases[i].syllables) // 2 + 1
-        candidates = sorted(range(-window, window + 1), key=lambda k: (abs(k), k))
-        best = min(
-            candidates,
-            key=lambda k: len((_c_power(-k) * bases[i]).syllables),
-        )
+        best = _best_slide(bases[i].syllables)
         if best:
             bases[i - 1] = bases[i - 1] * _c_power(best)
             bases[i] = _c_power(-best) * bases[i]
     # Sliding can empty an interior base between same-sign stable letters;
     # merge those powers so the display stays compact.
-    i = 1
-    while i < len(bases) - 1:
-        if bases[i].is_empty:
-            powers[i - 1 : i + 1] = [powers[i - 1] + powers[i]]
-            del bases[i]
+    kept_bases, kept_powers = bases[:1], []
+    for power, base in zip(form.v.powers, bases[1:]):
+        if kept_powers and kept_bases[-1].is_empty:
+            kept_powers[-1] += power
+            kept_bases[-1] = base
         else:
-            i += 1
-    compacted = CenterSplitForm(form.delta_exp, HNNForm(tuple(bases), tuple(powers)))
+            kept_powers.append(power)
+            kept_bases.append(base)
+    compacted = CenterSplitForm(form.delta_exp, HNNForm(tuple(kept_bases), tuple(kept_powers)))
     return str(compacted)

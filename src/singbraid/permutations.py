@@ -154,12 +154,6 @@ def schreier_transversal(strands: int) -> Transversal:
     return Transversal(strands, tuple(words), by_perm)
 
 
-def coset_rep(word: BraidWord, transversal: Transversal | None = None) -> BraidWord:
+def coset_rep(word: BraidWord) -> BraidWord:
     """The transversal representative of the coset of ``word``."""
-    if transversal is None:
-        transversal = schreier_transversal(word.strands)
-    if transversal.strands != word.strands:
-        raise ValueError(
-            f"strand counts differ: {word.strands} vs {transversal.strands}"
-        )
-    return transversal.rep_of(pi(word))
+    return schreier_transversal(word.strands).rep_of(pi(word))

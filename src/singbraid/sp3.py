@@ -10,9 +10,9 @@ subject to eight relations (see ``presentation_relators``).  Every
 Schreier generator of SP_3 equals a short word in these six letters; the
 lookup lives in ``EXPRESSION_TABLE`` and composing it with the rewriting
 process turns any kernel word of SG_3 into an SP word
-(``rewrite_to_sp3``).  Conjugation by the four ambient generators and
-their inverses restricts to automorphisms of SP_3, tabulated in
-``conjugate_by_sg3_generator``.
+(``rewrite_to_sp3``).  Conjugation by the four ambient generators restricts
+to automorphisms of SP_3 (``conjugate_by_sg3_generator``); their rules are
+tabulated, and the rules of the inverse automorphisms solved from them.
 
 ``verify_presentation`` machine-checks all of the above against the
 normal-form engine: the 30 rewritten relators and the 8 presentation
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import rewriting
-from .words import BraidWord, Letter, concat, parse_braid_word
+from .words import BraidWord, Letter, check_unit_length, concat, parse_braid_word
 
 A12, A13, A23 = "a12", "a13", "a23"
 B12, B13, B23 = "b12", "b13", "b23"
@@ -101,8 +101,8 @@ class SPWord:
 
 
 def parse_sp_word(text: str) -> SPWord:
-    """Parse the SP_3 word grammar: tokens a12 .. b23 with optional ``^<k>``,
-    the standalone token ``1`` denoting the empty word."""
+    """Parse the SP_3 word grammar (tokens a12 .. b23 with optional ``^<k>``,
+    ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters."""
     letters: list[SPLetter] = []
     for token in text.split():
         if token == "1":
@@ -112,7 +112,9 @@ def parse_sp_word(text: str) -> SPWord:
             raise ValueError(f"bad token {token!r} in SP word")
         name, exponent = match.group(1), match.group(2)
         letters.append(SPLetter(name, 1 if exponent is None else int(exponent)))
-    return SPWord(tuple(letters))
+    word = SPWord(tuple(letters))
+    check_unit_length(word.letters)
+    return word
 
 
 # The defining SG_3 words of the six generators.
@@ -230,15 +232,49 @@ def presentation_relators() -> list[SPWord]:
     ]
 
 
+def _substitute(word: SPWord, images: dict[str, SPWord]) -> SPWord:
+    """Replace each letter by its image, then freely reduce once."""
+    letters: list[SPLetter] = []
+    for letter in word.letters:
+        letters.extend((images[letter.name] ** letter.exponent).letters)
+    return SPWord(tuple(letters))
+
+
+def _inverse_rules(forward: dict[str, SPWord]) -> dict[str, SPWord]:
+    """Solve an automorphism's rules x -> u y^e u^-1, e = +-1, for its
+    inverse psi: psi(y) = psi(u)^-1 x^e psi(u) once psi is known on the
+    letters of u.  Each round solves every rule it can."""
+    pending: dict[str, tuple[SPLetter, SPWord]] = {}
+    for x, image in forward.items():
+        letters, half = image.letters, len(image.letters) // 2
+        u = SPWord(letters[:half])
+        if not letters or abs(letters[half].exponent) != 1 or letters[half + 1 :] != u.inverse().letters:
+            raise ValueError(f"{x} -> {image} does not conjugate a single letter")
+        y, exponent = letters[half]
+        if y in pending:
+            raise ValueError(f"two rules conjugate {y}")
+        pending[y] = (SPLetter(x, exponent), u)
+    inverse: dict[str, SPWord] = {}
+    while pending:
+        ready = [y for y, (_, u) in pending.items() if all(l.name in inverse for l in u.letters)]
+        if not ready:
+            raise ValueError(f"cannot solve the rules for {', '.join(pending)}")
+        for y in ready:
+            x, u = pending.pop(y)
+            image_u = _substitute(u, inverse)
+            inverse[y] = SPWord(image_u.inverse().letters + (x,) + image_u.letters)
+    return inverse
+
+
 def _action_tables() -> dict[tuple[str, int], dict[str, SPWord]]:
     """Images of the six generators under conjugation x -> g^-1 x g.
 
-    The four positive directions are fixed data; the inverse directions
-    are obtained by inverting those automorphisms (solve each forward rule
-    for the preimage).  Round trips are property-tested.
+    The four positive directions are the paper's data, checked by
+    ``verify --prop41``; each inverse direction x -> g x g^-1 is solved
+    from its forward rules by ``_inverse_rules``.
     """
     forward = {
-        ("s1", 1): {
+        "s1": {
             A12: "a12",
             A13: "a13 a23 a13^-1",
             A23: "a13",
@@ -246,7 +282,7 @@ def _action_tables() -> dict[tuple[str, int], dict[str, SPWord]]:
             B13: "a13 b23 a13^-1",
             B23: "b13",
         },
-        ("s2", 1): {
+        "s2": {
             A12: "a23^-1 a13 a23",
             A13: "a12",
             A23: "a23",
@@ -254,7 +290,7 @@ def _action_tables() -> dict[tuple[str, int], dict[str, SPWord]]:
             B13: "b12",
             B23: "b23",
         },
-        ("t1", 1): {
+        "t1": {
             A12: "a12",
             A13: "b12^-1 a23 b12",
             A23: "b12^-1 a23^-1 a13 a23 b12",
@@ -262,7 +298,7 @@ def _action_tables() -> dict[tuple[str, int], dict[str, SPWord]]:
             B13: "b12^-1 b23 b12",
             B23: "b12^-1 a12 b13 a12^-1 b12",
         },
-        ("t2", 1): {
+        "t2": {
             A12: "b23^-1 a13 b23",
             A13: "b23^-1 a23 a12 a23^-1 b23",
             A23: "a23",
@@ -271,43 +307,10 @@ def _action_tables() -> dict[tuple[str, int], dict[str, SPWord]]:
             B23: "b23",
         },
     }
-    backward = {
-        ("s1", -1): {
-            A12: "a12",
-            A13: "a23",
-            A23: "a23^-1 a13 a23",
-            B12: "b12",
-            B13: "b23",
-            B23: "a23^-1 b13 a23",
-        },
-        ("s2", -1): {
-            A12: "a13",
-            A13: "a23 a12 a23^-1",
-            A23: "a23",
-            B12: "b13",
-            B13: "a23 b12 a23^-1",
-            B23: "b23",
-        },
-        ("t1", -1): {
-            A12: "a12",
-            A13: "b12 a13 a23 a13^-1 b12^-1",
-            A23: "b12 a13 b12^-1",
-            B12: "b12",
-            B13: "a12^-1 b12 b23 b12^-1 a12",
-            B23: "b12 b13 b12^-1",
-        },
-        ("t2", -1): {
-            A12: "a23^-1 b23 a13 b23^-1 a23",
-            A13: "b23 a12 b23^-1",
-            A23: "a23",
-            B12: "a23^-1 b23 b13 b23^-1 a23",
-            B13: "b23 b12 b23^-1",
-            B23: "b23",
-        },
-    }
     tables: dict[tuple[str, int], dict[str, SPWord]] = {}
-    for key, rows in {**forward, **backward}.items():
-        tables[key] = {name: parse_sp_word(text) for name, text in rows.items()}
+    for token, rows in forward.items():
+        tables[(token, 1)] = {name: parse_sp_word(text) for name, text in rows.items()}
+        tables[(token, -1)] = _inverse_rules(tables[(token, 1)])
     return tables
 
 
@@ -324,13 +327,9 @@ def conjugate_by_sg3_generator(word: SPWord, generator: Letter) -> SPWord:
     if token not in ("s1", "s2", "t1", "t2") or generator.exponent == 0:
         raise ValueError(f"cannot conjugate by {generator.token()}")
     table = ACTION_TABLES[(token, 1 if generator.exponent > 0 else -1)]
-    result = word
     for _ in range(abs(generator.exponent)):
-        letters: list[SPLetter] = []
-        for letter in result.letters:
-            letters.extend((table[letter.name] ** letter.exponent).letters)
-        result = SPWord(tuple(letters))
-    return result
+        word = _substitute(word, table)
+    return word
 
 
 class SP2Form(NamedTuple):

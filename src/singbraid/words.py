@@ -22,6 +22,11 @@ from typing import Iterable, Iterator, NamedTuple
 SIGMA = "s"
 TAU = "t"
 
+# Parsed words longer than this many unit letters (exponents counted by
+# magnitude, after free reduction) are rejected: decisions cost time and
+# memory linear in the unit letters, and 2**18 of them already take seconds.
+MAX_UNIT_LETTERS = 2**18
+
 _TOKEN_RE = re.compile(r"([st])([1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?\Z")
 
 
@@ -118,7 +123,8 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
 
     Tokens are ``s<i>`` and ``t<i>`` with an optional nonzero integer
     exponent suffix ``^<k>``; the standalone token ``1`` denotes the empty
-    word, so parsing is a left inverse of ``str()``.
+    word, so parsing is a left inverse of ``str()``.  Raises ``ValueError``
+    when the reduced word has more than ``MAX_UNIT_LETTERS`` unit letters.
     """
     letters: list[Letter] = []
     tokens = text.split()
@@ -132,7 +138,19 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         if not 1 <= index <= strands - 1:
             raise ValueError(f"token {token!r} out of range for {strands} strands")
         letters.append(Letter(kind, index, 1 if exponent is None else int(exponent)))
-    return BraidWord(strands, tuple(letters))
+    word = BraidWord(strands, tuple(letters))
+    check_unit_length(word.letters)
+    return word
+
+
+def check_unit_length(letters: Iterable[Letter]) -> None:
+    """Reject a parsed word of more than ``MAX_UNIT_LETTERS`` unit letters;
+    ``letters`` are braid or SP_3 letters, anything with an exponent."""
+    length = sum(abs(letter.exponent) for letter in letters)
+    if length > MAX_UNIT_LETTERS:
+        raise ValueError(
+            f"word has {length} unit letters, more than the limit of {MAX_UNIT_LETTERS}"
+        )
 
 
 def concat(first: BraidWord, second: BraidWord) -> BraidWord:

@@ -60,6 +60,19 @@ def test_nf_rejects_braid_letters(capsys):
     assert code == 2 and "t1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trivial", "s1^1000000000 t2 s1^-1000000000 t2^-1"),
+        ("nf", "a12^1000000000"),
+        ("conj", "-g", "t1^1000000000", "a12"),
+    ],
+)
+def test_oversized_words_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "limit" in err
+
+
 def test_trivial(capsys):
     code, out, _ = run(capsys, "trivial", "-n", "3", "s1 t1 s1^-1 t1^-1")
     assert code == 0 and out == "trivial\n"

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from singbraid import (
+    CenterSplitForm,
     FactorSyllable,
     FreeProductWord,
+    HNNForm,
+    SPLetter,
     SPWord,
     britton_reduce,
     center_generator,
@@ -20,7 +23,7 @@ from singbraid import (
     presentation_relators,
     rewrite_to_sp3,
 )
-from singbraid.normal_form import F13, F23, canonical_display
+from singbraid.normal_form import F13, F23, _c_power, canonical_display
 from helpers import random_sp_word
 
 
@@ -239,6 +242,63 @@ def test_canonical_display_preserves_element():
         delta = int(prefix.removeprefix("d^"))
         rebuilt = parse_sp_word("a12 a13 a23") ** delta * parse_sp_word(rest)
         assert equal_sp3(rebuilt, word)
+
+
+def reference_canonical_display(form: CenterSplitForm) -> str:
+    """The quadratic canonical display that ``canonical_display`` replaced:
+    it builds c^-k B for every candidate k and counts its syllables."""
+    bases = list(form.v.bases)
+    powers = list(form.v.powers)
+    for i in range(1, len(bases)):
+        window = len(bases[i].syllables) // 2 + 1
+        candidates = sorted(range(-window, window + 1), key=lambda k: (abs(k), k))
+        best = min(
+            candidates,
+            key=lambda k: len((_c_power(-k) * bases[i]).syllables),
+        )
+        if best:
+            bases[i - 1] = bases[i - 1] * _c_power(best)
+            bases[i] = _c_power(-best) * bases[i]
+    i = 1
+    while i < len(bases) - 1:
+        if bases[i].is_empty:
+            powers[i - 1 : i + 1] = [powers[i - 1] + powers[i]]
+            del bases[i]
+        else:
+            i += 1
+    compacted = CenterSplitForm(form.delta_exp, HNNForm(tuple(bases), tuple(powers)))
+    return str(compacted)
+
+
+def _c_heavy_word(rng: random.Random, pieces: int, max_c: int) -> SPWord:
+    """Powers of c and of b12 among single letters, so that bases start
+    with long prefixes of c^k or c^-k patterns and then diverge."""
+    letters = []
+    for _ in range(pieces):
+        roll = rng.random()
+        if roll < 0.3:
+            k = rng.randrange(1, max_c + 1)
+            c_sign = "a13 a23" if rng.random() < 0.5 else "a23^-1 a13^-1"
+            letters.extend(parse_sp_word(c_sign).letters * k)
+        elif roll < 0.5:
+            letters.append(SPLetter("b12", rng.choice((-2, -1, 1, 2))))
+        else:
+            name = rng.choice(("a12", "a13", "a23", "b13", "b23"))
+            letters.append(SPLetter(name, rng.choice((-2, -1, 1, 2))))
+    return SPWord(tuple(letters))
+
+
+def test_canonical_display_matches_reference():
+    rng = random.Random(331)
+    for _ in range(1000):
+        form = center_split(_c_heavy_word(rng, rng.choice((5, 15, 40)), 5))
+        assert canonical_display(form) == reference_canonical_display(form)
+    longest = 0
+    for _ in range(20):
+        form = center_split(_c_heavy_word(rng, 40, 30))
+        longest = max([longest] + [len(base.syllables) for base in form.v.bases[1:]])
+        assert canonical_display(form) == reference_canonical_display(form)
+    assert longest > 200
 
 
 def test_canonical_display_compacts_c_powers():

@@ -119,8 +119,3 @@ def test_coset_rep_matches_projection():
         rep = coset_rep(word)
         assert pi(rep) == pi(word)
         assert pi(concat(word, rep.inverse())).is_identity
-
-
-def test_coset_rep_rejects_strand_mismatch():
-    with pytest.raises(ValueError):
-        coset_rep(parse_braid_word("s1", 2), schreier_transversal(3))

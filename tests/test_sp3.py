@@ -5,6 +5,7 @@ import pytest
 from singbraid import (
     Letter,
     SchreierGenerator,
+    SPLetter,
     SPWord,
     concat,
     conjugate_by_sg3_generator,
@@ -20,6 +21,7 @@ from singbraid import (
     verify_presentation,
 )
 from singbraid import sp3 as sp3_module
+from singbraid.words import MAX_UNIT_LETTERS
 from helpers import random_sp_word
 
 
@@ -95,12 +97,62 @@ def test_presentation_relators():
     assert "a12 b23 a12^-1 a23^-1 a13^-1 b23^-1 a13 a23" in texts
 
 
+def test_sp_word_parsing_limits_unit_letters():
+    limit = MAX_UNIT_LETTERS
+    assert parse_sp_word(f"a12^{limit}").letters == (SPLetter("a12", limit),)
+    assert len(parse_sp_word(f"b13^{limit - 1} a23^-1").letters) == 2
+    assert parse_sp_word(f"a12^{limit} b12 b12^-1").letters == (SPLetter("a12", limit),)
+    with pytest.raises(ValueError, match="limit"):
+        parse_sp_word(f"a12^{limit} b12")
+    with pytest.raises(ValueError, match="limit"):
+        parse_sp_word(f"b13^-{limit} a23^-1")
+
+
 def test_conjugation_examples():
     a23 = parse_sp_word("a23")
     assert str(conjugate_by_sg3_generator(a23, Letter("s", 1, 1))) == "a13"
     b23 = parse_sp_word("b23")
     image = conjugate_by_sg3_generator(b23, Letter("t", 1, 1))
     assert str(image) == "b12^-1 a12 b13 a12^-1 b12"
+    image = conjugate_by_sg3_generator(b23, Letter("t", 1, -1))
+    assert str(image) == "b12 b13 b12^-1"
+    b13 = parse_sp_word("b13")
+    image = conjugate_by_sg3_generator(b13, Letter("t", 1, -1))
+    assert str(image) == "a12^-1 b12 b23 b12^-1 a12"
+    a12 = parse_sp_word("a12")
+    image = conjugate_by_sg3_generator(a12, Letter("t", 2, -1))
+    assert str(image) == "a23^-1 b23 a13 b23^-1 a23"
+    image = conjugate_by_sg3_generator(parse_sp_word("a13"), Letter("t", 2, -1))
+    assert str(image) == "b23 a12 b23^-1"
+
+
+def test_derived_inverse_rules_are_exact_inverses():
+    # Both composites fix every letter as a freely reduced word, not just
+    # as a group element.
+    for token in ("s1", "s2", "t1", "t2"):
+        forward = Letter(token[0], int(token[1]), 1)
+        for name in sp3_module.SP_NAMES:
+            letter = parse_sp_word(name)
+            there = conjugate_by_sg3_generator(letter, forward)
+            assert conjugate_by_sg3_generator(there, forward.inverse()) == letter
+            back = conjugate_by_sg3_generator(letter, forward.inverse())
+            assert conjugate_by_sg3_generator(back, forward) == letter
+
+
+@pytest.mark.parametrize(
+    "name, image",
+    [
+        ("b23", "b12^-1 a12 b13 a12^-1"),  # not a conjugate
+        ("b23", "b12^-1 a12 b13^2 a12^-1 b12"),  # conjugates a square
+        ("b23", "b12^-1 b23 b12"),  # shares b23 with the b13 rule
+        ("b12", "b23 b12 b23^-1"),  # b12 and b23 each wait for the other
+    ],
+)
+def test_inverse_rules_reject_corrupt_forward_rules(name, image):
+    rules = dict(sp3_module.ACTION_TABLES[("t1", 1)])
+    rules[name] = parse_sp_word(image)
+    with pytest.raises(ValueError):
+        sp3_module._inverse_rules(rules)
 
 
 def test_conjugation_round_trips():

@@ -12,6 +12,7 @@ from singbraid import (
     parse_braid_word,
     sg3_relators,
 )
+from singbraid.words import MAX_UNIT_LETTERS
 from helpers import random_word
 
 
@@ -53,6 +54,18 @@ def test_parse_rejects_out_of_range_index():
         parse_braid_word("s2", 2)
     with pytest.raises(ValueError):
         parse_braid_word("t3", 3)
+
+
+def test_parse_limits_unit_letters():
+    limit = MAX_UNIT_LETTERS
+    assert parse_braid_word(f"s1^{limit}", 3).unit_length() == limit
+    assert parse_braid_word(f"t2^-{limit - 1} s1", 3).unit_length() == limit
+    # The limit applies after free reduction.
+    assert parse_braid_word(f"s1^{limit} t2 t2^-1", 3).unit_length() == limit
+    with pytest.raises(ValueError, match="limit"):
+        parse_braid_word(f"s1^{limit} t2", 3)
+    with pytest.raises(ValueError, match="limit"):
+        parse_braid_word(f"t2^-{limit} s1", 3)
 
 
 def test_concat_cancels_inverse():
