@@ -10,9 +10,15 @@ set of all products m(2, j_2) m(3, j_3) ... m(n, j_n) with 1 <= j_k <= k.
 Every prefix of a transversal word is again a transversal word, which is
 what makes the rewriting in ``rewriting`` work.
 
+``Permutation`` objects are for building the transversal and the coset
+table of ``rewriting``, once per strand count, and for ``pi`` itself.  The
+SG_3 decision calls ``pi`` once, as an early exit for words outside the
+kernel; rewriting a kernel word reads coset indices from the table and
+composes no permutations.
+
 Convention: words act left to right, so the image of a product applies the
 first letter's transposition first.  Any consistent choice leaves the
-transversal a bijection; this one lets the rewriter stream prefix images.
+transversal a bijection.
 """
 
 from __future__ import annotations

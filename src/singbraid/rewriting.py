@@ -15,6 +15,16 @@ example S(1, s1) = s1 s1^-1) carry no content and are dropped during
 rewriting; all other generators are kept even when they happen to be
 trivial as group elements, since dropping them would break the exact
 telescoping above.
+
+Rewriting is one walk over a coset table, which is coset-table rewriting
+as in Sims, *Computation with Finitely Presented Groups* (1994).
+``coset_table`` derives, once per strand count and from the transversal
+and the generator list alone, the move of every coset index under every
+unit letter together with the Schreier factors the letter emits; ``walk``
+reads a word through such a table, and ``rewrite_tau`` is a walk followed
+by one free reduction.  ``sp3`` walks the same table with each factor
+replaced by its six-letter expression, so deciding a word composes no
+permutations and builds no Schreier generators.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .permutations import Permutation, pi, schreier_transversal
+from .permutations import pi, schreier_transversal
 from .words import SIGMA, TAU, BraidWord, Letter, concat, conjugate, sg3_relators
 
 
@@ -88,11 +98,6 @@ def s_generator_word(generator: SchreierGenerator) -> BraidWord:
     return concat(stepped, transversal.rep_of(pi(stepped)).inverse())
 
 
-@lru_cache(maxsize=None)
-def _canonical_ambient(generator: SchreierGenerator) -> BraidWord:
-    return s_generator_word(generator)
-
-
 @dataclass(frozen=True)
 class GeneratorEntry:
     generator: SchreierGenerator
@@ -121,36 +126,52 @@ def enumerate_generators(strands: int) -> tuple[GeneratorEntry, ...]:
     return tuple(entries)
 
 
-def rewrite_tau(word: BraidWord) -> SchreierWord:
-    """Rewrite a kernel word as a word over the Schreier generators.
+@lru_cache(maxsize=None)
+def coset_table(strands: int) -> dict:
+    """The coset table of SP_n in SG_n: a coset index and a unit letter map
+    to the next coset index and the Schreier factors the letter emits.
 
-    Streams the projection over the prefixes of ``word`` once; generators
-    with freely empty ambient words are skipped.
+    Coset indices follow the transversal order, so 0 is the trivial coset.
+    A generator ``a`` leads coset i to j and emits S(rep_i, a); since ``a``
+    projects to an involution, ``a^-1`` leads j back to i and emits
+    S(rep_i, a)^-1.  Generators with freely empty ambient words emit
+    nothing.
     """
-    transversal = schreier_transversal(word.strands)
-    if not pi(word).is_identity:
-        raise ValueError("can only rewrite words with trivial projection")
-    prefix = Permutation.identity(word.strands)
-    factors: list[tuple[SchreierGenerator, int]] = []
+    index = {rep: i for i, rep in enumerate(schreier_transversal(strands).elements)}
+    table = {}
+    for entry in enumerate_generators(strands):
+        rep, letter = entry.generator.rep, entry.generator.letter
+        # The ambient word is rep a rep_j^-1 freely reduced, so ambient^-1 rep a
+        # reduces to the representative rep_j of the coset reached.
+        i, j = index[rep], index[entry.ambient.inverse() * rep * BraidWord(strands, (letter,))]
+        for (source, target), unit in (((i, j), letter), ((j, i), letter.inverse())):
+            table[source, unit] = (target, () if entry.trivial else ((entry.generator, unit.exponent),))
+    return table
+
+
+def walk(word: BraidWord, table: dict) -> list:
+    """Read ``word`` through a coset table from the trivial coset, one unit
+    letter at a time, and return everything the letters emit."""
+    coset, emitted = 0, []
     for letter in word.unit_letters():
-        before = prefix
-        prefix = prefix.then(Permutation.transposition(word.strands, letter.index))
-        key = before if letter.exponent == 1 else prefix
-        generator = SchreierGenerator(
-            transversal.rep_of(key), Letter(letter.kind, letter.index, 1)
-        )
-        if _canonical_ambient(generator).is_empty:
-            continue
-        factors.append((generator, letter.exponent))
-    return schreier_word(factors)
+        coset, out = table[coset, letter]
+        emitted.extend(out)
+    if coset:
+        raise ValueError("can only rewrite words with trivial projection")
+    return emitted
+
+
+def rewrite_tau(word: BraidWord) -> SchreierWord:
+    """Rewrite a kernel word as a word over the Schreier generators;
+    generators with freely empty ambient words are skipped."""
+    return schreier_word(walk(word, coset_table(word.strands)))
 
 
 def expand(word: SchreierWord, strands: int = 3) -> BraidWord:
     """Substitute each Schreier generator by its ambient word."""
     letters: list[Letter] = []
     for generator, exponent in word.factors:
-        ambient = _canonical_ambient(generator)
-        letters.extend((ambient if exponent == 1 else ambient.inverse()).letters)
+        letters.extend((s_generator_word(generator) ** exponent).letters)
     return BraidWord(strands, tuple(letters))
 
 

@@ -8,11 +8,13 @@ SP_3 is generated by
 
 subject to eight relations (see ``presentation_relators``).  Every
 Schreier generator of SP_3 equals a short word in these six letters; the
-lookup lives in ``EXPRESSION_TABLE`` and composing it with the rewriting
-process turns any kernel word of SG_3 into an SP word
-(``rewrite_to_sp3``).  Conjugation by the four ambient generators restricts
-to automorphisms of SP_3 (``conjugate_by_sg3_generator``); their rules are
-tabulated, and the rules of the inverse automorphisms solved from them.
+lookup lives in ``EXPRESSION_TABLE``.  At import the rows replace the
+Schreier factors of the 3-strand coset table of ``rewriting``, so
+``rewrite_to_sp3`` turns a kernel word of SG_3 into an SP word with one
+walk over that table and one free reduction.  Conjugation by the four
+ambient generators restricts to automorphisms of SP_3
+(``conjugate_by_sg3_generator``); their rules are tabulated, and the rules
+of the inverse automorphisms solved from them.
 
 ``verify_presentation`` machine-checks all of the above against the
 normal-form engine: the 30 rewritten relators and the 8 presentation
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import rewriting
-from .words import BraidWord, Letter, check_unit_length, concat, parse_braid_word
+from .words import BraidWord, Letter, check_unit_length, concat, parse_braid_word, parse_number
 
 A12, A13, A23 = "a12", "a13", "a23"
 B12, B13, B23 = "b12", "b13", "b23"
@@ -102,7 +104,8 @@ class SPWord:
 
 def parse_sp_word(text: str) -> SPWord:
     """Parse the SP_3 word grammar (tokens a12 .. b23 with optional ``^<k>``,
-    ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters."""
+    ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters;
+    exponents of more than ``words.MAX_DIGITS`` digits are refused unread."""
     letters: list[SPLetter] = []
     for token in text.split():
         if token == "1":
@@ -111,7 +114,7 @@ def parse_sp_word(text: str) -> SPWord:
         if match is None:
             raise ValueError(f"bad token {token!r} in SP word")
         name, exponent = match.group(1), match.group(2)
-        letters.append(SPLetter(name, 1 if exponent is None else int(exponent)))
+        letters.append(SPLetter(name, 1 if exponent is None else parse_number(exponent)))
     word = SPWord(tuple(letters))
     check_unit_length(word.letters)
     return word
@@ -193,24 +196,30 @@ def express_schreier_gen(generator: rewriting.SchreierGenerator) -> SPWord:
         raise ValueError(f"unknown Schreier generator {generator}") from None
 
 
-def _express(word: rewriting.SchreierWord) -> SPWord:
+def _express(factors: Iterable[tuple[rewriting.SchreierGenerator, int]]) -> SPWord:
     """Substitute each Schreier factor by its table row, or the inverse of
     the row, and freely reduce the whole word once."""
     letters: list[SPLetter] = []
-    for generator, exponent in word.factors:
-        row = express_schreier_gen(generator).letters
-        if exponent == 1:
-            letters.extend(row)
-        else:
-            letters.extend(letter.inverse() for letter in reversed(row))
+    for generator, exponent in factors:
+        letters.extend((express_schreier_gen(generator) ** exponent).letters)
     return SPWord(tuple(letters))
 
 
+def _sp3_coset_table() -> dict:
+    """The 3-strand coset table with each letter's Schreier factors
+    replaced by their rows of ``EXPRESSION_TABLE``, read when called."""
+    return {key: (coset, _express(out).letters) for key, (coset, out) in rewriting.coset_table(3).items()}
+
+
+_SP3_COSET_TABLE = _sp3_coset_table()
+
+
 def rewrite_to_sp3(word: BraidWord) -> SPWord:
-    """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators."""
+    """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators:
+    one walk over the coset table, freely reduced once."""
     if word.strands != 3:
         raise ValueError("SP_3 rewriting needs a 3-strand word")
-    return _express(rewriting.rewrite_tau(word))
+    return SPWord(tuple(rewriting.walk(word, _SP3_COSET_TABLE)))
 
 
 def presentation_relators() -> list[SPWord]:
@@ -411,7 +420,7 @@ GROUP_EXPRESSION = "expression-table"
 def _check_rewritten_relators(is_trivial_sp3) -> CheckGroup:
     checks = []
     for rewrite in rewriting.relator_rewrites():
-        expressed = _express(rewrite.word)
+        expressed = _express(rewrite.word.factors)
         checks.append(
             Check(
                 label=f"r{rewrite.relator_index} @ {rewrite.rep}",

@@ -26,6 +26,8 @@ TAU = "t"
 # magnitude, after free reduction) are rejected: decisions cost time and
 # memory linear in the unit letters, and 2**18 of them already take seconds.
 MAX_UNIT_LETTERS = 2**18
+# A token's index or exponent of more digits than the limit has is refused.
+MAX_DIGITS = len(str(MAX_UNIT_LETTERS))
 
 _TOKEN_RE = re.compile(r"([st])([1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?\Z")
 
@@ -124,7 +126,8 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     Tokens are ``s<i>`` and ``t<i>`` with an optional nonzero integer
     exponent suffix ``^<k>``; the standalone token ``1`` denotes the empty
     word, so parsing is a left inverse of ``str()``.  Raises ``ValueError``
-    when the reduced word has more than ``MAX_UNIT_LETTERS`` unit letters.
+    when an index or exponent has more than ``MAX_DIGITS`` digits, or
+    the reduced word has more than ``MAX_UNIT_LETTERS`` unit letters.
     """
     letters: list[Letter] = []
     tokens = text.split()
@@ -134,13 +137,22 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         match = _TOKEN_RE.match(token)
         if match is None:
             raise ValueError(f"bad token {token!r} in braid word")
-        kind, index, exponent = match.group(1), int(match.group(2)), match.group(3)
+        kind, index, exponent = match.group(1), parse_number(match.group(2)), match.group(3)
         if not 1 <= index <= strands - 1:
             raise ValueError(f"token {token!r} out of range for {strands} strands")
-        letters.append(Letter(kind, index, 1 if exponent is None else int(exponent)))
+        letters.append(Letter(kind, index, 1 if exponent is None else parse_number(exponent)))
     word = BraidWord(strands, tuple(letters))
     check_unit_length(word.letters)
     return word
+
+
+def parse_number(digits: str) -> int:
+    """``int(digits)`` for a token's index or exponent, refusing more than
+    ``MAX_DIGITS`` digits before any conversion, so that hostile input costs
+    nothing and the message does not repeat the digits."""
+    if len(digits.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"a number has more than {MAX_DIGITS} digits, past the limit of {MAX_UNIT_LETTERS}")
+    return int(digits)
 
 
 def check_unit_length(letters: Iterable[Letter]) -> None:

@@ -37,6 +37,17 @@ def random_pi_trivial(rng: random.Random, strands: int = 3, max_len: int = 40) -
     return concat(base, coset_rep(base).inverse())
 
 
+def random_kernel_word(rng: random.Random, strands: int = 3, max_len: int = 20, max_exp: int = 5) -> BraidWord:
+    """A random kernel word whose letters carry exponents up to +-max_exp,
+    with its coset representative cancelled off."""
+    letters = tuple(
+        Letter(rng.choice((SIGMA, TAU)), rng.randrange(1, strands), rng.choice((-1, 1)) * rng.randint(1, max_exp))
+        for _ in range(rng.randrange(max_len + 1))
+    )
+    base = BraidWord(strands, letters)
+    return concat(base, coset_rep(base).inverse())
+
+
 def random_relator_product(rng: random.Random, max_factors: int = 6, conj_len: int = 8) -> BraidWord:
     """A product of conjugated SG_3 relators: trivial by construction."""
     relators = sg3_relators()

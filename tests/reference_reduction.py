@@ -3,19 +3,25 @@ differential oracle: split at the stable letters, take the free-product
 normal form of each segment, then merge and cancel pinches with a scan that
 restarts from the left after every step.  The c-power test compares
 syllable patterns instead of reading the reducer's running flags.
-``rewrite_to_sp3`` is the left fold that merged the whole word again for
-every Schreier factor.
+``rewrite_tau`` is the rewriter that the coset-table walk replaced: it
+composes the projection of every prefix as a ``Permutation`` and looks the
+coset representative up in the transversal.  ``rewrite_to_sp3`` is the left
+fold over it that merged the whole word again for every Schreier factor.
 
-These functions are quadratic; they exist only for the tests to compare
-the engine against.
+The reduction and the fold are quadratic, and the rewriter builds a
+``Permutation`` and a ``SchreierGenerator`` per letter; they exist only for
+the tests to compare the engine against.
 """
 
 from __future__ import annotations
 
-from singbraid import rewriting
+from functools import lru_cache
+
 from singbraid.normal_form import FreeProductWord, HNNForm, _c_power, free_product_nf
+from singbraid.permutations import Permutation, pi, schreier_transversal
+from singbraid.rewriting import SchreierGenerator, SchreierWord, s_generator_word, schreier_word
 from singbraid.sp3 import A12, B12, SPLetter, SPWord, express_schreier_gen
-from singbraid.words import BraidWord
+from singbraid.words import BraidWord, Letter
 
 
 def cyclic_power_of_c(word: FreeProductWord) -> int | None:
@@ -106,11 +112,38 @@ def britton_reduce(word: SPWord) -> HNNForm:
             return HNNForm(tuple(bases), tuple(powers))
 
 
+_ambient = lru_cache(maxsize=None)(s_generator_word)
+
+
+def rewrite_tau(word: BraidWord) -> SchreierWord:
+    """Rewrite a kernel word as a word over the Schreier generators.
+
+    Streams the projection over the prefixes of ``word`` once; generators
+    with freely empty ambient words are skipped.
+    """
+    transversal = schreier_transversal(word.strands)
+    if not pi(word).is_identity:
+        raise ValueError("can only rewrite words with trivial projection")
+    prefix = Permutation.identity(word.strands)
+    factors: list[tuple[SchreierGenerator, int]] = []
+    for letter in word.unit_letters():
+        before = prefix
+        prefix = prefix.then(Permutation.transposition(word.strands, letter.index))
+        key = before if letter.exponent == 1 else prefix
+        generator = SchreierGenerator(
+            transversal.rep_of(key), Letter(letter.kind, letter.index, 1)
+        )
+        if _ambient(generator).is_empty:
+            continue
+        factors.append((generator, letter.exponent))
+    return schreier_word(factors)
+
+
 def rewrite_to_sp3(word: BraidWord) -> SPWord:
     """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators."""
     if word.strands != 3:
         raise ValueError("SP_3 rewriting needs a 3-strand word")
-    schreier = rewriting.rewrite_tau(word)
+    schreier = rewrite_tau(word)
     result = SPWord()
     for generator, exponent in schreier.factors:
         expressed = express_schreier_gen(generator)

@@ -66,6 +66,8 @@ def test_nf_rejects_braid_letters(capsys):
         ("trivial", "s1^1000000000 t2 s1^-1000000000 t2^-1"),
         ("nf", "a12^1000000000"),
         ("conj", "-g", "t1^1000000000", "a12"),
+        ("trivial", "s1^" + "9" * 5000 + " t1"),
+        ("trivial", "s" + "1" * 5000),
     ],
 )
 def test_oversized_words_exit_2(capsys, argv):

@@ -1,5 +1,6 @@
-"""Differential tests: the stack-based reducer and the single-merge
-``rewrite_to_sp3`` against the composed reduction and the left fold they
+"""Differential tests: the stack-based reducer, the coset-table
+``rewrite_tau`` and the single-merge ``rewrite_to_sp3`` against the composed
+reduction, the ``Permutation``-based rewriter and the left fold they
 replaced (``reference_reduction``).  Forms, renderings and verdicts must be
 identical, not only equal as group elements."""
 
@@ -13,10 +14,11 @@ from singbraid import (
     eliminate_a12,
     is_trivial_sp3,
     parse_sp_word,
+    rewrite_tau,
     rewrite_to_sp3,
 )
 import reference_reduction as reference
-from helpers import random_pi_trivial, random_relator_product, random_sp_word
+from helpers import random_kernel_word, random_pi_trivial, random_relator_product, random_sp_word
 
 C = parse_sp_word("a13 a23")
 B12 = parse_sp_word("b12")
@@ -118,3 +120,14 @@ def test_rewrite_to_sp3_matches_left_fold():
     for _ in range(100):
         word = random_relator_product(rng)
         assert rewrite_to_sp3(word) == reference.rewrite_to_sp3(word)
+    for _ in range(500):
+        word = random_kernel_word(rng, max_len=30, max_exp=5)
+        assert rewrite_to_sp3(word) == reference.rewrite_to_sp3(word), str(word)
+
+
+def test_rewrite_tau_matches_permutation_rewriter():
+    rng = random.Random(443)
+    for strands in range(2, 7):
+        for _ in range(1500):
+            word = random_kernel_word(rng, strands=strands, max_len=12, max_exp=5)
+            assert rewrite_tau(word) == reference.rewrite_tau(word), str(word)

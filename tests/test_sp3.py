@@ -270,9 +270,13 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
     # A corrupt row coherently redefines its generator on both sides of the
     # expression check, so detection comes from the rewritten relators that
     # route through the row asymmetrically.
+    # The coset table the decisions walk is rebuilt from the corrupt rows,
+    # as if the row were wrong in the source.
     key = gen("s2", "t1")
     monkeypatch.setitem(sp3_module.EXPRESSION_TABLE, key, parse_sp_word("b13 a13"))
+    monkeypatch.setattr(sp3_module, "_SP3_COSET_TABLE", sp3_module._sp3_coset_table())
     report = verify_presentation()
     assert not report.all_passed
     failed_groups = {name for name, _ in report.failures()}
     assert sp3_module.GROUP_REWRITTEN in failed_groups
+    assert sp3_module.GROUP_EXPRESSION not in failed_groups

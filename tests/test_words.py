@@ -10,6 +10,7 @@ from singbraid import (
     exponent_sums,
     invert,
     parse_braid_word,
+    parse_sp_word,
     sg3_relators,
 )
 from singbraid.words import MAX_UNIT_LETTERS
@@ -66,6 +67,23 @@ def test_parse_limits_unit_letters():
         parse_braid_word(f"s1^{limit} t2", 3)
     with pytest.raises(ValueError, match="limit"):
         parse_braid_word(f"t2^-{limit} s1", 3)
+
+
+def test_parse_refuses_long_numbers():
+    # Six digits parse as before; seven or more are refused before int()
+    # runs, in an index as in an exponent, without repeating the digits.
+    assert parse_braid_word("s1^999999 s1^-999999", 3).is_empty
+    assert parse_sp_word("a12^-999999 a12^999999").is_empty
+    nines = "9" * 5000
+    for parse in (
+        lambda: parse_braid_word("s1^1000000 s1^-1000000", 3),
+        lambda: parse_braid_word(f"s1^-{nines} t1", 3),
+        lambda: parse_braid_word(f"s{nines}", 3),
+        lambda: parse_sp_word(f"a12^{nines}"),
+    ):
+        with pytest.raises(ValueError, match="limit") as error:
+            parse()
+        assert "999" not in str(error.value) and "1000000" not in str(error.value)
 
 
 def test_concat_cancels_inverse():
