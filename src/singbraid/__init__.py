@@ -5,12 +5,11 @@ group SG_3 and its pure subgroup SP_3.
 The pipeline: parse words over the crossings s1, s2 and singular crossings
 t1, t2 (``words``), project to the symmetric group and build Schreier
 coset representatives (``permutations``), derive the coset table that
-rewrites kernel words over the Schreier generators (``rewriting``),
-express them in the six-generator presentation of SP_3 by walking that
-table with the expression rows in place of the generators (``sp3``), and
-decide triviality and equality through the center splitting and Britton
-reduction (``normal_form``).  Cheap matrix-quotient invariants cross-check
-the engine (``oracles``).
+rewrites kernel words over the Schreier generators in one walk
+(``rewriting``), express each factor by its row in the six-generator
+presentation of SP_3 (``sp3``), and decide triviality and equality
+through the center splitting and Britton reduction (``normal_form``).
+Cheap matrix-quotient invariants cross-check the engine (``oracles``).
 """
 
 from .normal_form import (

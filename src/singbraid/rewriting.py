@@ -19,12 +19,11 @@ telescoping above.
 Rewriting is one walk over a coset table, which is coset-table rewriting
 as in Sims, *Computation with Finitely Presented Groups* (1994).
 ``coset_table`` derives, once per strand count and from the transversal
-and the generator list alone, the move of every coset index under every
-unit letter together with the Schreier factors the letter emits; ``walk``
-reads a word through such a table, and ``rewrite_tau`` is a walk followed
-by one free reduction.  ``sp3`` walks the same table with each factor
-replaced by its six-letter expression, so deciding a word composes no
-permutations and builds no Schreier generators.
+alone, the move of every coset index under every unit letter together with
+the Schreier factors the letter emits; ``walk`` reads a word through such a
+table, and ``rewrite_tau`` is a walk followed by one free reduction.  The
+table holds every Schreier generator the walk can emit, so rewriting
+composes no permutations and builds no Schreier generators.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .permutations import pi, schreier_transversal
+from .permutations import Permutation, pi, schreier_transversal
 from .words import SIGMA, TAU, BraidWord, Letter, concat, conjugate, sg3_relators
 
 
@@ -132,20 +131,22 @@ def coset_table(strands: int) -> dict:
     to the next coset index and the Schreier factors the letter emits.
 
     Coset indices follow the transversal order, so 0 is the trivial coset.
-    A generator ``a`` leads coset i to j and emits S(rep_i, a); since ``a``
-    projects to an involution, ``a^-1`` leads j back to i and emits
-    S(rep_i, a)^-1.  Generators with freely empty ambient words emit
-    nothing.
+    A generator ``a`` leads coset i to the coset j of pi(rep_i) followed by
+    the transposition of ``a``, and emits S(rep_i, a); since ``a`` projects
+    to an involution, ``a^-1`` leads j back to i and emits S(rep_i, a)^-1.
+    Representatives are positive words, so S(rep_i, a) = rep_i a rep_j^-1
+    is freely empty, and emits nothing, exactly when rep_j spells rep_i a.
     """
-    index = {rep: i for i, rep in enumerate(schreier_transversal(strands).elements)}
+    perms, reps = zip(*schreier_transversal(strands).by_perm.items())
+    index = {perm: i for i, perm in enumerate(perms)}
     table = {}
-    for entry in enumerate_generators(strands):
-        rep, letter = entry.generator.rep, entry.generator.letter
-        # The ambient word is rep a rep_j^-1 freely reduced, so ambient^-1 rep a
-        # reduces to the representative rep_j of the coset reached.
-        i, j = index[rep], index[entry.ambient.inverse() * rep * BraidWord(strands, (letter,))]
-        for (source, target), unit in (((i, j), letter), ((j, i), letter.inverse())):
-            table[source, unit] = (target, () if entry.trivial else ((entry.generator, unit.exponent),))
+    for letter in _generator_letters(strands):
+        move = Permutation.transposition(strands, letter.index)
+        for i, rep in enumerate(reps):
+            j = index[perms[i].then(move)]
+            out = () if reps[j].letters == rep.letters + (letter,) else ((SchreierGenerator(rep, letter), 1),)
+            table[i, letter] = (j, out)
+            table[j, letter.inverse()] = (i, tuple((g, -e) for g, e in out))
     return table
 
 

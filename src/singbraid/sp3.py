@@ -8,13 +8,14 @@ SP_3 is generated by
 
 subject to eight relations (see ``presentation_relators``).  Every
 Schreier generator of SP_3 equals a short word in these six letters; the
-lookup lives in ``EXPRESSION_TABLE``.  At import the rows replace the
-Schreier factors of the 3-strand coset table of ``rewriting``, so
+lookup lives in ``EXPRESSION_TABLE``.  At import each Schreier factor
+S^+-1 is mapped to the letters of its row or of the row's inverse, so
 ``rewrite_to_sp3`` turns a kernel word of SG_3 into an SP word with one
-walk over that table and one free reduction.  Conjugation by the four
-ambient generators restricts to automorphisms of SP_3
-(``conjugate_by_sg3_generator``); their rules are tabulated, and the rules
-of the inverse automorphisms solved from them.
+coset-table walk of ``rewriting.rewrite_tau``, one lookup per factor and
+one merge of the letters.  Conjugation by the four ambient generators
+restricts to automorphisms of SP_3 (``conjugate_by_sg3_generator``); their
+rules are tabulated, and the rules of the inverse automorphisms solved
+from them.
 
 ``verify_presentation`` machine-checks all of the above against the
 normal-form engine: the 30 rewritten relators and the 8 presentation
@@ -199,27 +200,29 @@ def express_schreier_gen(generator: rewriting.SchreierGenerator) -> SPWord:
 def _express(factors: Iterable[tuple[rewriting.SchreierGenerator, int]]) -> SPWord:
     """Substitute each Schreier factor by its table row, or the inverse of
     the row, and freely reduce the whole word once."""
-    letters: list[SPLetter] = []
-    for generator, exponent in factors:
-        letters.extend((express_schreier_gen(generator) ** exponent).letters)
-    return SPWord(tuple(letters))
+    return SPWord(tuple(letter for g, e in factors for letter in (express_schreier_gen(g) ** e).letters))
 
 
-def _sp3_coset_table() -> dict:
-    """The 3-strand coset table with each letter's Schreier factors
-    replaced by their rows of ``EXPRESSION_TABLE``, read when called."""
-    return {key: (coset, _express(out).letters) for key, (coset, out) in rewriting.coset_table(3).items()}
+def _factor_rows() -> dict:
+    """Each Schreier factor (generator, +-1) of SP_3 mapped to the letters
+    of its row of ``EXPRESSION_TABLE``, or of the row's inverse, read when
+    called."""
+    return {(g, e): (row**e).letters for g, row in EXPRESSION_TABLE.items() for e in (1, -1)}
 
 
-_SP3_COSET_TABLE = _sp3_coset_table()
+_FACTOR_ROWS = _factor_rows()
 
 
 def rewrite_to_sp3(word: BraidWord) -> SPWord:
     """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators:
-    one walk over the coset table, freely reduced once."""
+    ``rewrite_tau``'s Schreier factors, each replaced by its row, merged
+    once."""
     if word.strands != 3:
         raise ValueError("SP_3 rewriting needs a 3-strand word")
-    return SPWord(tuple(rewriting.walk(word, _SP3_COSET_TABLE)))
+    factors = rewriting.rewrite_tau(word).factors
+    # A list, not a generator: tuple() over a generator grows by resizing,
+    # which raised peak memory by about 1 MB over 30k short words.
+    return SPWord(tuple([letter for factor in factors for letter in _FACTOR_ROWS[factor]]))
 
 
 def presentation_relators() -> list[SPWord]:

@@ -270,11 +270,11 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
     # A corrupt row coherently redefines its generator on both sides of the
     # expression check, so detection comes from the rewritten relators that
     # route through the row asymmetrically.
-    # The coset table the decisions walk is rebuilt from the corrupt rows,
-    # as if the row were wrong in the source.
+    # The rows the decisions read are rebuilt from the corrupt table, as if
+    # the row were wrong in the source.
     key = gen("s2", "t1")
     monkeypatch.setitem(sp3_module.EXPRESSION_TABLE, key, parse_sp_word("b13 a13"))
-    monkeypatch.setattr(sp3_module, "_SP3_COSET_TABLE", sp3_module._sp3_coset_table())
+    monkeypatch.setattr(sp3_module, "_FACTOR_ROWS", sp3_module._factor_rows())
     report = verify_presentation()
     assert not report.all_passed
     failed_groups = {name for name, _ in report.failures()}
