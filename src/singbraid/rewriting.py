@@ -24,6 +24,11 @@ the Schreier factors the letter emits; ``walk`` reads a word through such a
 table, and ``rewrite_tau`` is a walk followed by one free reduction.  The
 table holds every Schreier generator the walk can emit, so rewriting
 composes no permutations and builds no Schreier generators.
+
+A Schreier word is not a ``words.FreeWord``: ``schreier_word`` cancels
+adjacent inverse factors but never merges equal ones, so s1^4 rewrites to
+S[s1,s1] S[s1,s1].  ``expand`` substitutes ambient words with
+``words.substitute``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .permutations import Permutation, pi, schreier_transversal
-from .words import SIGMA, TAU, BraidWord, Letter, concat, conjugate, sg3_relators
+from .words import SIGMA, TAU, BraidWord, Letter, concat, conjugate, sg3_relators, substitute
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,6 @@ class SchreierWord:
     @property
     def is_empty(self) -> bool:
         return not self.factors
-
-    def inverse(self) -> SchreierWord:
-        return SchreierWord(tuple((g, -e) for g, e in reversed(self.factors)))
 
     def __mul__(self, other: SchreierWord) -> SchreierWord:
         return schreier_word(self.factors + other.factors)
@@ -170,10 +172,8 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
 
 def expand(word: SchreierWord, strands: int = 3) -> BraidWord:
     """Substitute each Schreier generator by its ambient word."""
-    letters: list[Letter] = []
-    for generator, exponent in word.factors:
-        letters.extend((s_generator_word(generator) ** exponent).letters)
-    return BraidWord(strands, tuple(letters))
+    ambient = {generator: s_generator_word(generator) for generator, _ in word.factors}
+    return BraidWord(strands, substitute(word.factors, ambient))
 
 
 @dataclass(frozen=True)

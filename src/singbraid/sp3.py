@@ -6,16 +6,20 @@ SP_3 is generated by
     a12 = s1^2          a13 = s2 s1^2 s2^-1      a23 = s2^2
     b12 = s1 t1         b13 = s2 s1 t1 s2^-1     b23 = s2 t2
 
-subject to eight relations (see ``presentation_relators``).  Every
-Schreier generator of SP_3 equals a short word in these six letters; the
-lookup lives in ``EXPRESSION_TABLE``.  At import each Schreier factor
-S^+-1 is mapped to the letters of its row or of the row's inverse, so
-``rewrite_to_sp3`` turns a kernel word of SG_3 into an SP word with one
-coset-table walk of ``rewriting.rewrite_tau``, one lookup per factor and
-one merge of the letters.  Conjugation by the four ambient generators
-restricts to automorphisms of SP_3 (``conjugate_by_sg3_generator``); their
-rules are tabulated, and the rules of the inverse automorphisms solved
-from them.
+subject to eight relations (see ``presentation_relators``).  An SP word
+is a ``words.FreeWord``: it is reduced, multiplied, inverted, powered and
+printed by the same free-group core as a braid word, and only checks its
+letter names itself.  Every Schreier generator of SP_3 equals a short word
+in these six letters; the lookup lives in ``EXPRESSION_TABLE``.  At import
+each Schreier factor S^+-1 is mapped to the letters of its row or of the
+row's inverse, and ``_express`` reads those rows: ``rewrite_to_sp3`` turns
+a kernel word of SG_3 into an SP word with one coset-table walk of
+``rewriting.rewrite_tau``, one lookup per factor and one merge of the
+letters, and ``verify --rs`` expresses the rewritten relators the same
+way.  Conjugation by the four ambient generators restricts to
+automorphisms of SP_3 (``conjugate_by_sg3_generator``); their rules are
+tabulated, the rules of the inverse automorphisms are solved from them,
+and both are applied with ``words.substitute``, as is ``sp3_to_sg3``.
 
 ``verify_presentation`` machine-checks all of the above against the
 normal-form engine: the 30 rewritten relators and the 8 presentation
@@ -30,7 +34,18 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import rewriting
-from .words import BraidWord, Letter, check_unit_length, concat, parse_braid_word, parse_number
+from .words import (
+    BraidWord,
+    FreeWord,
+    Letter,
+    check_unit_length,
+    concat,
+    free_reduce,
+    parse_braid_word,
+    parse_number,
+    parse_tokens,
+    substitute,
+)
 
 A12, A13, A23 = "a12", "a13", "a23"
 B12, B13, B23 = "b12", "b13", "b23"
@@ -54,24 +69,8 @@ class SPLetter(NamedTuple):
         return f"{self.name}^{self.exponent}"
 
 
-def _merge_sp_runs(letters: Iterable[SPLetter]) -> tuple[SPLetter, ...]:
-    stack: list[SPLetter] = []
-    for letter in letters:
-        if letter.exponent == 0:
-            continue
-        if stack and stack[-1].name == letter.name:
-            merged = stack[-1].exponent + letter.exponent
-            if merged == 0:
-                stack.pop()
-            else:
-                stack[-1] = SPLetter(letter.name, merged)
-        else:
-            stack.append(letter)
-    return tuple(stack)
-
-
 @dataclass(frozen=True)
-class SPWord:
+class SPWord(FreeWord):
     """A freely reduced word over the six SP_3 generators."""
 
     letters: tuple[SPLetter, ...] = ()
@@ -80,27 +79,7 @@ class SPWord:
         for letter in self.letters:
             if letter.name not in SP_NAMES:
                 raise ValueError(f"unknown SP_3 generator {letter.name!r}")
-        object.__setattr__(self, "letters", _merge_sp_runs(self.letters))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
-    def inverse(self) -> SPWord:
-        return SPWord(tuple(l.inverse() for l in reversed(self.letters)))
-
-    def __mul__(self, other: SPWord) -> SPWord:
-        return SPWord(self.letters + other.letters)
-
-    def __pow__(self, power: int) -> SPWord:
-        if power < 0:
-            return self.inverse() ** (-power)
-        return SPWord(self.letters * power)
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(letter.token() for letter in self.letters)
+        object.__setattr__(self, "letters", free_reduce(self.letters))
 
 
 def parse_sp_word(text: str) -> SPWord:
@@ -108,37 +87,26 @@ def parse_sp_word(text: str) -> SPWord:
     ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters;
     exponents of more than ``words.MAX_DIGITS`` digits are refused unread."""
     letters: list[SPLetter] = []
-    for token in text.split():
-        if token == "1":
-            continue
-        match = _SP_TOKEN_RE.match(token)
-        if match is None:
-            raise ValueError(f"bad token {token!r} in SP word")
-        name, exponent = match.group(1), match.group(2)
+    for match in parse_tokens(text, _SP_TOKEN_RE, "SP"):
+        name, exponent = match.groups()
         letters.append(SPLetter(name, 1 if exponent is None else parse_number(exponent)))
-    word = SPWord(tuple(letters))
-    check_unit_length(word.letters)
-    return word
+    return check_unit_length(SPWord(tuple(letters)))
 
 
-# The defining SG_3 words of the six generators.
+# The defining SG_3 words of the six generators, parsed once.
 _SP_TO_SG = {
-    A12: "s1^2",
-    A13: "s2 s1^2 s2^-1",
-    A23: "s2^2",
-    B12: "s1 t1",
-    B13: "s2 s1 t1 s2^-1",
-    B23: "s2 t2",
+    A12: parse_braid_word("s1^2", 3),
+    A13: parse_braid_word("s2 s1^2 s2^-1", 3),
+    A23: parse_braid_word("s2^2", 3),
+    B12: parse_braid_word("s1 t1", 3),
+    B13: parse_braid_word("s2 s1 t1 s2^-1", 3),
+    B23: parse_braid_word("s2 t2", 3),
 }
 
 
 def sp3_to_sg3(word: SPWord) -> BraidWord:
     """Substitute each SP_3 generator by its defining SG_3 word."""
-    letters: list[Letter] = []
-    for letter in word.letters:
-        base = parse_braid_word(_SP_TO_SG[letter.name], 3)
-        letters.extend((base**letter.exponent).letters)
-    return BraidWord(3, tuple(letters))
+    return BraidWord(3, substitute(word.letters, _SP_TO_SG))
 
 
 def _schreier_generator(rep_text: str, letter_token: str) -> rewriting.SchreierGenerator:
@@ -197,12 +165,6 @@ def express_schreier_gen(generator: rewriting.SchreierGenerator) -> SPWord:
         raise ValueError(f"unknown Schreier generator {generator}") from None
 
 
-def _express(factors: Iterable[tuple[rewriting.SchreierGenerator, int]]) -> SPWord:
-    """Substitute each Schreier factor by its table row, or the inverse of
-    the row, and freely reduce the whole word once."""
-    return SPWord(tuple(letter for g, e in factors for letter in (express_schreier_gen(g) ** e).letters))
-
-
 def _factor_rows() -> dict:
     """Each Schreier factor (generator, +-1) of SP_3 mapped to the letters
     of its row of ``EXPRESSION_TABLE``, or of the row's inverse, read when
@@ -213,16 +175,21 @@ def _factor_rows() -> dict:
 _FACTOR_ROWS = _factor_rows()
 
 
+def _express(factors: Iterable[tuple[rewriting.SchreierGenerator, int]]) -> SPWord:
+    """Substitute each Schreier factor by its row, or the inverse of the
+    row, and freely reduce the whole word once."""
+    # A list, not a generator: tuple() over a generator grows by resizing,
+    # which raised peak memory by about 1 MB over 30k short words.
+    return SPWord(tuple([letter for factor in factors for letter in _FACTOR_ROWS[factor]]))
+
+
 def rewrite_to_sp3(word: BraidWord) -> SPWord:
     """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators:
     ``rewrite_tau``'s Schreier factors, each replaced by its row, merged
     once."""
     if word.strands != 3:
         raise ValueError("SP_3 rewriting needs a 3-strand word")
-    factors = rewriting.rewrite_tau(word).factors
-    # A list, not a generator: tuple() over a generator grows by resizing,
-    # which raised peak memory by about 1 MB over 30k short words.
-    return SPWord(tuple([letter for factor in factors for letter in _FACTOR_ROWS[factor]]))
+    return _express(rewriting.rewrite_tau(word).factors)
 
 
 def presentation_relators() -> list[SPWord]:
@@ -242,14 +209,6 @@ def presentation_relators() -> list[SPWord]:
         parse_sp_word(left) * parse_sp_word(right).inverse()
         for left, right in equalities
     ]
-
-
-def _substitute(word: SPWord, images: dict[str, SPWord]) -> SPWord:
-    """Replace each letter by its image, then freely reduce once."""
-    letters: list[SPLetter] = []
-    for letter in word.letters:
-        letters.extend((images[letter.name] ** letter.exponent).letters)
-    return SPWord(tuple(letters))
 
 
 def _inverse_rules(forward: dict[str, SPWord]) -> dict[str, SPWord]:
@@ -273,7 +232,7 @@ def _inverse_rules(forward: dict[str, SPWord]) -> dict[str, SPWord]:
             raise ValueError(f"cannot solve the rules for {', '.join(pending)}")
         for y in ready:
             x, u = pending.pop(y)
-            image_u = _substitute(u, inverse)
+            image_u = SPWord(substitute(u.letters, inverse))
             inverse[y] = SPWord(image_u.inverse().letters + (x,) + image_u.letters)
     return inverse
 
@@ -340,7 +299,7 @@ def conjugate_by_sg3_generator(word: SPWord, generator: Letter) -> SPWord:
         raise ValueError(f"cannot conjugate by {generator.token()}")
     table = ACTION_TABLES[(token, 1 if generator.exponent > 0 else -1)]
     for _ in range(abs(generator.exponent)):
-        word = _substitute(word, table)
+        word = SPWord(substitute(word.letters, table))
     return word
 
 

@@ -1,13 +1,18 @@
 """
-Words in the generators of the n-strand singular braid group.
+Free words, and the words in the generators of the n-strand singular braid
+group.
 
 The group SG_n is generated by the crossings s1, ..., s(n-1) and the
 singular crossings t1, ..., t(n-1); a word is a finite product of these
-letters and their inverses.  Words are stored freely reduced with
-run-length exponents: adjacent letters with the same name are merged and
-letters whose exponent cancels to zero are removed.  Equality of stored
-words is therefore equality in the free group on the letters; equality in
-SG_n itself is decided elsewhere (see normal_form).
+letters and their inverses.  Every word of the package, braid words here
+and SP_3 words in ``sp3``, is an element of a free group stored freely
+reduced with run-length exponents: adjacent letters of the same generator
+are merged and letters whose exponent cancels to zero are removed.  This
+module holds that free-group core once: ``free_reduce`` is the one
+reduction, ``FreeWord`` the one set of word operations (inverse, product,
+power, printing) and ``substitute`` the one letter-by-word substitution.
+Equality of stored words is therefore equality in the free group on the
+letters; equality in SG_n itself is decided elsewhere (see normal_form).
 
 All values are immutable and all functions are pure, so words can be
 shared freely between threads.
@@ -16,8 +21,8 @@ shared freely between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 SIGMA = "s"
 TAU = "t"
@@ -48,30 +53,92 @@ class Letter(NamedTuple):
         return f"{self.kind}{self.index}^{self.exponent}"
 
 
-def _merge_runs(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Freely reduce a letter sequence by merging equal-name runs.
+def free_reduce(letters: Iterable) -> tuple:
+    """Freely reduce a letter sequence by merging equal-generator runs.
 
-    The stack never holds two adjacent entries with the same (kind, index),
-    so a single left-to-right pass suffices: cancellations that expose a
-    new mergeable pair are caught when the next letter arrives.
+    Letters are NamedTuples whose last field is the exponent and whose
+    other fields, one or two of them, name the generator (``Letter`` and
+    ``sp3.SPLetter``).  The stack never holds two adjacent letters of the
+    same generator, so a single left-to-right pass suffices: cancellations
+    that expose a new mergeable pair are caught when the next letter
+    arrives.
     """
-    stack: list[Letter] = []
+    stack: list = []
+    top = None  # stack[-1], kept in a local: this loop is on the hot path
     for letter in letters:
-        if letter.exponent == 0:
+        exponent = letter[-1]
+        if not exponent:
             continue
-        if stack and (stack[-1].kind, stack[-1].index) == (letter.kind, letter.index):
-            merged = stack[-1].exponent + letter.exponent
-            if merged == 0:
-                stack.pop()
+        # Comparing the first field and the one before the exponent names
+        # the generator without slicing either letter.
+        if top is not None and top[0] == letter[0] and top[-2] == letter[-2]:
+            exponent += top[-1]
+            if exponent:
+                # What NamedTuple._make does, without its call and length check.
+                top = stack[-1] = tuple.__new__(type(letter), letter[:-1] + (exponent,))
             else:
-                stack[-1] = Letter(letter.kind, letter.index, merged)
+                stack.pop()
+                top = stack[-1] if stack else None
         else:
             stack.append(letter)
+            top = letter
     return tuple(stack)
 
 
+_W = TypeVar("_W", bound="FreeWord")
+
+
+class FreeWord:
+    """The operations of a freely reduced word with a ``letters`` field.
+
+    Subclasses are frozen dataclasses whose ``__post_init__`` validates the
+    letters and stores them through ``free_reduce``; every result here is
+    built with ``dataclasses.replace``, so it goes through that again.
+    """
+
+    letters: tuple
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.letters
+
+    def unit_length(self) -> int:
+        return sum(abs(letter[-1]) for letter in self.letters)
+
+    def inverse(self: _W) -> _W:
+        return replace(self, letters=tuple(l.inverse() for l in reversed(self.letters)))
+
+    def __mul__(self: _W, other: _W) -> _W:
+        return replace(self, letters=self.letters + other.letters)
+
+    def __pow__(self: _W, power: int) -> _W:
+        if power < 0:
+            return self.inverse() ** (-power)
+        return replace(self, letters=self.letters * power)
+
+    def __str__(self) -> str:
+        if not self.letters:
+            return "1"
+        return " ".join(letter.token() for letter in self.letters)
+
+
+def substitute(pairs: Iterable[tuple], images: Mapping) -> tuple:
+    """The letters of ``images[key] ** e`` for each ``(key, e)`` of
+    ``pairs``, in order: words substituted for letters, or for Schreier
+    factors, for the caller to reduce once."""
+    return tuple([letter for key, e in pairs for letter in (images[key] ** e).letters])
+
+
+def concat(first: BraidWord, second: BraidWord) -> BraidWord:
+    if first.strands != second.strands:
+        raise ValueError(
+            f"strand counts differ: {first.strands} vs {second.strands}"
+        )
+    return BraidWord(first.strands, first.letters + second.letters)
+
+
 @dataclass(frozen=True)
-class BraidWord:
+class BraidWord(FreeWord):
     """A freely reduced word over the SG_n generators on ``strands`` strands."""
 
     strands: int
@@ -87,11 +154,7 @@ class BraidWord:
                 raise ValueError(
                     f"letter {letter.token()} out of range for {self.strands} strands"
                 )
-        object.__setattr__(self, "letters", _merge_runs(self.letters))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
+        object.__setattr__(self, "letters", free_reduce(self.letters))
 
     def unit_letters(self) -> Iterator[Letter]:
         """Yield the word letter by letter with exponents split into +-1."""
@@ -100,24 +163,7 @@ class BraidWord:
             for _ in range(abs(letter.exponent)):
                 yield Letter(letter.kind, letter.index, step)
 
-    def unit_length(self) -> int:
-        return sum(abs(letter.exponent) for letter in self.letters)
-
-    def inverse(self) -> BraidWord:
-        return BraidWord(self.strands, tuple(l.inverse() for l in reversed(self.letters)))
-
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        return concat(self, other)
-
-    def __pow__(self, power: int) -> BraidWord:
-        if power < 0:
-            return self.inverse() ** (-power)
-        return BraidWord(self.strands, self.letters * power)
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(letter.token() for letter in self.letters)
+    __mul__ = concat
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
@@ -126,24 +172,33 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     Tokens are ``s<i>`` and ``t<i>`` with an optional nonzero integer
     exponent suffix ``^<k>``; the standalone token ``1`` denotes the empty
     word, so parsing is a left inverse of ``str()``.  Raises ``ValueError``
-    when an index or exponent has more than ``MAX_DIGITS`` digits, or
-    the reduced word has more than ``MAX_UNIT_LETTERS`` unit letters.
+    when ``strands`` is more than ``MAX_UNIT_LETTERS`` (projections cost
+    time and memory linear in it), when an index or exponent has more than
+    ``MAX_DIGITS`` digits, or when the reduced word has more than
+    ``MAX_UNIT_LETTERS`` unit letters.
     """
+    if strands > MAX_UNIT_LETTERS:
+        raise ValueError(f"strand count {strands} is more than the limit of {MAX_UNIT_LETTERS}")
     letters: list[Letter] = []
-    tokens = text.split()
-    for token in tokens:
-        if token == "1":
-            continue
-        match = _TOKEN_RE.match(token)
-        if match is None:
-            raise ValueError(f"bad token {token!r} in braid word")
+    for match in parse_tokens(text, _TOKEN_RE, "braid"):
         kind, index, exponent = match.group(1), parse_number(match.group(2)), match.group(3)
         if not 1 <= index <= strands - 1:
-            raise ValueError(f"token {token!r} out of range for {strands} strands")
+            raise ValueError(f"token {match.string!r} out of range for {strands} strands")
         letters.append(Letter(kind, index, 1 if exponent is None else parse_number(exponent)))
-    word = BraidWord(strands, tuple(letters))
-    check_unit_length(word.letters)
-    return word
+    return check_unit_length(BraidWord(strands, tuple(letters)))
+
+
+def parse_tokens(text: str, pattern: re.Pattern, what: str) -> Iterator[re.Match]:
+    """Match each whitespace-separated token of ``text`` against
+    ``pattern``, skipping the token ``1`` of the empty word; a token that
+    does not match raises ``bad token ... in <what> word``."""
+    for token in text.split():
+        if token == "1":
+            continue
+        match = pattern.match(token)
+        if match is None:
+            raise ValueError(f"bad token {token!r} in {what} word")
+        yield match
 
 
 def parse_number(digits: str) -> int:
@@ -155,22 +210,15 @@ def parse_number(digits: str) -> int:
     return int(digits)
 
 
-def check_unit_length(letters: Iterable[Letter]) -> None:
-    """Reject a parsed word of more than ``MAX_UNIT_LETTERS`` unit letters;
-    ``letters`` are braid or SP_3 letters, anything with an exponent."""
-    length = sum(abs(letter.exponent) for letter in letters)
+def check_unit_length(word: _W) -> _W:
+    """Return a parsed braid or SP_3 word, refusing one of more than
+    ``MAX_UNIT_LETTERS`` unit letters."""
+    length = word.unit_length()
     if length > MAX_UNIT_LETTERS:
         raise ValueError(
             f"word has {length} unit letters, more than the limit of {MAX_UNIT_LETTERS}"
         )
-
-
-def concat(first: BraidWord, second: BraidWord) -> BraidWord:
-    if first.strands != second.strands:
-        raise ValueError(
-            f"strand counts differ: {first.strands} vs {second.strands}"
-        )
-    return BraidWord(first.strands, first.letters + second.letters)
+    return word
 
 
 def invert(word: BraidWord) -> BraidWord:

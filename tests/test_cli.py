@@ -68,6 +68,8 @@ def test_nf_rejects_braid_letters(capsys):
         ("conj", "-g", "t1^1000000000", "a12"),
         ("trivial", "s1^" + "9" * 5000 + " t1"),
         ("trivial", "s" + "1" * 5000),
+        ("pi", "-n", "262145", "1"),
+        ("parse", "-n", "262145", "1"),
     ],
 )
 def test_oversized_words_exit_2(capsys, argv):

@@ -80,6 +80,8 @@ def test_rewrite_examples():
     assert str(rewrite_tau(parse_braid_word("s1^2", 3))) == "S[s1,s1]"
     assert str(rewrite_tau(parse_braid_word("t1 s1^-1", 3))) == "S[1,t1]"
     assert str(rewrite_tau(parse_braid_word("s2 s1^2 s2^-1", 3))) == "S[s2 s1,s1]"
+    # Schreier words cancel inverse factors but never merge equal ones.
+    assert str(rewrite_tau(parse_braid_word("s1^4", 3))) == "S[s1,s1] S[s1,s1]"
 
 
 def test_rewrite_rejects_nontrivial_projection():
@@ -97,6 +99,7 @@ def test_rewrite_substitutes_back_exactly():
 def test_rewrite_works_on_two_strands():
     rng = random.Random(107)
     assert str(rewrite_tau(parse_braid_word("s1^2", 2))) == "S[s1,s1]"
+    assert str(rewrite_tau(parse_braid_word("s1^4", 2))) == "S[s1,s1] S[s1,s1]"
     for _ in range(100):
         word = random_pi_trivial(rng, strands=2, max_len=20)
         assert expand(rewrite_tau(word), strands=2) == word

@@ -57,6 +57,8 @@ def test_expression_rejects_unknown_generator():
 
 def test_rewrite_to_sp3_examples():
     assert str(rewrite_to_sp3(parse_braid_word("s1^2", 3))) == "a12"
+    # The two equal Schreier factors of s1^4 merge once they are SP_3 letters.
+    assert str(rewrite_to_sp3(parse_braid_word("s1^4", 3))) == "a12^2"
     assert str(rewrite_to_sp3(parse_braid_word("t1 s1^-1", 3))) == "b12 a12^-1"
     twist = rewrite_to_sp3(parse_braid_word("s1 s2 s1 s1 s2 s1", 3))
     assert equal_sp3(twist, parse_sp_word("a12 a13 a23"))

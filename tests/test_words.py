@@ -5,6 +5,7 @@ import pytest
 from singbraid import (
     BraidWord,
     Letter,
+    SPLetter,
     concat,
     conjugate,
     exponent_sums,
@@ -13,7 +14,8 @@ from singbraid import (
     parse_sp_word,
     sg3_relators,
 )
-from singbraid.words import MAX_UNIT_LETTERS
+from singbraid.sp3 import SP_NAMES
+from singbraid.words import MAX_UNIT_LETTERS, free_reduce
 from helpers import random_word
 
 
@@ -67,6 +69,10 @@ def test_parse_limits_unit_letters():
         parse_braid_word(f"s1^{limit} t2", 3)
     with pytest.raises(ValueError, match="limit"):
         parse_braid_word(f"t2^-{limit} s1", 3)
+    # The strand count has the same limit.
+    assert parse_braid_word("s1", limit).strands == limit
+    with pytest.raises(ValueError, match="limit"):
+        parse_braid_word("1", limit + 1)
 
 
 def test_parse_refuses_long_numbers():
@@ -161,3 +167,42 @@ def test_exponent_sums_invariant_under_relators():
             word = random_word(rng)
             padded = concat(word, conjugate(relator, random_word(rng)))
             assert exponent_sums(padded) == exponent_sums(word)
+
+
+def naive_free_reduce(letters):
+    """Drop zero exponents, then merge the first adjacent pair of one
+    generator, again and again until nothing changes."""
+    word = [letter for letter in letters if letter[-1]]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(word) - 1):
+            left, right = word[i], word[i + 1]
+            if left[:-1] == right[:-1]:
+                merged = left[-1] + right[-1]
+                word[i : i + 2] = [left._make(left[:-1] + (merged,))] if merged else []
+                changed = True
+                break
+    return tuple(word)
+
+
+def test_free_reduce_matches_naive_reduction():
+    rng = random.Random(17)
+    makers = (
+        lambda e: Letter(rng.choice("st"), rng.randint(1, 2), e),
+        lambda e: SPLetter(rng.choice(SP_NAMES[:3]), e),
+    )
+    for trial in range(2000):
+        make = makers[trial % 2]
+
+        def piece(longest):
+            return [make(rng.randint(-3, 3)) for _ in range(rng.randrange(longest + 1))]
+
+        # A run and its inverse, so that cancellations cascade over long
+        # stretches and expose merges far apart in the input.
+        inner = piece(40)
+        cancelling = inner + [letter.inverse() for letter in reversed(inner)]
+        letters = piece(12) + cancelling + piece(12)
+        reduced = free_reduce(letters)
+        assert reduced == naive_free_reduce(letters)
+        assert all(type(letter) is type(letters[0]) and letter[-1] for letter in reduced)
