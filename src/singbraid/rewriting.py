@@ -40,10 +40,17 @@ from .permutations import Permutation, pi, schreier_transversal
 from .words import SIGMA, TAU, BraidWord, Letter, concat, conjugate, sg3_relators, substitute
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchreierGenerator:
     """The kernel element S(rep, letter) for a transversal word and a
-    positive ambient generator."""
+    positive ambient generator.
+
+    Equal when the representatives and letters are equal.  The hash is
+    computed once, at construction, and a generator compares equal to
+    itself without reading its word: the coset table emits the same
+    objects over and over, into ``schreier_word``'s cancellation and the
+    lookups of their rows.
+    """
 
     rep: BraidWord
     letter: Letter
@@ -51,6 +58,17 @@ class SchreierGenerator:
     def __post_init__(self) -> None:
         if self.letter.exponent != 1:
             raise ValueError("Schreier generators use bare ambient generators")
+        object.__setattr__(self, "_hash", hash((self.rep, self.letter)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SchreierGenerator):
+            return NotImplemented
+        return self._hash == other._hash and self.rep == other.rep and self.letter == other.letter
 
     def __str__(self) -> str:
         return f"S[{self.rep},{self.letter.token()}]"
@@ -153,12 +171,24 @@ def coset_table(strands: int) -> dict:
 
 
 def walk(word: BraidWord, table: dict) -> list:
-    """Read ``word`` through a coset table from the trivial coset, one unit
-    letter at a time, and return everything the letters emit."""
+    """Read ``word`` through a coset table from the trivial coset and
+    return everything its unit letters emit.
+
+    The walk goes syllable by syllable: a letter of exponent +-1 is its own
+    table key, and a syllable a^e with |e| > 1 builds one unit letter a^+-1
+    and steps it |e| times.
+    """
     coset, emitted = 0, []
-    for letter in word.unit_letters():
-        coset, out = table[coset, letter]
-        emitted.extend(out)
+    for letter in word.letters:
+        exponent = letter.exponent
+        if exponent == 1 or exponent == -1:
+            coset, out = table[coset, letter]
+            emitted += out
+        else:
+            unit = Letter(letter.kind, letter.index, 1 if exponent > 0 else -1)
+            for _ in range(abs(exponent)):
+                coset, out = table[coset, unit]
+                emitted += out
     if coset:
         raise ValueError("can only rewrite words with trivial projection")
     return emitted

@@ -86,11 +86,12 @@ def parse_sp_word(text: str) -> SPWord:
     """Parse the SP_3 word grammar (tokens a12 .. b23 with optional ``^<k>``,
     ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters;
     exponents of more than ``words.MAX_DIGITS`` digits are refused unread."""
-    letters: list[SPLetter] = []
-    for match in parse_tokens(text, _SP_TOKEN_RE, "SP"):
+
+    def letter(match: re.Match) -> SPLetter:
         name, exponent = match.groups()
-        letters.append(SPLetter(name, 1 if exponent is None else parse_number(exponent)))
-    return check_unit_length(SPWord(tuple(letters)))
+        return SPLetter(name, 1 if exponent is None else parse_number(exponent))
+
+    return check_unit_length(SPWord(parse_tokens(text, _SP_TOKEN_RE, "SP", letter)))
 
 
 # The defining SG_3 words of the six generators, parsed once.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 SIGMA = "s"
 TAU = "t"
@@ -86,6 +86,7 @@ def free_reduce(letters: Iterable) -> tuple:
 
 
 _W = TypeVar("_W", bound="FreeWord")
+_L = TypeVar("_L", bound=tuple)
 
 
 class FreeWord:
@@ -147,13 +148,17 @@ class BraidWord(FreeWord):
     def __post_init__(self) -> None:
         if self.strands < 2:
             raise ValueError(f"strand count must be at least 2, got {self.strands}")
-        for letter in self.letters:
-            if letter.kind not in (SIGMA, TAU):
-                raise ValueError(f"unknown generator kind {letter.kind!r}")
-            if not 1 <= letter.index <= self.strands - 1:
-                raise ValueError(
-                    f"letter {letter.token()} out of range for {self.strands} strands"
-                )
+        # Each generator is checked once; only a failing word is read again
+        # in order, so that the message names its first offending letter.
+        generators = {(kind, index) for kind, index, _ in self.letters}
+        if not all(kind in (SIGMA, TAU) and 1 <= index < self.strands for kind, index in generators):
+            for letter in self.letters:
+                if letter.kind not in (SIGMA, TAU):
+                    raise ValueError(f"unknown generator kind {letter.kind!r}")
+                if not 1 <= letter.index <= self.strands - 1:
+                    raise ValueError(
+                        f"letter {letter.token()} out of range for {self.strands} strands"
+                    )
         object.__setattr__(self, "letters", free_reduce(self.letters))
 
     def unit_letters(self) -> Iterator[Letter]:
@@ -179,26 +184,36 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     """
     if strands > MAX_UNIT_LETTERS:
         raise ValueError(f"strand count {strands} is more than the limit of {MAX_UNIT_LETTERS}")
-    letters: list[Letter] = []
-    for match in parse_tokens(text, _TOKEN_RE, "braid"):
+
+    def letter(match: re.Match) -> Letter:
         kind, index, exponent = match.group(1), parse_number(match.group(2)), match.group(3)
         if not 1 <= index <= strands - 1:
             raise ValueError(f"token {match.string!r} out of range for {strands} strands")
-        letters.append(Letter(kind, index, 1 if exponent is None else parse_number(exponent)))
-    return check_unit_length(BraidWord(strands, tuple(letters)))
+        return Letter(kind, index, 1 if exponent is None else parse_number(exponent))
+
+    return check_unit_length(BraidWord(strands, parse_tokens(text, _TOKEN_RE, "braid", letter)))
 
 
-def parse_tokens(text: str, pattern: re.Pattern, what: str) -> Iterator[re.Match]:
-    """Match each whitespace-separated token of ``text`` against
-    ``pattern``, skipping the token ``1`` of the empty word; a token that
-    does not match raises ``bad token ... in <what> word``."""
-    for token in text.split():
+def parse_tokens(text: str, pattern: re.Pattern, what: str, letter: Callable[[re.Match], _L]) -> tuple[_L, ...]:
+    """The letters of the whitespace-separated tokens of ``text``, skipping
+    the token ``1`` of the empty word: ``letter`` builds each from the
+    token's match against ``pattern``.  A token that does not match raises
+    ``bad token ... in <what> word``.
+
+    Each distinct token is matched and converted once, in the order of its
+    first occurrence, so the first bad token in reading order is the one
+    that raises, as it would be in a plain left-to-right loop.
+    """
+    tokens = text.split()
+    known: dict[str, _L] = {}
+    for token in dict.fromkeys(tokens):
         if token == "1":
             continue
         match = pattern.match(token)
         if match is None:
             raise ValueError(f"bad token {token!r} in {what} word")
-        yield match
+        known[token] = letter(match)
+    return tuple([known[token] for token in tokens if token != "1"])
 
 
 def parse_number(digits: str) -> int:

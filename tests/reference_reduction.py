@@ -7,10 +7,13 @@ syllable patterns instead of reading the reducer's running flags.
 composes the projection of every prefix as a ``Permutation`` and looks the
 coset representative up in the transversal.  ``rewrite_to_sp3`` is the left
 fold over it that merged the whole word again for every Schreier factor.
+``pi`` is the projection that the list swap replaced: it composes one
+``Permutation.transposition`` per odd-exponent letter.
 
-The reduction and the fold are quadratic, and the rewriter builds a
-``Permutation`` and a ``SchreierGenerator`` per letter; they exist only for
-the tests to compare the engine against.
+The reduction and the fold are quadratic, the rewriter builds a
+``Permutation`` and a ``SchreierGenerator`` per letter, and ``pi`` costs
+letters times strands; they exist only for the tests to compare the engine
+against.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from singbraid.normal_form import FreeProductWord, HNNForm, _c_power, free_product_nf
-from singbraid.permutations import Permutation, pi, schreier_transversal
+from singbraid.permutations import Permutation, schreier_transversal
 from singbraid.rewriting import SchreierGenerator, SchreierWord, s_generator_word, schreier_word
 from singbraid.sp3 import A12, B12, SPLetter, SPWord, express_schreier_gen
 from singbraid.words import BraidWord, Letter
@@ -110,6 +113,16 @@ def britton_reduce(word: SPWord) -> HNNForm:
             break
         if not pinched:
             return HNNForm(tuple(bases), tuple(powers))
+
+
+def pi(word: BraidWord) -> Permutation:
+    """Project a word to the symmetric group, composing the transposition
+    of each odd-exponent letter left to right."""
+    result = Permutation.identity(word.strands)
+    for letter in word.letters:
+        if letter.exponent % 2:
+            result = result.then(Permutation.transposition(word.strands, letter.index))
+    return result
 
 
 _ambient = lru_cache(maxsize=None)(s_generator_word)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from singbraid.cli import main
@@ -75,6 +77,33 @@ def test_nf_rejects_braid_letters(capsys):
 def test_oversized_words_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "limit" in err
+
+
+def test_pi_on_many_strands_is_linear(capsys):
+    # 20,000 letters on 262,144 strands: rising runs of odd-exponent letters
+    # on strands 1..12,001 and 200,000..204,000, each a cycle of its strands,
+    # with even-exponent letters between that move nothing.  Composing a
+    # permutation of all strands per letter took most of an hour here.
+    strands = 2**18
+    tokens = []
+    for start, count in ((1, 12_000), (200_000, 4_000)):
+        for i in range(start, start + count):
+            tokens.append(f"{'st'[i % 2]}{i}^{(-1, 3)[i % 3 == 0]}")
+            if i % 4 == 0:
+                tokens.append(f"t{(i * 7919) % (strands - 1) + 1}^-2")
+    assert len(tokens) == 20_000
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "pi", "-n", str(strands), " ".join(tokens))
+    assert time.perf_counter() - started < 30
+    cycles = [(1, 12_001), (200_000, 204_000)]
+    expected = []
+    point = 1
+    for first, last in cycles:
+        expected.extend(f"({p})" for p in range(point, first))
+        expected.append("(" + " ".join(map(str, [first, *range(last, first, -1)])) + ")")
+        point = last + 1
+    expected.extend(f"({p})" for p in range(point, strands + 1))
+    assert code == 0 and out == "".join(expected) + "\n"
 
 
 def test_trivial(capsys):

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from singbraid import (
+    BraidWord,
+    Letter,
     Permutation,
     concat,
     coset_rep,
@@ -11,6 +13,7 @@ from singbraid import (
     pi,
     schreier_transversal,
 )
+import reference_reduction as reference
 from helpers import random_word
 
 
@@ -38,6 +41,22 @@ def test_pi_is_homomorphic():
     for _ in range(100):
         u, v = random_word(rng), random_word(rng)
         assert pi(concat(u, v)) == pi(u).then(pi(v))
+
+
+def test_pi_matches_composition_reference():
+    # Exponents up to +-6, odd and even, so that some letters move points
+    # and others, however large, do not.
+    rng = random.Random(13)
+    for strands in range(2, 8):
+        for _ in range(300):
+            letters = tuple(
+                Letter(rng.choice("st"), rng.randrange(1, strands), rng.choice((-1, 1)) * rng.randint(1, 6))
+                for _ in range(rng.randrange(25))
+            )
+            word = BraidWord(strands, letters)
+            expected = reference.pi(word)
+            assert pi(word).cycle_string() == expected.cycle_string(), str(word)
+            assert pi(word).one_line_string() == expected.one_line_string(), str(word)
 
 
 def test_permutation_inverse_and_strings():

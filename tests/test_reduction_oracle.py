@@ -126,8 +126,16 @@ def test_rewrite_to_sp3_matches_left_fold():
 
 
 def test_rewrite_tau_matches_permutation_rewriter():
+    # Short exponents, then long syllables, which the walk steps through
+    # with one unit letter per syllable.
     rng = random.Random(443)
     for strands in range(2, 7):
         for _ in range(1500):
             word = random_kernel_word(rng, strands=strands, max_len=12, max_exp=5)
             assert rewrite_tau(word) == reference.rewrite_tau(word), str(word)
+        for _ in range(100):
+            word = random_kernel_word(rng, strands=strands, max_len=10, max_exp=50)
+            assert rewrite_tau(word) == reference.rewrite_tau(word), str(word)
+    for _ in range(25):
+        word = random_kernel_word(rng, strands=3, max_len=6, max_exp=2000)
+        assert rewrite_tau(word) == reference.rewrite_tau(word), str(word)

@@ -14,7 +14,8 @@ from singbraid import (
     s_generator_word,
     sg3_relators,
 )
-from singbraid.rewriting import expand
+from singbraid.rewriting import coset_table, expand
+from singbraid.sp3 import express_schreier_gen, parse_sp_word
 from helpers import random_pi_trivial
 
 
@@ -34,6 +35,19 @@ def test_generator_word_has_trivial_projection():
 
     for entry in enumerate_generators(3):
         assert pi(entry.ambient).is_identity
+
+
+def test_fresh_schreier_generator_finds_table_entries():
+    # Hash and equality are by value: a generator built anew is found in
+    # the coset table and in the expression table, which hold other objects.
+    fresh = gen("s2 s1", "t1")
+    emitted = [g for _, out in coset_table(3).values() for g, _ in out]
+    entry = next(g for g in emitted if g == fresh)
+    assert entry is not fresh
+    assert hash(entry) == hash(fresh)
+    assert express_schreier_gen(fresh) == express_schreier_gen(entry) == parse_sp_word("b13")
+    assert {fresh: 1}[entry] == 1
+    assert fresh != gen("s2 s1", "t2") and fresh != gen("s1 s2", "t1") and fresh != "S[s2 s1,t1]"
 
 
 def test_schreier_generator_requires_bare_letter():

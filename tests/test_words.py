@@ -59,6 +59,53 @@ def test_parse_rejects_out_of_range_index():
         parse_braid_word("t3", 3)
 
 
+@pytest.mark.parametrize(
+    "text,strands,message",
+    [
+        # A bad token after a valid token that repeats, and an out-of-range
+        # token after it: the first bad token in reading order raises.
+        ("s1 t2 s1 s1^-1 t2 x1 s1 s9", 3, "bad token 'x1' in braid word"),
+        ("s1 s9 s1 x1", 3, "token 's9' out of range for 3 strands"),
+        # An out-of-range token that repeats, and one behind a repeat.
+        ("t3 s1 t3 t3", 3, "token 't3' out of range for 3 strands"),
+        ("s1 t1 s1 t1 s3 t3 s3", 3, "token 's3' out of range for 3 strands"),
+        # A 7-digit exponent after tokens already seen.
+        ("s1 t2 s1 t2 s1^-1234567 s1", 3, "a number has more than 6 digits, past the limit of 262144"),
+        ("s1 s1 s1234567", 3, "a number has more than 6 digits, past the limit of 262144"),
+        # Tokens of the empty word, before, between and after letters.
+        ("1 s1 1 x 1 s1", 3, "bad token 'x' in braid word"),
+        ("1 11 1", 3, "bad token '11' in braid word"),
+        ("s1 s1", MAX_UNIT_LETTERS + 1, "strand count 262145 is more than the limit of 262144"),
+    ],
+)
+def test_parse_errors_name_the_first_bad_token(text, strands, message):
+    with pytest.raises(ValueError) as error:
+        parse_braid_word(text, strands)
+    assert str(error.value) == message
+
+
+def test_parse_with_repeated_and_empty_tokens():
+    assert str(parse_braid_word("1 s1 1 s1 t2^-1 1 s1 t2^-1 1", 3)) == "s1^2 t2^-1 s1 t2^-1"
+    assert parse_braid_word("1 1 1", 3).is_empty
+    assert parse_braid_word("s1 s1^-1 " * 50, 3).is_empty
+    assert str(parse_sp_word("1 a12 b13 a12 1 b13")) == "a12 b13 a12 b13"
+    with pytest.raises(ValueError) as error:
+        parse_sp_word("a12 a12 a14 a12^1234567")
+    assert str(error.value) == "bad token 'a14' in SP word"
+
+
+def test_braid_word_names_its_first_bad_letter():
+    with pytest.raises(ValueError) as error:
+        BraidWord(3, (Letter("s", 1, 1), Letter("t", 3, 1), Letter("s", 5, 2), Letter("t", 3, 1)))
+    assert str(error.value) == "letter t3 out of range for 3 strands"
+    with pytest.raises(ValueError) as error:
+        BraidWord(3, (Letter("s", 4, -1), Letter("x", 1, 1)))
+    assert str(error.value) == "letter s4^-1 out of range for 3 strands"
+    with pytest.raises(ValueError) as error:
+        BraidWord(3, (Letter("s", 1, 1), Letter("x", 1, 1), Letter("s", 4, 1)))
+    assert str(error.value) == "unknown generator kind 'x'"
+
+
 def test_parse_limits_unit_letters():
     limit = MAX_UNIT_LETTERS
     assert parse_braid_word(f"s1^{limit}", 3).unit_length() == limit
