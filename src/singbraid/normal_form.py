@@ -17,10 +17,11 @@ neighbours, and a stable power that follows an empty base merges with the
 power before it, which gives the normal form in the free product V * <b12>.
 The second reads the bases and powers of that form once and cancels every
 pinch b12^-e c^k b12^e by sliding c^k into the base to its left; a
-cancellation can only expose another at the top of the stack.  Each stack
-entry records whether the syllables up to it spell a power of c, so the
-pinch test costs O(1), and the reduction takes time amortised linear in
-the letters plus the syllables that pinches slide.
+cancellation can only expose another at the top of the stack.  A base
+stack holds each run c^n as one entry, an int, next to its plain
+syllables, so a base is a power of c exactly when it is empty or one run:
+the pinch test and the slide each cost O(1), and the reduction takes time
+amortised linear in the letters.
 
 By Britton's lemma a reduced word that still contains stable letters is
 never trivial, so a V~ word is trivial exactly when its reduced form is an
@@ -84,33 +85,54 @@ _C_SYLLABLES = {
     1: (FactorSyllable(F13, 1, 0), FactorSyllable(F23, 1, 0)),
     -1: (FactorSyllable(F23, -1, 0), FactorSyllable(F13, -1, 0)),
 }
+# The second syllable of c^sign mapped to the first one and the sign.
+_C_PAIRS = {second: (first, sign) for sign, (first, second) in _C_SYLLABLES.items()}
 
 
 class _BaseStack:
     """A word of V held in normal form while it grows at the right end.
 
-    ``signs[i]`` is 1 or -1 when syllables[0..i] spell the start of a
-    positive or negative power of c, and 0 otherwise, so whether the whole
-    word is a power of c is read off the top in O(1).
+    Each entry is a ``FactorSyllable`` or a nonzero int n that stands for
+    the run c^n.  Expanded, the entries alternate factors and hold no
+    trivial syllable.  Two plain syllables at the top that spell c^+-1
+    coalesce into a run, and that run merges into a same-sign run below
+    it, so no two runs are adjacent and no two adjacent plain syllables
+    spell c^+-1.  The word is then a power of c exactly when it is empty or
+    one run: ``c_power`` costs O(1), and so does ``push_run``.
     """
 
-    __slots__ = ("syllables", "signs")
+    __slots__ = ("entries",)
 
     def __init__(self, syllables: Iterable[FactorSyllable] = ()) -> None:
-        self.syllables: list[FactorSyllable] = []
-        self.signs: list[int] = []
+        self.entries: list[FactorSyllable | int] = []
         for syllable in syllables:
             self.push(syllable)
 
     def push(self, syllable: FactorSyllable) -> None:
         """Append a syllable, merging it into a same-factor top and dropping
         what cancels.  The stack never holds two adjacent same-factor
-        entries, so one merge restores alternation."""
-        syllables = self.syllables
-        signs = self.signs
-        if syllables and syllables[-1].factor == syllable.factor:
-            top = syllables.pop()
-            signs.pop()
+        entries, so one merge restores alternation.  A run whose last
+        syllable has the factor of ``syllable`` first splits off one c^+-1,
+        whose second syllable takes part in the merge."""
+        entries = self.entries
+        top = entries[-1] if entries else None
+        if top.__class__ is int:
+            sign = 1 if top > 0 else -1
+            first, last = _C_SYLLABLES[sign]
+            if last.factor == syllable.factor:
+                if top == sign:
+                    entries[-1] = first
+                else:
+                    entries[-1] = top - sign
+                    entries.append(first)
+                top = last
+            else:
+                top = None
+        elif top is not None and top.factor == syllable.factor:
+            entries.pop()
+        else:
+            top = None
+        if top is not None:
             a_exp = top.a_exp + syllable.a_exp
             b_exp = top.b_exp + syllable.b_exp
             if not (a_exp or b_exp):
@@ -118,25 +140,77 @@ class _BaseStack:
             syllable = FactorSyllable(syllable.factor, a_exp, b_exp)
         elif syllable.is_trivial:
             return
-        sign = signs[-1] if signs else (1 if syllable.a_exp > 0 else -1)
-        if sign and syllable != _C_SYLLABLES[sign][len(signs) % 2]:
-            sign = 0
-        syllables.append(syllable)
-        signs.append(sign)
+        pair = _C_PAIRS.get(syllable)
+        if pair is not None and entries and entries[-1] == pair[0]:
+            entries.pop()
+            # By alternation a run below the new one has its sign.
+            if entries and entries[-1].__class__ is int:
+                entries[-1] += pair[1]
+            else:
+                entries.append(pair[1])
+            return
+        entries.append(syllable)
+
+    def push_run(self, k: int) -> None:
+        """Append c^k for k != 0.  A run at the top absorbs it, or cancels
+        against it and passes any remainder to the plain entry below; a
+        plain top of the run's first factor takes one c^+-1 syllable by
+        syllable."""
+        entries = self.entries
+        while k:
+            if not entries:
+                entries.append(k)
+                return
+            top = entries[-1]
+            if top.__class__ is int:
+                total = top + k
+                if total and (total > 0) == (top > 0):
+                    entries[-1] = total
+                    return
+                entries.pop()
+                k = total
+                continue
+            sign = 1 if k > 0 else -1
+            first, second = _C_SYLLABLES[sign]
+            if top.factor != first.factor:
+                entries.append(k)
+                return
+            self.push(first)
+            self.push(second)
+            k -= sign
+
+    def extend(self, other: _BaseStack) -> None:
+        """Append the word of another stack, run by run."""
+        for entry in other.entries:
+            if entry.__class__ is int:
+                self.push_run(entry)
+            else:
+                self.push(entry)
 
     def c_power(self) -> int | None:
         """The k with this word = c^k, or None when there is none."""
-        if not self.syllables:
+        entries = self.entries
+        if not entries:
             return 0
-        if len(self.syllables) % 2 or not self.signs[-1]:
-            return None
-        return self.signs[-1] * (len(self.syllables) // 2)
+        if len(entries) == 1 and entries[0].__class__ is int:
+            return entries[0]
+        return None
+
+    def syllables(self) -> tuple[FactorSyllable, ...]:
+        """The normal form, with every run expanded."""
+        syllables: list[FactorSyllable] = []
+        for entry in self.entries:
+            if entry.__class__ is int:
+                syllables.extend(_C_SYLLABLES[1 if entry > 0 else -1] * abs(entry))
+            else:
+                syllables.append(entry)
+        return tuple(syllables)
 
     def word(self) -> FreeProductWord:
         # The stack is in normal form already, so the merge in
         # FreeProductWord.__post_init__ is skipped.
         word = object.__new__(FreeProductWord)
-        object.__setattr__(word, "syllables", tuple(self.syllables))
+        object.__setattr__(word, "syllables", self.syllables())
         return word
 
 
@@ -147,7 +221,7 @@ class FreeProductWord:
     syllables: tuple[FactorSyllable, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "syllables", tuple(_BaseStack(self.syllables).syllables))
+        object.__setattr__(self, "syllables", _BaseStack(self.syllables).syllables())
 
     @property
     def is_empty(self) -> bool:
@@ -173,6 +247,15 @@ def _syllable(letter: SPLetter) -> FactorSyllable:
     if letter.name in (A13, A23):
         return FactorSyllable(factor, letter.exponent, 0)
     return FactorSyllable(factor, 0, letter.exponent)
+
+
+# The syllables of the eight unit base letters, so that the first pass of
+# ``britton_reduce`` builds none for them.
+_UNIT_SYLLABLES = {
+    SPLetter(name, exponent): _syllable(SPLetter(name, exponent))
+    for name in _FACTOR_OF
+    for exponent in (1, -1)
+}
 
 
 def free_product_nf(word: SPWord) -> FreeProductWord:
@@ -292,8 +375,9 @@ def britton_reduce(word: SPWord) -> HNNForm:
 
     Every merge comes before any pinch because a merge further right can
     change the base that a pinch would slide; the order fixes which of the
-    equal reduced forms is returned.  The cost is amortised linear in the
-    letters, plus the syllables that pinches slide.  By Britton's lemma the
+    equal reduced forms is returned.  A slide pushes c^k onto the left
+    base as one run, in O(1), so the cost is amortised linear in the
+    letters however long the slid powers are.  By Britton's lemma the
     resulting form is trivial only if it is an empty base with no stable
     letters.
     """
@@ -301,38 +385,45 @@ def britton_reduce(word: SPWord) -> HNNForm:
     # free each base it slides away.
     bases = deque([_BaseStack()])
     powers: deque[int] = deque()
+    push = bases[-1].push
     for letter in word.letters:
+        syllable = _UNIT_SYLLABLES.get(letter)
+        if syllable is not None:
+            push(syllable)
+            continue
         if letter.name == A12:
             raise ValueError("eliminate a12 before Britton reduction")
         if letter.name != B12:
-            bases[-1].push(_syllable(letter))
+            push(_syllable(letter))
             continue
         exponent = letter.exponent
-        if powers and not bases[-1].syllables:
+        if powers and not bases[-1].entries:
             bases.pop()
             exponent += powers.pop()
         if exponent:
             powers.append(exponent)
             bases.append(_BaseStack())
+        push = bases[-1].push
     reduced = [bases.popleft()]
     reduced_powers: list[int] = []
     while powers:
         exponent, base = powers.popleft(), bases.popleft()
         while exponent and reduced_powers:
             top = reduced[-1]
-            if top.syllables:
-                if (reduced_powers[-1] > 0) == (exponent > 0) or top.c_power() is None:
+            if top.entries:
+                if (reduced_powers[-1] > 0) == (exponent > 0):
                     break
-                for syllable in top.syllables:
-                    reduced[-2].push(syllable)
+                k = top.c_power()
+                if k is None:
+                    break
+                reduced[-2].push_run(k)
             exponent += reduced_powers.pop()
             reduced.pop()
         if exponent:
             reduced_powers.append(exponent)
             reduced.append(base)
         else:
-            for syllable in base.syllables:
-                reduced[-1].push(syllable)
+            reduced[-1].extend(base)
     return HNNForm(tuple(base.word() for base in reduced), tuple(reduced_powers))
 
 

@@ -169,8 +169,21 @@ def express_schreier_gen(generator: rewriting.SchreierGenerator) -> SPWord:
 def _factor_rows() -> dict:
     """Each Schreier factor (generator, +-1) of SP_3 mapped to the letters
     of its row of ``EXPRESSION_TABLE``, or of the row's inverse, read when
-    called."""
-    return {(g, e): (row**e).letters for g, row in EXPRESSION_TABLE.items() for e in (1, -1)}
+    called.
+
+    The factor objects of ``rewriting.coset_table(3)`` go in first, so they
+    are the keys: a factor the walk emits is then found by identity, without
+    comparing generator words.  Equal factors built elsewhere still find
+    their rows by value.
+    """
+    by_value = {(g, e): (row**e).letters for g, row in EXPRESSION_TABLE.items() for e in (1, -1)}
+    rows = {}
+    for _, out in rewriting.coset_table(3).values():
+        for factor in out:
+            rows[factor] = by_value[factor]
+    for factor, letters in by_value.items():
+        rows.setdefault(factor, letters)
+    return rows
 
 
 _FACTOR_ROWS = _factor_rows()

@@ -1,8 +1,10 @@
 """The composed reduction that the stack-based reducer replaced, kept as a
 differential oracle: split at the stable letters, take the free-product
 normal form of each segment, then merge and cancel pinches with a scan that
-restarts from the left after every step.  The c-power test compares
-syllable patterns instead of reading the reducer's running flags.
+restarts from the left after every step.  The segment normal forms and the
+c-power test use ``FlagStack``, the stack of plain syllables with one
+c-power flag per syllable that the run-based ``_BaseStack`` replaced, so
+the oracle shares no reduction code with the engine.
 ``rewrite_tau`` is the rewriter that the coset-table walk replaced: it
 composes the projection of every prefix as a ``Permutation`` and looks the
 coset representative up in the transversal.  ``rewrite_to_sp3`` is the left
@@ -20,31 +22,85 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from singbraid.normal_form import FreeProductWord, HNNForm, _c_power, free_product_nf
+from singbraid.normal_form import FactorSyllable, FreeProductWord, HNNForm
 from singbraid.permutations import Permutation, schreier_transversal
 from singbraid.rewriting import SchreierGenerator, SchreierWord, s_generator_word, schreier_word
 from singbraid.sp3 import A12, B12, SPLetter, SPWord, express_schreier_gen
 from singbraid.words import BraidWord, Letter
 
 
-def cyclic_power_of_c(word: FreeProductWord) -> int | None:
-    """The k with word = (a13 a23)^k in V, or None when no such k exists.
+# The syllables of c = a13 a23 and of c^-1 = a23^-1 a13^-1.
+C_SYLLABLES = {
+    1: (FactorSyllable("13", 1, 0), FactorSyllable("23", 1, 0)),
+    -1: (FactorSyllable("23", -1, 0), FactorSyllable("13", -1, 0)),
+}
 
-    Positive powers alternate F13(1,0) F23(1,0); negative powers alternate
-    F23(-1,0) F13(-1,0); the empty word is the zeroth power.  Any other
-    syllable shape rules membership out because normal forms are unique.
+
+class FlagStack:
+    """A word of V held in normal form while it grows at the right end.
+
+    ``signs[i]`` is 1 or -1 when syllables[0..i] spell the start of a
+    positive or negative power of c, and 0 otherwise, so whether the whole
+    word is a power of c is read off the top.
     """
-    syllables = word.syllables
-    if not syllables:
-        return 0
-    if len(syllables) % 2:
-        return None
-    k = len(syllables) // 2
-    if syllables == _c_power(k).syllables:
-        return k
-    if syllables == _c_power(-k).syllables:
-        return -k
-    return None
+
+    def __init__(self, syllables=()) -> None:
+        self.syllables: list[FactorSyllable] = []
+        self.signs: list[int] = []
+        for syllable in syllables:
+            self.push(syllable)
+
+    def push(self, syllable: FactorSyllable) -> None:
+        syllables = self.syllables
+        signs = self.signs
+        if syllables and syllables[-1].factor == syllable.factor:
+            top = syllables.pop()
+            signs.pop()
+            a_exp = top.a_exp + syllable.a_exp
+            b_exp = top.b_exp + syllable.b_exp
+            if not (a_exp or b_exp):
+                return
+            syllable = FactorSyllable(syllable.factor, a_exp, b_exp)
+        elif syllable.is_trivial:
+            return
+        sign = signs[-1] if signs else (1 if syllable.a_exp > 0 else -1)
+        if sign and syllable != C_SYLLABLES[sign][len(signs) % 2]:
+            sign = 0
+        syllables.append(syllable)
+        signs.append(sign)
+
+    def c_power(self) -> int | None:
+        if not self.syllables:
+            return 0
+        if len(self.syllables) % 2 or not self.signs[-1]:
+            return None
+        return self.signs[-1] * (len(self.syllables) // 2)
+
+
+def base_word(syllables) -> FreeProductWord:
+    """The normal form of a syllable sequence, built by ``FlagStack``."""
+    word = object.__new__(FreeProductWord)
+    object.__setattr__(word, "syllables", tuple(FlagStack(syllables).syllables))
+    return word
+
+
+def c_power_syllables(k: int) -> tuple[FactorSyllable, ...]:
+    return C_SYLLABLES[1 if k > 0 else -1] * abs(k)
+
+
+def cyclic_power_of_c(word: FreeProductWord) -> int | None:
+    """The k with word = (a13 a23)^k in V, or None when no such k exists."""
+    return FlagStack(word.syllables).c_power()
+
+
+def free_product_nf(letters) -> FreeProductWord:
+    """Normal form of base letters a13, b13, a23, b23 in V."""
+    return base_word(
+        FactorSyllable(letter.name[1:], letter.exponent, 0)
+        if letter.name[0] == "a"
+        else FactorSyllable(letter.name[1:], 0, letter.exponent)
+        for letter in letters
+    )
 
 
 def _split_at_stable(word: SPWord) -> HNNForm:
@@ -55,12 +111,12 @@ def _split_at_stable(word: SPWord) -> HNNForm:
         if letter.name == A12:
             raise ValueError("eliminate a12 before Britton reduction")
         if letter.name == B12:
-            bases.append(free_product_nf(SPWord(tuple(current))))
+            bases.append(free_product_nf(current))
             powers.append(letter.exponent)
             current = []
         else:
             current.append(letter)
-    bases.append(free_product_nf(SPWord(tuple(current))))
+    bases.append(free_product_nf(current))
     return HNNForm(tuple(bases), tuple(powers))
 
 
@@ -84,7 +140,8 @@ def britton_reduce(word: SPWord) -> HNNForm:
             if bases[i].is_empty:
                 combined = powers[i - 1] + powers[i]
                 if combined == 0:
-                    bases[i - 1 : i + 2] = [bases[i - 1] * bases[i + 1]]
+                    joined = bases[i - 1].syllables + bases[i + 1].syllables
+                    bases[i - 1 : i + 2] = [base_word(joined)]
                     del powers[i - 1 : i + 1]
                 else:
                     del bases[i]
@@ -102,12 +159,12 @@ def britton_reduce(word: SPWord) -> HNNForm:
             if k is None:
                 continue
             combined = powers[i - 1] + powers[i]
-            left = bases[i - 1] * _c_power(k)
+            left = bases[i - 1].syllables + c_power_syllables(k)
             if combined == 0:
-                bases[i - 1 : i + 2] = [left * bases[i + 1]]
+                bases[i - 1 : i + 2] = [base_word(left + bases[i + 1].syllables)]
                 del powers[i - 1 : i + 1]
             else:
-                bases[i - 1 : i + 1] = [left]
+                bases[i - 1 : i + 1] = [base_word(left)]
                 powers[i - 1 : i + 1] = [combined]
             pinched = True
             break

@@ -1,22 +1,26 @@
-"""Differential tests: the stack-based reducer, the coset-table
-``rewrite_tau`` and the single-merge ``rewrite_to_sp3`` against the composed
-reduction, the ``Permutation``-based rewriter and the left fold they
-replaced (``reference_reduction``).  Forms, renderings and verdicts must be
+"""Differential tests: the stack-based reducer, its run-based base stack,
+the coset-table ``rewrite_tau`` and the single-merge ``rewrite_to_sp3``
+against the composed reduction, the flag-based stack, the
+``Permutation``-based rewriter and the left fold they replaced
+(``reference_reduction``).  Forms, renderings and verdicts must be
 identical, not only equal as group elements."""
 
 import random
+import time
 
 from singbraid import (
     SPLetter,
     SPWord,
     britton_reduce,
     center_split,
+    cyclic_power_of_c,
     eliminate_a12,
     is_trivial_sp3,
     parse_sp_word,
     rewrite_tau,
     rewrite_to_sp3,
 )
+from singbraid.normal_form import FactorSyllable, _BaseStack
 import reference_reduction as reference
 from helpers import random_kernel_word, random_pi_trivial, random_relator_product, random_sp_word
 
@@ -37,6 +41,14 @@ def assert_same_reduction(word: SPWord) -> None:
 
 def base_letter(rng: random.Random) -> SPWord:
     return SPWord((SPLetter(rng.choice(BASE_NAMES), rng.choice((-1, 1))),))
+
+
+def base_commutator(rng: random.Random) -> SPWord:
+    """x y x^-1 y^-1 for unit letters x, y of one free factor of V."""
+    factor = rng.choice(("13", "23"))
+    x = SPWord((SPLetter("a" + factor, rng.choice((-1, 1))),))
+    y = SPWord((SPLetter("b" + factor, rng.choice((-1, 1))),))
+    return x * y * x.inverse() * y.inverse()
 
 
 def test_random_words_match_reference():
@@ -79,7 +91,7 @@ def test_piece_words_match_reference():
 def test_pinch_towers_match_reference():
     rng = random.Random(421)
     for s in (-2, -1, 1, 2):
-        for k in (-2, -1, 1, 2):
+        for k in (-3, -2, -1, 1, 2, 3):
             for m in range(1, 9):
                 tower = (B12**s * C**k) ** m * B12 ** (-s * m) * C ** (-k * m)
                 assert is_trivial_sp3(tower)
@@ -87,6 +99,26 @@ def test_pinch_towers_match_reference():
                 u = random_sp_word(rng, max_len=4)
                 assert_same_reduction(u * tower * u.inverse())
                 assert_same_reduction(u * tower * base_letter(rng) * u.inverse())
+                # A base word inside each level that is trivial in V but not
+                # freely trivial, so the first pass splits the run and
+                # re-forms it.
+                j = rng.randint(0, abs(k)) * (1 if k > 0 else -1)
+                level = B12**s * C**j * base_commutator(rng) * C ** (k - j)
+                tower = level**m * B12 ** (-s * m) * C ** (-k * m)
+                assert is_trivial_sp3(tower)
+                assert_same_reduction(tower)
+
+
+def test_long_tower_cost_is_linear():
+    # The pinches slide c, c^2, ..., c^m: a slide that copies its syllables
+    # takes minutes here, a run slides in O(1).
+    m = 20000
+    tower = (B12 * C) ** m * B12 ** (-m) * C ** (-m)
+    start = time.perf_counter()
+    split = center_split(tower)
+    elapsed = time.perf_counter() - start
+    assert split.is_trivial
+    assert elapsed < 10, elapsed
 
 
 def test_single_pinches_match_reference():
@@ -139,3 +171,127 @@ def test_rewrite_tau_matches_permutation_rewriter():
     for _ in range(25):
         word = random_kernel_word(rng, strands=3, max_len=6, max_exp=2000)
         assert rewrite_tau(word) == reference.rewrite_tau(word), str(word)
+
+
+UNIT_SYLLABLES = [
+    FactorSyllable(factor, a_exp, b_exp)
+    for factor in ("13", "23")
+    for a_exp, b_exp in ((1, 0), (-1, 0), (0, 1), (0, -1))
+]
+
+
+def run_stack(operations) -> _BaseStack:
+    """Apply syllable pushes and, for int operations, runs c^k."""
+    stack = _BaseStack()
+    for operation in operations:
+        if isinstance(operation, int):
+            stack.push_run(operation)
+        else:
+            stack.push(operation)
+    return stack
+
+
+def assert_same_stack(operations) -> None:
+    stack = run_stack(operations)
+    syllables = []
+    for operation in operations:
+        if isinstance(operation, int):
+            syllables.extend(reference.c_power_syllables(operation))
+        else:
+            syllables.append(operation)
+    expected = reference.FlagStack(syllables)
+    word = stack.word()
+    assert word.syllables == tuple(expected.syllables), operations
+    assert stack.c_power() == expected.c_power(), operations
+    assert cyclic_power_of_c(word) == reference.cyclic_power_of_c(word), operations
+    # Every c^+-1 pair of the expanded word lies in a run and no two runs
+    # touch, so the runs are the same whichever way the word was pushed.
+    assert [entry for entry in stack.entries if isinstance(entry, int)] == [
+        entry for entry in run_stack(word.syllables).entries if isinstance(entry, int)
+    ], operations
+
+
+def c_letters(k: int) -> list[FactorSyllable]:
+    """c^k as plain syllable pushes."""
+    return list(reference.c_power_syllables(k))
+
+
+def c_power(rng: random.Random, k: int) -> list:
+    """c^k as one run, as plain syllables, or as a mix of both."""
+    roll = rng.random()
+    if roll < 0.4:
+        return [k]
+    if roll < 0.7:
+        return c_letters(k)
+    sign = 1 if k > 0 else -1
+    split = rng.randrange(abs(k) + 1)
+    return c_letters(sign * split) + ([sign * (abs(k) - split)] if abs(k) > split else [])
+
+
+def test_run_stack_splits_runs():
+    # A syllable of the factor that ends a run splits one c^+-1 off it.
+    rng = random.Random(451)
+    for _ in range(3000):
+        operations = [rng.choice(UNIT_SYLLABLES) for _ in range(rng.randrange(3))]
+        k = rng.choice((-1, 1)) * rng.randint(1, 6)
+        operations += c_power(rng, k)
+        factor = "23" if k > 0 else "13"
+        for _ in range(rng.randint(1, 3)):
+            operations.append(
+                FactorSyllable(factor, rng.randint(-2, 2), rng.randint(-2, 2))
+            )
+        operations += [rng.choice(UNIT_SYLLABLES) for _ in range(rng.randrange(3))]
+        assert_same_stack(operations)
+
+
+def test_run_stack_cancels_through_runs():
+    rng = random.Random(457)
+    for _ in range(3000):
+        operations = [rng.choice(UNIT_SYLLABLES) for _ in range(rng.randrange(3))]
+        n = rng.choice((-1, 1)) * rng.randint(1, 6)
+        m = rng.randint(1, 8)
+        operations += c_power(rng, n) + c_power(rng, -m if n > 0 else m)
+        operations += [rng.choice(UNIT_SYLLABLES) for _ in range(rng.randrange(3))]
+        assert_same_stack(operations)
+        assert_same_stack(operations + c_power(rng, n))
+
+
+def test_run_stack_reforms_runs_after_cancelled_letters():
+    a13, a23, b13 = FactorSyllable("13", 1, 0), FactorSyllable("23", 1, 0), FactorSyllable("13", 0, 1)
+    b13_inverse = FactorSyllable("13", 0, -1)
+    operations = [a13, a23, b13, b13_inverse, a13, a23]
+    assert_same_stack(operations)
+    assert run_stack(operations).entries == [2]
+    rng = random.Random(461)
+    for _ in range(3000):
+        operations = []
+        for _ in range(rng.randint(1, 8)):
+            roll = rng.random()
+            if roll < 0.5:
+                operations += c_power(rng, rng.choice((-1, 1)) * rng.randint(1, 3))
+            elif roll < 0.8:
+                x = rng.choice(UNIT_SYLLABLES)
+                operations += [x, FactorSyllable(x.factor, -x.a_exp, -x.b_exp)]
+            else:
+                operations.append(rng.choice(UNIT_SYLLABLES))
+        assert_same_stack(operations)
+
+
+def test_push_run_onto_plain_tops():
+    rng = random.Random(463)
+    tops = [
+        FactorSyllable(factor, a_exp, b_exp)
+        for factor in ("13", "23")
+        for a_exp in (-2, -1, 0, 1, 2)
+        for b_exp in (-1, 0, 1)
+        if a_exp or b_exp
+    ]
+    prefixes = [[], [FactorSyllable("13", 0, 1)], [FactorSyllable("23", 0, -1)], [2], [-2]]
+    for top in tops:
+        for prefix in prefixes:
+            for k in (-3, -2, -1, 1, 2, 3):
+                assert_same_stack(prefix + [top, k])
+                assert_same_stack(prefix + [top, k, -k])
+                assert_same_stack(prefix + c_letters(k) + [top, k])
+                tail = [rng.choice(UNIT_SYLLABLES) for _ in range(rng.randrange(4))]
+                assert_same_stack(prefix + [top] + tail + [k])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from singbraid import (
+    BraidWord,
     Letter,
     SchreierGenerator,
     SPLetter,
@@ -21,6 +22,7 @@ from singbraid import (
     verify_presentation,
 )
 from singbraid import sp3 as sp3_module
+from singbraid.rewriting import coset_table
 from singbraid.words import MAX_UNIT_LETTERS
 from helpers import random_sp_word
 
@@ -282,3 +284,19 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
     failed_groups = {name for name, _ in report.failures()}
     assert sp3_module.GROUP_REWRITTEN in failed_groups
     assert sp3_module.GROUP_EXPRESSION not in failed_groups
+
+
+def test_walk_factors_find_their_rows_by_identity():
+    # The rows are keyed by the coset table's own factor objects, so the
+    # lookup of a factor the walk emits never compares generator words.
+    keys = {id(factor) for factor in sp3_module._FACTOR_ROWS}
+    emitted = [factor for _, out in coset_table(3).values() for factor in out]
+    assert emitted and all(id(factor) in keys for factor in emitted)
+    for factor in emitted:
+        generator, exponent = factor
+        row = sp3_module.EXPRESSION_TABLE[generator]
+        assert sp3_module._FACTOR_ROWS[factor] == (row**exponent).letters
+    # Equal factors built elsewhere still find their rows.
+    for generator, row in sp3_module.EXPRESSION_TABLE.items():
+        fresh = SchreierGenerator(BraidWord(3, generator.rep.letters), generator.letter)
+        assert sp3_module._FACTOR_ROWS[fresh, -1] == row.inverse().letters
