@@ -87,6 +87,11 @@ _C_SYLLABLES = {
 }
 # The second syllable of c^sign mapped to the first one and the sign.
 _C_PAIRS = {second: (first, sign) for sign, (first, second) in _C_SYLLABLES.items()}
+# The letters of c^sign: eliminate_a12 writes a12^e as d^e c^-e.
+_C_LETTERS = {
+    sign: tuple(letter for syllable in pair for letter in syllable.letters())
+    for sign, pair in _C_SYLLABLES.items()
+}
 
 
 class _BaseStack:
@@ -351,12 +356,9 @@ def eliminate_a12(word: SPWord) -> tuple[int, SPWord]:
         if letter.name != A12:
             letters.append(letter)
             continue
-        delta_exp += letter.exponent
-        if letter.exponent > 0:
-            pair = (SPLetter(A23, -1), SPLetter(A13, -1))
-        else:
-            pair = (SPLetter(A13, 1), SPLetter(A23, 1))
-        letters.extend(pair * abs(letter.exponent))
+        e = letter.exponent
+        delta_exp += e
+        letters.extend(_C_LETTERS[-1 if e > 0 else 1] * abs(e))
     return delta_exp, SPWord(tuple(letters))
 
 

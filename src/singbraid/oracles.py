@@ -8,7 +8,10 @@ raises.  Braid words on three strands are decided through the classical
 2x2 integer matrix representation s1 -> [[1,1],[0,1]], s2 -> [[1,0],[-1,1]],
 whose kernel is generated by the fourth power of the half twist; since
 that element has exponent sum 12, a braid word is trivial exactly when its
-matrix image is the identity and its exponent sum is zero.
+matrix image is the identity and its exponent sum is zero.  Both
+generators are unipotent, so their powers have closed forms,
+s1^e = [[1,e],[0,1]] and s2^e = [[1,0],[-e,1]], and ``b3_matrix`` reads each
+syllable with one row operation however large its exponent.
 
 These checks can refute equality but never certify it (both quotients
 collapse the singular letters), so the decision engine in ``normal_form``
@@ -38,41 +41,8 @@ class IntMatrix2(NamedTuple):
     c: int
     d: int
 
-    def __matmul__(self, other: IntMatrix2) -> IntMatrix2:
-        return IntMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def power(self, exponent: int) -> IntMatrix2:
-        if exponent < 0:
-            return self.unimodular_inverse().power(-exponent)
-        result = IDENTITY
-        base = self
-        while exponent:
-            if exponent % 2:
-                result = result @ base
-            base = base @ base
-            exponent //= 2
-        return result
-
-    def unimodular_inverse(self) -> IntMatrix2:
-        if self.det() != 1:
-            raise ValueError(f"matrix {self} has determinant {self.det()}, not 1")
-        return IntMatrix2(self.d, -self.b, -self.c, self.a)
-
 
 IDENTITY = IntMatrix2(1, 0, 0, 1)
-
-_GENERATOR_MATRICES = {
-    1: IntMatrix2(1, 1, 0, 1),
-    2: IntMatrix2(1, 0, -1, 1),
-}
 
 
 def _substitute(word: BraidWord, tau_rule: str) -> BraidWord:
@@ -108,13 +78,20 @@ def quotient_to_b3(word: BraidWord, tau_rule: str) -> BraidWord:
 
 
 def b3_matrix(word: BraidWord) -> IntMatrix2:
-    """Multiply out the matrix image of a crossing-only word."""
-    result = IDENTITY
+    """Multiply out the matrix image of a 3-strand crossing-only word, one
+    closed-form power per syllable."""
+    if word.strands != 3:
+        raise ValueError("the matrix image is set up for 3 strands")
+    a, b, c, d = IDENTITY
     for letter in word.letters:
         if letter.kind == TAU:
             raise ValueError("matrix image is defined for crossing letters only")
-        result = result @ _GENERATOR_MATRICES[letter.index].power(letter.exponent)
-    return result
+        e = letter.exponent
+        if letter.index == 1:
+            b, d = a * e + b, c * e + d
+        else:
+            a, c = a - b * e, c - d * e
+    return IntMatrix2(a, b, c, d)
 
 
 def b3_is_trivial(word: BraidWord) -> bool:

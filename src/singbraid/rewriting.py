@@ -21,9 +21,21 @@ as in Sims, *Computation with Finitely Presented Groups* (1994).
 ``coset_table`` derives, once per strand count and from the transversal
 alone, the move of every coset index under every unit letter together with
 the Schreier factors the letter emits; ``walk`` reads a word through such a
-table, and ``rewrite_tau`` is a walk followed by one free reduction.  The
-table holds every Schreier generator the walk can emit, so rewriting
-composes no permutations and builds no Schreier generators.
+table, and ``rewrite_tau`` is that walk alone.  The table holds every
+Schreier generator the walk can emit, so rewriting composes no
+permutations and builds no Schreier generators.
+
+The walk of a freely reduced word emits a freely reduced Schreier word
+(Magnus, Karrass and Solitar, *Combinatorial Group Theory*, ch. 2), so no
+cancellation pass follows it.  A unit letter emits no factor exactly when
+it crosses a tree edge of the transversal: going down, a positive s_i from
+a representative to that representative followed by s_i; going back up,
+that s_i^-1.  Each tree edge is crossed with no factor by that one letter
+in one direction and its inverse in the other.  If the output had a factor
+F next to F^-1, the input would hold a, then a closed walk along tree
+edges, then a^-1.  A nonempty closed walk in a tree steps straight back
+somewhere, which puts x x^-1 in the input; an empty one puts a a^-1 there.
+A freely reduced ``BraidWord`` has neither.
 
 A Schreier word is not a ``words.FreeWord``: ``schreier_word`` cancels
 adjacent inverse factors but never merges equal ones, so s1^4 rewrites to
@@ -40,16 +52,14 @@ from .permutations import Permutation, pi, schreier_transversal
 from .words import SIGMA, TAU, BraidWord, Letter, concat, conjugate, sg3_relators, substitute
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SchreierGenerator:
     """The kernel element S(rep, letter) for a transversal word and a
     positive ambient generator.
 
     Equal when the representatives and letters are equal.  The hash is
-    computed once, at construction, and a generator compares equal to
-    itself without reading its word: the coset table emits the same
-    objects over and over, into ``schreier_word``'s cancellation and the
-    lookups of their rows.
+    computed once, at construction: the coset table emits the same objects
+    over and over into the lookups of their rows.
     """
 
     rep: BraidWord
@@ -62,13 +72,6 @@ class SchreierGenerator:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, SchreierGenerator):
-            return NotImplemented
-        return self._hash == other._hash and self.rep == other.rep and self.letter == other.letter
 
     def __str__(self) -> str:
         return f"S[{self.rep},{self.letter.token()}]"
@@ -170,7 +173,7 @@ def coset_table(strands: int) -> dict:
     return table
 
 
-def walk(word: BraidWord, table: dict) -> list:
+def walk(word: BraidWord, table: dict) -> tuple:
     """Read ``word`` through a coset table from the trivial coset and
     return everything its unit letters emit.
 
@@ -191,13 +194,14 @@ def walk(word: BraidWord, table: dict) -> list:
                 emitted += out
     if coset:
         raise ValueError("can only rewrite words with trivial projection")
-    return emitted
+    return tuple(emitted)
 
 
 def rewrite_tau(word: BraidWord) -> SchreierWord:
     """Rewrite a kernel word as a word over the Schreier generators;
-    generators with freely empty ambient words are skipped."""
-    return schreier_word(walk(word, coset_table(word.strands)))
+    generators with freely empty ambient words are skipped.  The walk's
+    output is freely reduced already (see the module docstring)."""
+    return SchreierWord(walk(word, coset_table(word.strands)))
 
 
 def expand(word: SchreierWord, strands: int = 3) -> BraidWord:

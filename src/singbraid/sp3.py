@@ -40,6 +40,7 @@ from .words import (
     Letter,
     check_unit_length,
     concat,
+    conjugate,
     free_reduce,
     parse_braid_word,
     parse_number,
@@ -111,9 +112,8 @@ def sp3_to_sg3(word: SPWord) -> BraidWord:
 
 
 def _schreier_generator(rep_text: str, letter_token: str) -> rewriting.SchreierGenerator:
-    rep = parse_braid_word(rep_text, 3)
-    kind, index = letter_token[0], int(letter_token[1:])
-    return rewriting.SchreierGenerator(rep, Letter(kind, index, 1))
+    (letter,) = parse_braid_word(letter_token, 3).letters
+    return rewriting.SchreierGenerator(parse_braid_word(rep_text, 3), letter)
 
 
 def _expression_table() -> dict[rewriting.SchreierGenerator, SPWord]:
@@ -418,14 +418,11 @@ def _check_presentation_relators(is_trivial_sp3) -> CheckGroup:
 def _check_conjugation_rules(equal_sp3) -> CheckGroup:
     checks = []
     for token in ("s1", "s2", "t1", "t2"):
-        ambient = parse_braid_word(token, 3)
+        inverse = parse_braid_word(token, 3).inverse()
         for name in SP_NAMES:
             claimed = ACTION_TABLES[(token, 1)][name]
-            conjugated = concat(
-                concat(ambient.inverse(), sp3_to_sg3(SPWord((SPLetter(name, 1),)))),
-                ambient,
-            )
-            computed = rewrite_to_sp3(conjugated)
+            x = sp3_to_sg3(SPWord((SPLetter(name, 1),)))
+            computed = rewrite_to_sp3(conjugate(x, inverse))
             checks.append(
                 Check(
                     label=f"{name}^{token}",

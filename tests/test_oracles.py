@@ -34,21 +34,59 @@ def test_quotient_examples():
         quotient_to_b3(relator, "nonsense")
 
 
+# The unit generator matrices and their inverses, for the naive product.
+_UNIT_MATRICES = {
+    (1, 1): (1, 1, 0, 1),
+    (1, -1): (1, -1, 0, 1),
+    (2, 1): (1, 0, -1, 1),
+    (2, -1): (1, 0, 1, 1),
+}
+
+
+def naive_matrix(word):
+    """The matrix image multiplied out one unit letter at a time."""
+    a, b, c, d = 1, 0, 0, 1
+    for letter in word.letters:
+        sign = 1 if letter.exponent > 0 else -1
+        p, q, r, s = _UNIT_MATRICES[letter.index, sign]
+        for _ in range(abs(letter.exponent)):
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return IntMatrix2(a, b, c, d)
+
+
+def random_crossing_word(rng, syllables, exponents):
+    """A 3-strand crossing word whose syllables have |e| in ``exponents``."""
+    tokens = []
+    for _ in range(syllables):
+        exponent = rng.choice((-1, 1)) * rng.choice(exponents)
+        tokens.append(f"s{rng.choice((1, 2))}^{exponent}")
+    return parse_braid_word(" ".join(tokens) or "1", 3)
+
+
 def test_matrix_basics():
-    m = IntMatrix2(1, 1, 0, 1)
-    assert m @ m.unimodular_inverse() == IDENTITY
-    assert m.power(5) == IntMatrix2(1, 5, 0, 1)
-    assert m.power(-2) == IntMatrix2(1, -2, 0, 1)
     assert b3_matrix(parse_braid_word("1", 3)) == IDENTITY
+    assert b3_matrix(parse_braid_word("s1^5", 3)) == IntMatrix2(1, 5, 0, 1)
+    assert b3_matrix(parse_braid_word("s2^-2", 3)) == IntMatrix2(1, 0, 2, 1)
     with pytest.raises(ValueError):
         b3_matrix(parse_braid_word("t1", 3))
+    for text in ("s3", "s1 s2"):
+        with pytest.raises(ValueError, match="3 strands"):
+            b3_matrix(parse_braid_word(text, 4))
+    rng = random.Random(403)
+    for _ in range(300):
+        word = random_crossing_word(rng, rng.randrange(12), range(1, 51))
+        assert b3_matrix(word) == naive_matrix(word), word
+    for _ in range(4):
+        word = random_crossing_word(rng, 3, range(9_900, 10_001))
+        assert b3_matrix(word) == naive_matrix(word), word
 
 
 def test_matrix_images_are_unimodular():
     rng = random.Random(401)
     for _ in range(100):
         word = quotient_to_b3(random_word(rng, max_len=30), TAU_TO_SIGMA)
-        assert b3_matrix(word).det() == 1
+        a, b, c, d = b3_matrix(word)
+        assert a * d - b * c == 1
 
 
 def test_b3_trivial_examples():

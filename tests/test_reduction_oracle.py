@@ -21,6 +21,7 @@ from singbraid import (
     rewrite_to_sp3,
 )
 from singbraid.normal_form import FactorSyllable, _BaseStack
+from singbraid.rewriting import schreier_word
 import reference_reduction as reference
 from helpers import random_kernel_word, random_pi_trivial, random_relator_product, random_sp_word
 
@@ -159,18 +160,21 @@ def test_rewrite_to_sp3_matches_left_fold():
 
 def test_rewrite_tau_matches_permutation_rewriter():
     # Short exponents, then long syllables, which the walk steps through
-    # with one unit letter per syllable.
+    # with one unit letter per syllable.  The walk's factors must already
+    # be freely reduced: rewrite_tau makes no cancellation pass.
+    def check(word):
+        rewritten = rewrite_tau(word)
+        assert schreier_word(rewritten.factors) == rewritten, str(word)
+        assert rewritten == reference.rewrite_tau(word), str(word)
+
     rng = random.Random(443)
     for strands in range(2, 7):
         for _ in range(1500):
-            word = random_kernel_word(rng, strands=strands, max_len=12, max_exp=5)
-            assert rewrite_tau(word) == reference.rewrite_tau(word), str(word)
+            check(random_kernel_word(rng, strands=strands, max_len=12, max_exp=5))
         for _ in range(100):
-            word = random_kernel_word(rng, strands=strands, max_len=10, max_exp=50)
-            assert rewrite_tau(word) == reference.rewrite_tau(word), str(word)
+            check(random_kernel_word(rng, strands=strands, max_len=10, max_exp=50))
     for _ in range(25):
-        word = random_kernel_word(rng, strands=3, max_len=6, max_exp=2000)
-        assert rewrite_tau(word) == reference.rewrite_tau(word), str(word)
+        check(random_kernel_word(rng, strands=3, max_len=6, max_exp=2000))
 
 
 UNIT_SYLLABLES = [
