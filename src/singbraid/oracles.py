@@ -119,17 +119,17 @@ def sg3_necessary_trivial(word: BraidWord) -> bool:
 
 
 def oracle_report(word: BraidWord) -> list[tuple[str, str]]:
-    """Per-invariant verdicts for the CLI table."""
+    """Per-invariant verdicts for the CLI table; the last row is
+    ``sg3_necessary_trivial`` read off the five rows above it."""
     sigma_sum, tau_sum = exponent_sums(word)
-    rows = [
-        ("projection", "trivial" if pi(word).is_identity else "nontrivial"),
+    projection = pi(word).is_identity
+    images = [b3_is_trivial(quotient_to_b3(word, rule)) for rule in TAU_RULES]
+    necessary = projection and sigma_sum == tau_sum == 0 and all(images)
+    return [
+        ("projection", "trivial" if projection else "nontrivial"),
         ("crossing-sum", str(sigma_sum)),
         ("singular-sum", str(tau_sum)),
+        ("b3-image(t->s)", "trivial" if images[0] else "nontrivial"),
+        ("b3-image(t->s^-1)", "trivial" if images[1] else "nontrivial"),
+        ("necessary-trivial", "yes" if necessary else "no"),
     ]
-    for rule, label in ((TAU_TO_SIGMA, "b3-image(t->s)"), (TAU_TO_SIGMA_INVERSE, "b3-image(t->s^-1)")):
-        verdict = "trivial" if b3_is_trivial(quotient_to_b3(word, rule)) else "nontrivial"
-        rows.append((label, verdict))
-    rows.append(
-        ("necessary-trivial", "yes" if sg3_necessary_trivial(word) else "no")
-    )
-    return rows

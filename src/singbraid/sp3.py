@@ -17,9 +17,11 @@ a kernel word of SG_3 into an SP word with one coset-table walk of
 ``rewriting.rewrite_tau``, one lookup per factor and one merge of the
 letters, and ``verify --rs`` expresses the rewritten relators the same
 way.  Conjugation by the four ambient generators restricts to
-automorphisms of SP_3 (``conjugate_by_sg3_generator``); their rules are
-tabulated, the rules of the inverse automorphisms are solved from them,
-and both are applied with ``words.substitute``, as is ``sp3_to_sg3``.
+automorphisms of SP_3: ``ACTION_TABLES`` holds the paper's rules for
+x -> g^-1 x g, and ``conjugate_by_sg3_generator`` computes any power of
+the action by rewriting the conjugated ambient word, the same walk again,
+so ``verify --prop41`` checks the rules against that one path.
+``sp3_to_sg3`` substitutes the defining words with ``words.substitute``.
 
 ``verify_presentation`` machine-checks all of the above against the
 normal-form engine: the 30 rewritten relators and the 8 presentation
@@ -225,39 +227,9 @@ def presentation_relators() -> list[SPWord]:
     ]
 
 
-def _inverse_rules(forward: dict[str, SPWord]) -> dict[str, SPWord]:
-    """Solve an automorphism's rules x -> u y^e u^-1, e = +-1, for its
-    inverse psi: psi(y) = psi(u)^-1 x^e psi(u) once psi is known on the
-    letters of u.  Each round solves every rule it can."""
-    pending: dict[str, tuple[SPLetter, SPWord]] = {}
-    for x, image in forward.items():
-        letters, half = image.letters, len(image.letters) // 2
-        u = SPWord(letters[:half])
-        if not letters or abs(letters[half].exponent) != 1 or letters[half + 1 :] != u.inverse().letters:
-            raise ValueError(f"{x} -> {image} does not conjugate a single letter")
-        y, exponent = letters[half]
-        if y in pending:
-            raise ValueError(f"two rules conjugate {y}")
-        pending[y] = (SPLetter(x, exponent), u)
-    inverse: dict[str, SPWord] = {}
-    while pending:
-        ready = [y for y, (_, u) in pending.items() if all(l.name in inverse for l in u.letters)]
-        if not ready:
-            raise ValueError(f"cannot solve the rules for {', '.join(pending)}")
-        for y in ready:
-            x, u = pending.pop(y)
-            image_u = SPWord(substitute(u.letters, inverse))
-            inverse[y] = SPWord(image_u.inverse().letters + (x,) + image_u.letters)
-    return inverse
-
-
-def _action_tables() -> dict[tuple[str, int], dict[str, SPWord]]:
-    """Images of the six generators under conjugation x -> g^-1 x g.
-
-    The four positive directions are the paper's data, checked by
-    ``verify --prop41``; each inverse direction x -> g x g^-1 is solved
-    from its forward rules by ``_inverse_rules``.
-    """
+def _action_tables() -> dict[str, dict[str, SPWord]]:
+    """Images of the six generators under conjugation x -> g^-1 x g for
+    g = s1, s2, t1, t2: the paper's data, checked by ``verify --prop41``."""
     forward = {
         "s1": {
             A12: "a12",
@@ -292,29 +264,28 @@ def _action_tables() -> dict[tuple[str, int], dict[str, SPWord]]:
             B23: "b23",
         },
     }
-    tables: dict[tuple[str, int], dict[str, SPWord]] = {}
-    for token, rows in forward.items():
-        tables[(token, 1)] = {name: parse_sp_word(text) for name, text in rows.items()}
-        tables[(token, -1)] = _inverse_rules(tables[(token, 1)])
-    return tables
+    return {
+        token: {name: parse_sp_word(text) for name, text in rows.items()}
+        for token, rows in forward.items()
+    }
 
 
 ACTION_TABLES = _action_tables()
 
 
 def conjugate_by_sg3_generator(word: SPWord, generator: Letter) -> SPWord:
-    """Apply x -> g^-1 x g letterwise for an ambient generator g.
+    """Conjugate by an ambient generator power g^e: x -> g^-e x g^e.
 
-    ``generator`` must be one of s1, s2, t1, t2 with any nonzero exponent;
-    exponents of magnitude above one apply the unit action repeatedly.
+    ``generator`` must be one of s1, s2, t1, t2 with any nonzero exponent.
+    The word's SG_3 image is conjugated and rewritten by one coset-table
+    walk (``rewrite_to_sp3``), so the cost is linear in |e| + |word|; the
+    result is an equal word, not the letterwise image under
+    ``ACTION_TABLES``.
     """
     token = f"{generator.kind}{generator.index}"
     if token not in ("s1", "s2", "t1", "t2") or generator.exponent == 0:
         raise ValueError(f"cannot conjugate by {generator.token()}")
-    table = ACTION_TABLES[(token, 1 if generator.exponent > 0 else -1)]
-    for _ in range(abs(generator.exponent)):
-        word = SPWord(substitute(word.letters, table))
-    return word
+    return rewrite_to_sp3(conjugate(sp3_to_sg3(word), BraidWord(3, (generator.inverse(),))))
 
 
 class SP2Form(NamedTuple):
@@ -417,12 +388,10 @@ def _check_presentation_relators(is_trivial_sp3) -> CheckGroup:
 
 def _check_conjugation_rules(equal_sp3) -> CheckGroup:
     checks = []
-    for token in ("s1", "s2", "t1", "t2"):
-        inverse = parse_braid_word(token, 3).inverse()
-        for name in SP_NAMES:
-            claimed = ACTION_TABLES[(token, 1)][name]
-            x = sp3_to_sg3(SPWord((SPLetter(name, 1),)))
-            computed = rewrite_to_sp3(conjugate(x, inverse))
+    for token, rows in ACTION_TABLES.items():
+        (generator,) = parse_braid_word(token, 3).letters
+        for name, claimed in rows.items():
+            computed = conjugate_by_sg3_generator(SPWord((SPLetter(name, 1),)), generator)
             checks.append(
                 Check(
                     label=f"{name}^{token}",

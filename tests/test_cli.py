@@ -106,6 +106,15 @@ def test_pi_on_many_strands_is_linear(capsys):
     assert code == 0 and out == "".join(expected) + "\n"
 
 
+def test_conj_is_linear_in_the_exponent(capsys):
+    # t1^-e w t1^e is rewritten in one walk, so the exponent limit costs
+    # about a second; the output has more than 2^19 letters.
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "conj", "-g", "t1^262144", "a13 b23 a23 b13")
+    assert time.perf_counter() - started < 30
+    assert code == 0 and " b12^-1 a13 b23 a23 b13 b12 " in out and len(out.split()) > 2**19
+
+
 def test_trivial(capsys):
     code, out, _ = run(capsys, "trivial", "-n", "3", "s1 t1 s1^-1 t1^-1")
     assert code == 0 and out == "trivial\n"
@@ -124,9 +133,11 @@ def test_equal(capsys):
 
 def test_conj(capsys):
     code, out, _ = run(capsys, "conj", "-g", "s1", "a23")
-    assert code == 0 and out == "a13\n"
+    assert code == 0 and out == "a12^-1 a23^-1 a13 a23 a12\n"
     code, out, _ = run(capsys, "conj", "-g", "s1^-1", "a13")
     assert code == 0 and out == "a23\n"
+    code, out, _ = run(capsys, "conj", "-g", "t1", "b23")
+    assert code == 0 and out == "b12^-1 a23^-1 b13 a23 b12\n"
     code, _, err = run(capsys, "conj", "-g", "s1 s2", "a23")
     assert code == 2 and "single generator" in err
 
@@ -173,9 +184,9 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     from singbraid import sp3 as sp3_module
     from singbraid.sp3 import parse_sp_word
 
-    corrupted = dict(sp3_module.ACTION_TABLES[("s2", 1)])
+    corrupted = dict(sp3_module.ACTION_TABLES["s2"])
     corrupted["a13"] = parse_sp_word("a23")
-    monkeypatch.setitem(sp3_module.ACTION_TABLES, ("s2", 1), corrupted)
+    monkeypatch.setitem(sp3_module.ACTION_TABLES, "s2", corrupted)
     code, out, _ = run(capsys, "verify", "--prop41")
     assert code == 3
     assert any(line.startswith("FAIL") for line in out.splitlines())

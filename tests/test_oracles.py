@@ -12,6 +12,7 @@ from singbraid import (
     sg3_necessary_trivial,
     sg3_relators,
 )
+from singbraid import oracles
 from singbraid.oracles import (
     IDENTITY,
     TAU_RULES,
@@ -19,6 +20,7 @@ from singbraid.oracles import (
     TAU_TO_SIGMA_INVERSE,
     IntMatrix2,
     b3_matrix,
+    oracle_report,
     _homomorphy_audit,
 )
 from helpers import random_pi_trivial, random_word
@@ -132,6 +134,33 @@ def test_oracle_cannot_refute_the_hard_word():
     word = parse_braid_word("t1 t2 t1 t2^-1 t1^-1 t2^-1", 3)
     assert sg3_necessary_trivial(word)
     assert not is_trivial_sg3(word)
+
+
+def test_oracle_report_decides_each_image_once(monkeypatch):
+    # The necessary-trivial row is read off the five rows above it, so a
+    # report decides each of the two B_3 images once.
+    _homomorphy_audit()
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return b3_is_trivial(word)
+
+    monkeypatch.setattr(oracles, "b3_is_trivial", counting)
+    oracle_report(parse_braid_word("t1 t2 t1 t2^-1 t1^-1 t2^-1", 3))
+    assert len(calls) == 2
+
+
+def test_oracle_report_agrees_with_necessary_trivial():
+    rng = random.Random(431)
+    words = [random_word(rng) for _ in range(100)] + [random_pi_trivial(rng) for _ in range(100)]
+    words += [conjugate(relator, random_word(rng)) for relator in sg3_relators()]
+    verdicts = set()
+    for word in words:
+        rows = dict(oracle_report(word))
+        verdicts.add(rows["necessary-trivial"])
+        assert rows["necessary-trivial"] == ("yes" if sg3_necessary_trivial(word) else "no")
+    assert verdicts == {"yes", "no"}
 
 
 def test_b3_completeness_on_relator_products():

@@ -8,7 +8,6 @@ from singbraid import (
     SchreierGenerator,
     SPLetter,
     SPWord,
-    concat,
     conjugate_by_sg3_generator,
     equal_sp3,
     express_schreier_gen,
@@ -23,7 +22,7 @@ from singbraid import (
 )
 from singbraid import sp3 as sp3_module
 from singbraid.rewriting import coset_table
-from singbraid.words import MAX_UNIT_LETTERS
+from singbraid.words import MAX_UNIT_LETTERS, substitute
 from helpers import random_sp_word
 
 
@@ -113,50 +112,45 @@ def test_sp_word_parsing_limits_unit_letters():
 
 
 def test_conjugation_examples():
+    # The rewriting walk prints a word equal in SP_3 to the table row, not
+    # the row itself: the s1 row of a23 is a13.
     a23 = parse_sp_word("a23")
-    assert str(conjugate_by_sg3_generator(a23, Letter("s", 1, 1))) == "a13"
+    image = conjugate_by_sg3_generator(a23, Letter("s", 1, 1))
+    assert str(image) == "a12^-1 a23^-1 a13 a23 a12"
+    assert equal_sp3(image, parse_sp_word("a13"))
     b23 = parse_sp_word("b23")
     image = conjugate_by_sg3_generator(b23, Letter("t", 1, 1))
-    assert str(image) == "b12^-1 a12 b13 a12^-1 b12"
+    assert str(image) == "b12^-1 a23^-1 b13 a23 b12"
     image = conjugate_by_sg3_generator(b23, Letter("t", 1, -1))
-    assert str(image) == "b12 b13 b12^-1"
+    assert str(image) == "b12 a12^-1 a23^-1 b13 a23 a12 b12^-1"
     b13 = parse_sp_word("b13")
     image = conjugate_by_sg3_generator(b13, Letter("t", 1, -1))
-    assert str(image) == "a12^-1 b12 b23 b12^-1 a12"
+    assert str(image) == "b12 a12^-1 b23 a12 b12^-1"
     a12 = parse_sp_word("a12")
     image = conjugate_by_sg3_generator(a12, Letter("t", 2, -1))
-    assert str(image) == "a23^-1 b23 a13 b23^-1 a23"
+    assert str(image) == "b23 a23^-1 a13 a23 b23^-1"
     image = conjugate_by_sg3_generator(parse_sp_word("a13"), Letter("t", 2, -1))
     assert str(image) == "b23 a12 b23^-1"
 
 
-def test_derived_inverse_rules_are_exact_inverses():
-    # Both composites fix every letter as a freely reduced word, not just
-    # as a group element.
-    for token in ("s1", "s2", "t1", "t2"):
+def _apply_rows(word: SPWord, token: str, times: int = 1) -> SPWord:
+    """The forward rows of ``token`` substituted letterwise ``times`` times:
+    x -> g^-k x g^k by the paper's table alone."""
+    for _ in range(times):
+        word = SPWord(substitute(word.letters, sp3_module.ACTION_TABLES[token]))
+    return word
+
+
+def test_conjugation_on_every_generator_letter():
+    # 4 generators x +-1 x 6 letters.  Forward, the image equals the row;
+    # backward, the rows substituted into the image give the letter back.
+    for token, rows in sp3_module.ACTION_TABLES.items():
         forward = Letter(token[0], int(token[1]), 1)
         for name in sp3_module.SP_NAMES:
             letter = parse_sp_word(name)
-            there = conjugate_by_sg3_generator(letter, forward)
-            assert conjugate_by_sg3_generator(there, forward.inverse()) == letter
+            assert equal_sp3(conjugate_by_sg3_generator(letter, forward), rows[name])
             back = conjugate_by_sg3_generator(letter, forward.inverse())
-            assert conjugate_by_sg3_generator(back, forward) == letter
-
-
-@pytest.mark.parametrize(
-    "name, image",
-    [
-        ("b23", "b12^-1 a12 b13 a12^-1"),  # not a conjugate
-        ("b23", "b12^-1 a12 b13^2 a12^-1 b12"),  # conjugates a square
-        ("b23", "b12^-1 b23 b12"),  # shares b23 with the b13 rule
-        ("b12", "b23 b12 b23^-1"),  # b12 and b23 each wait for the other
-    ],
-)
-def test_inverse_rules_reject_corrupt_forward_rules(name, image):
-    rules = dict(sp3_module.ACTION_TABLES[("t1", 1)])
-    rules[name] = parse_sp_word(image)
-    with pytest.raises(ValueError):
-        sp3_module._inverse_rules(rules)
+            assert equal_sp3(_apply_rows(back, token), letter)
 
 
 def test_conjugation_round_trips():
@@ -200,17 +194,17 @@ def test_conjugation_is_homomorphic():
 
 
 def test_conjugation_matches_engine():
-    # x^g computed through the ambient group agrees with the stored table.
+    # Conjugation through the engine's walk agrees with the forward rows
+    # substituted letterwise e times, for e up to 3 in both directions.
     rng = random.Random(233)
-    for token in ("s1", "s2", "t1", "t2"):
-        ambient = parse_braid_word(token, 3)
+    for token in sp3_module.ACTION_TABLES:
         for _ in range(10):
             word = random_sp_word(rng, max_len=6)
-            through_engine = rewrite_to_sp3(
-                concat(concat(ambient.inverse(), sp3_to_sg3(word)), ambient)
-            )
-            letter = Letter(token[0], int(token[1]), 1)
-            assert equal_sp3(through_engine, conjugate_by_sg3_generator(word, letter))
+            for e in (1, 2, 3):
+                letter = Letter(token[0], int(token[1]), e)
+                assert equal_sp3(conjugate_by_sg3_generator(word, letter), _apply_rows(word, token, e))
+                back = conjugate_by_sg3_generator(word, letter.inverse())
+                assert equal_sp3(_apply_rows(back, token, e), word)
 
 
 def test_conjugation_by_a12_rules():
@@ -262,9 +256,9 @@ def test_verify_presentation_rejects_unknown_group():
 
 
 def test_verify_detects_corrupt_action_row(monkeypatch):
-    corrupted = dict(sp3_module.ACTION_TABLES[("t1", 1)])
+    corrupted = dict(sp3_module.ACTION_TABLES["t1"])
     corrupted["b23"] = parse_sp_word("b13")
-    monkeypatch.setitem(sp3_module.ACTION_TABLES, ("t1", 1), corrupted)
+    monkeypatch.setitem(sp3_module.ACTION_TABLES, "t1", corrupted)
     report = verify_presentation([sp3_module.GROUP_CONJUGATION])
     failed = [check.label for _, check in report.failures()]
     assert failed == ["b23^t1"]
