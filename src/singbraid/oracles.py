@@ -17,13 +17,18 @@ These checks can refute equality but never certify it (both quotients
 collapse the singular letters), so the decision engine in ``normal_form``
 remains the authority; the test suite couples the two directions.
 
+Each invariant is written once, as one row of ``_invariants``, a generator
+that computes a row only when the next one is asked for:
+``sg3_necessary_trivial`` stops at the first row that fails, and
+``oracle_report`` prints every row.
+
 Arithmetic uses Python integers, so entries stay exact at any word length.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .permutations import pi
 from .words import SIGMA, TAU, BraidWord, Letter, exponent_sums, sg3_relators
@@ -102,34 +107,33 @@ def b3_is_trivial(word: BraidWord) -> bool:
     return sigma_sum == 0 and b3_matrix(word) == IDENTITY
 
 
+def _invariants(word: BraidWord) -> Iterator[tuple[str, str, bool]]:
+    """The five cheap invariants as (row name, printed verdict, holds), each
+    computed only when the consumer asks for the next row.  A new invariant
+    is one more row here."""
+    projection = pi(word).is_identity
+    yield "projection", "trivial" if projection else "nontrivial", projection
+    sigma_sum, tau_sum = exponent_sums(word)
+    yield "crossing-sum", str(sigma_sum), sigma_sum == 0
+    yield "singular-sum", str(tau_sum), tau_sum == 0
+    for name, rule in zip(("b3-image(t->s)", "b3-image(t->s^-1)"), TAU_RULES):
+        image = b3_is_trivial(quotient_to_b3(word, rule))
+        yield name, "trivial" if image else "nontrivial", image
+
+
 def sg3_necessary_trivial(word: BraidWord) -> bool:
-    """All cheap invariants at once: trivial projection, balanced exponent
-    sums, and trivial image in both braid-group quotients.  A False here
-    certifies the word is nontrivial in SG_3; a True decides nothing."""
+    """All cheap invariants, stopping at the first that fails: trivial
+    projection, balanced exponent sums, and trivial image in both
+    braid-group quotients.  A False here certifies the word is nontrivial
+    in SG_3; a True decides nothing."""
     if word.strands != 3:
         raise ValueError("the oracle is set up for 3 strands")
-    if not pi(word).is_identity:
-        return False
-    sigma_sum, tau_sum = exponent_sums(word)
-    if sigma_sum != 0 or tau_sum != 0:
-        return False
-    return all(
-        b3_is_trivial(quotient_to_b3(word, rule)) for rule in TAU_RULES
-    )
+    return all(holds for _, _, holds in _invariants(word))
 
 
 def oracle_report(word: BraidWord) -> list[tuple[str, str]]:
-    """Per-invariant verdicts for the CLI table; the last row is
-    ``sg3_necessary_trivial`` read off the five rows above it."""
-    sigma_sum, tau_sum = exponent_sums(word)
-    projection = pi(word).is_identity
-    images = [b3_is_trivial(quotient_to_b3(word, rule)) for rule in TAU_RULES]
-    necessary = projection and sigma_sum == tau_sum == 0 and all(images)
-    return [
-        ("projection", "trivial" if projection else "nontrivial"),
-        ("crossing-sum", str(sigma_sum)),
-        ("singular-sum", str(tau_sum)),
-        ("b3-image(t->s)", "trivial" if images[0] else "nontrivial"),
-        ("b3-image(t->s^-1)", "trivial" if images[1] else "nontrivial"),
-        ("necessary-trivial", "yes" if necessary else "no"),
-    ]
+    """Per-invariant verdicts for the CLI table, one row per invariant; the
+    last row is ``sg3_necessary_trivial`` read off the rows above it."""
+    rows = list(_invariants(word))
+    necessary = "yes" if all(holds for _, _, holds in rows) else "no"
+    return [(name, verdict) for name, verdict, _ in rows] + [("necessary-trivial", necessary)]

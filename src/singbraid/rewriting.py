@@ -204,8 +204,18 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     return SchreierWord(walk(word, coset_table(word.strands)))
 
 
-def expand(word: SchreierWord, strands: int = 3) -> BraidWord:
-    """Substitute each Schreier generator by its ambient word."""
+def expand(word: SchreierWord, strands: int | None = None) -> BraidWord:
+    """Substitute each Schreier generator by its ambient word.
+
+    The strand count is the one of the factors' representatives; a
+    ``strands`` that disagrees with it raises ``ValueError``.  ``strands``
+    sets the strand count of the empty word, 3 by default.
+    """
+    counts = {generator.rep.strands for generator, _ in word.factors}
+    if strands is None:
+        strands = min(counts, default=3)
+    if counts - {strands}:
+        raise ValueError(f"cannot expand factors on {sorted(counts)} strands to {strands} strands")
     ambient = {generator: s_generator_word(generator) for generator, _ in word.factors}
     return BraidWord(strands, substitute(word.factors, ambient))
 

@@ -26,14 +26,17 @@ so ``verify --prop41`` checks the rules against that one path.
 ``verify_presentation`` machine-checks all of the above against the
 normal-form engine: the 30 rewritten relators and the 8 presentation
 relators must be trivial, the 24 conjugation formulas must hold, and the
-expression table must agree with the ambient generator words.
+expression table must agree with the ambient generator words.  Each suite
+is written once, as a generator of ``Check``s that imports from
+``normal_form`` the one decision it calls; one table maps each ``GROUP_*``
+name to its suite, and ``verify_presentation`` walks it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import rewriting
 from .words import (
@@ -312,15 +315,13 @@ def sp2_normal_form(word: SPWord) -> SP2Form:
     return SP2Form(a_exp, b_exp)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     label: str
     passed: bool
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class CheckGroup:
+class CheckGroup(NamedTuple):
     name: str
     checks: tuple[Check, ...]
 
@@ -333,8 +334,7 @@ class CheckGroup:
         return len(self.checks)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     groups: tuple[CheckGroup, ...]
 
     @property
@@ -364,86 +364,66 @@ GROUP_CONJUGATION = "conjugation-rules"
 GROUP_EXPRESSION = "expression-table"
 
 
-def _check_rewritten_relators(is_trivial_sp3) -> CheckGroup:
-    checks = []
+def _check_rewritten_relators() -> Iterator[Check]:
+    from .normal_form import is_trivial_sp3
+
     for rewrite in rewriting.relator_rewrites():
         expressed = _express(rewrite.word.factors)
-        checks.append(
-            Check(
-                label=f"r{rewrite.relator_index} @ {rewrite.rep}",
-                passed=is_trivial_sp3(expressed),
-                witness=str(expressed),
-            )
-        )
-    return CheckGroup(GROUP_REWRITTEN, tuple(checks))
+        label = f"r{rewrite.relator_index} @ {rewrite.rep}"
+        yield Check(label, is_trivial_sp3(expressed), str(expressed))
 
 
-def _check_presentation_relators(is_trivial_sp3) -> CheckGroup:
-    checks = [
-        Check(label=f"relator {i}", passed=is_trivial_sp3(relator), witness=str(relator))
-        for i, relator in enumerate(presentation_relators(), start=1)
-    ]
-    return CheckGroup(GROUP_PRESENTATION, tuple(checks))
+def _check_presentation_relators() -> Iterator[Check]:
+    from .normal_form import is_trivial_sp3
+
+    for i, relator in enumerate(presentation_relators(), start=1):
+        yield Check(f"relator {i}", is_trivial_sp3(relator), str(relator))
 
 
-def _check_conjugation_rules(equal_sp3) -> CheckGroup:
-    checks = []
+def _check_conjugation_rules() -> Iterator[Check]:
+    from .normal_form import equal_sp3
+
     for token, rows in ACTION_TABLES.items():
         (generator,) = parse_braid_word(token, 3).letters
         for name, claimed in rows.items():
             computed = conjugate_by_sg3_generator(SPWord((SPLetter(name, 1),)), generator)
-            checks.append(
-                Check(
-                    label=f"{name}^{token}",
-                    passed=equal_sp3(computed, claimed),
-                    witness=f"{computed} vs {claimed}",
-                )
-            )
-    return CheckGroup(GROUP_CONJUGATION, tuple(checks))
+            yield Check(f"{name}^{token}", equal_sp3(computed, claimed), f"{computed} vs {claimed}")
 
 
-def _check_expression_table(is_trivial_sg3) -> CheckGroup:
-    checks = []
+def _check_expression_table() -> Iterator[Check]:
+    from .normal_form import is_trivial_sg3
+
     for entry in rewriting.enumerate_generators(3):
-        if entry.trivial:
-            continue
-        row = express_schreier_gen(entry.generator)
-        difference = concat(sp3_to_sg3(row), entry.ambient.inverse())
-        checks.append(
-            Check(
-                label=str(entry.generator),
-                passed=is_trivial_sg3(difference),
-                witness=f"{entry.generator} = {row}",
-            )
-        )
-    return CheckGroup(GROUP_EXPRESSION, tuple(checks))
+        if not entry.trivial:
+            row = express_schreier_gen(entry.generator)
+            same = is_trivial_sg3(concat(sp3_to_sg3(row), entry.ambient.inverse()))
+            yield Check(str(entry.generator), same, f"{entry.generator} = {row}")
+
+
+# Every suite in the order ``verify`` runs and prints them.
+_SUITES = {
+    GROUP_REWRITTEN: _check_rewritten_relators,
+    GROUP_PRESENTATION: _check_presentation_relators,
+    GROUP_CONJUGATION: _check_conjugation_rules,
+    GROUP_EXPRESSION: _check_expression_table,
+}
 
 
 def verify_presentation(groups: Iterable[str] | None = None) -> VerificationReport:
     """Machine-check the presentation data against the decision engine.
 
-    Runs four suites (30 + 8 + 24 + 19 checks): triviality of the
-    rewritten relators after expression through the six-letter table,
-    triviality of the presentation relators, the conjugation formulas for
-    all generator pairs, and agreement of the expression table with the
-    ambient Schreier generator words.
+    ``groups`` names suites by their ``GROUP_*`` constants, run in the
+    order given; None runs all four (30 + 8 + 24 + 19 checks): triviality of the rewritten
+    relators after expression through the six-letter table, triviality of
+    the presentation relators, the conjugation formulas for all generator
+    pairs, and agreement of the expression table with the ambient Schreier
+    generator words.  An empty selection or an unknown name raises
+    ``ValueError``: a report of no checks would pass vacuously.
     """
-    from .normal_form import equal_sp3, is_trivial_sg3, is_trivial_sp3
-
-    wanted = (
-        (GROUP_REWRITTEN, GROUP_PRESENTATION, GROUP_CONJUGATION, GROUP_EXPRESSION)
-        if groups is None
-        else tuple(groups)
-    )
-    builders = {
-        GROUP_REWRITTEN: lambda: _check_rewritten_relators(is_trivial_sp3),
-        GROUP_PRESENTATION: lambda: _check_presentation_relators(is_trivial_sp3),
-        GROUP_CONJUGATION: lambda: _check_conjugation_rules(equal_sp3),
-        GROUP_EXPRESSION: lambda: _check_expression_table(is_trivial_sg3),
-    }
-    report_groups = []
-    for name in wanted:
-        if name not in builders:
+    names = tuple(_SUITES if groups is None else groups)
+    if not names:
+        raise ValueError("no check group selected")
+    for name in names:
+        if name not in _SUITES:
             raise ValueError(f"unknown check group {name!r}")
-        report_groups.append(builders[name]())
-    return VerificationReport(tuple(report_groups))
+    return VerificationReport(tuple(CheckGroup(name, tuple(_SUITES[name]())) for name in names))

@@ -173,6 +173,7 @@ def test_verify_subsets(capsys, flag, count):
     lines = out.splitlines()
     assert code == 0
     assert sum(line.startswith("PASS") for line in lines) == count
+    assert lines[-1] == f"{count}/{count} checks passed"
 
 
 def test_verify_default_runs_everything(capsys):
@@ -189,7 +190,7 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setitem(sp3_module.ACTION_TABLES, "s2", corrupted)
     code, out, _ = run(capsys, "verify", "--prop41")
     assert code == 3
-    assert any(line.startswith("FAIL") for line in out.splitlines())
+    assert "FAIL conjugation-rules a13^s2 [a12 vs a23]" in out.splitlines()
     assert out.splitlines()[-1] == "23/24 checks passed"
 
 

@@ -136,9 +136,9 @@ def test_oracle_cannot_refute_the_hard_word():
     assert not is_trivial_sg3(word)
 
 
-def test_oracle_report_decides_each_image_once(monkeypatch):
-    # The necessary-trivial row is read off the five rows above it, so a
-    # report decides each of the two B_3 images once.
+@pytest.fixture
+def b3_calls(monkeypatch):
+    """The words ``b3_is_trivial`` decides, with the homomorphy audit warm."""
     _homomorphy_audit()
     calls = []
 
@@ -147,8 +147,29 @@ def test_oracle_report_decides_each_image_once(monkeypatch):
         return b3_is_trivial(word)
 
     monkeypatch.setattr(oracles, "b3_is_trivial", counting)
+    return calls
+
+
+def test_oracle_report_decides_each_image_once(b3_calls):
+    # The necessary-trivial row is read off the five rows above it, so a
+    # report decides each of the two B_3 images once.
     oracle_report(parse_braid_word("t1 t2 t1 t2^-1 t1^-1 t2^-1", 3))
-    assert len(calls) == 2
+    assert len(b3_calls) == 2
+
+
+def test_necessary_trivial_stops_at_the_first_failing_invariant(b3_calls):
+    # The B_3 images are decided only after the projection and both
+    # exponent sums hold, and the second only after the first holds.
+    expected = {
+        "t1": 0,
+        "s1^2": 0,
+        "t1^2 s2^2 t1^-2 s2^-2": 1,
+        "t1 t2 t1 t2^-1 t1^-1 t2^-1": 2,
+    }
+    for text, count in expected.items():
+        b3_calls.clear()
+        sg3_necessary_trivial(parse_braid_word(text, 3))
+        assert len(b3_calls) == count, text
 
 
 def test_oracle_report_agrees_with_necessary_trivial():

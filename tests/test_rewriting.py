@@ -3,8 +3,10 @@ import random
 import pytest
 
 from singbraid import (
+    BraidWord,
     Letter,
     SchreierGenerator,
+    SchreierWord,
     concat,
     conjugate,
     enumerate_generators,
@@ -117,6 +119,30 @@ def test_rewrite_works_on_two_strands():
     for _ in range(100):
         word = random_pi_trivial(rng, strands=2, max_len=20)
         assert expand(rewrite_tau(word), strands=2) == word
+
+
+def test_expand_reads_the_strand_count_off_the_factors():
+    rng = random.Random(109)
+    word = parse_braid_word("s1^2 t1 s1^-2 t1^-1", 2)
+    assert expand(rewrite_tau(word)) == word
+    seen = 0
+    while seen < 100:
+        word = random_pi_trivial(rng, strands=2, max_len=20)
+        # The empty word has no factors to read the count off; see below.
+        if word.letters:
+            assert expand(rewrite_tau(word)) == word
+            seen += 1
+    # ``strands`` only sets the strand count of the empty word.
+    assert expand(SchreierWord()) == BraidWord(3, ())
+    assert expand(SchreierWord(), strands=2) == BraidWord(2, ())
+
+
+def test_expand_rejects_a_mismatched_strand_count():
+    two_strand = rewrite_tau(parse_braid_word("s1^2 t1 s1^-2 t1^-1", 2))
+    with pytest.raises(ValueError):
+        expand(two_strand, strands=3)
+    with pytest.raises(ValueError):
+        expand(rewrite_tau(parse_braid_word("s1^2", 3)), strands=4)
 
 
 def test_rewrite_of_concat_is_concat_of_rewrites():

@@ -255,6 +255,12 @@ def test_verify_presentation_rejects_unknown_group():
         verify_presentation(["nonsense"])
 
 
+def test_verify_presentation_rejects_empty_selection():
+    # A report of no checks would pass vacuously.
+    with pytest.raises(ValueError, match="no check group"):
+        verify_presentation([])
+
+
 def test_verify_detects_corrupt_action_row(monkeypatch):
     corrupted = dict(sp3_module.ACTION_TABLES["t1"])
     corrupted["b23"] = parse_sp_word("b13")
