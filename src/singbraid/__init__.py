@@ -3,12 +3,13 @@ singbraid: exact word-problem decisions for the 3-strand singular braid
 group SG_3 and its pure subgroup SP_3.
 
 The pipeline: parse words over the crossings s1, s2 and singular crossings
-t1, t2 (``words``), project to the symmetric group and build Schreier
-coset representatives (``permutations``), derive the coset table that
-rewrites kernel words over the Schreier generators in one walk
-(``rewriting``), express each factor by its row in the six-generator
-presentation of SP_3 (``sp3``), and decide triviality and equality
-through the center splitting and Britton reduction (``normal_form``).
+t1, t2 (``words``), project to the symmetric group (``permutations``),
+rewrite kernel words over the Schreier generators in one walk of the coset
+table, which holds the Schreier transversal, the moves and the generators
+with their ambient words, built once per strand count (``rewriting``),
+express each factor by its row in the six-generator presentation of SP_3
+(``sp3``), and decide triviality and equality through the center
+splitting and Britton reduction (``normal_form``).
 Cheap matrix-quotient invariants cross-check the engine (``oracles``).
 """
 
@@ -28,14 +29,17 @@ from .normal_form import (
     is_trivial_sp3,
 )
 from .oracles import b3_is_trivial, quotient_to_b3, sg3_necessary_trivial
-from .permutations import Permutation, Transversal, coset_rep, pi, schreier_transversal
+from .permutations import Permutation, pi
 from .rewriting import (
+    CosetTable,
     SchreierGenerator,
     SchreierWord,
+    coset_rep,
     enumerate_generators,
     relator_rewrites,
     rewrite_tau,
     s_generator_word,
+    schreier_transversal,
 )
 from .sp3 import (
     SP2Form,
@@ -64,6 +68,7 @@ from .words import (
 __all__ = [
     "BraidWord",
     "CenterSplitForm",
+    "CosetTable",
     "FactorSyllable",
     "FreeProductWord",
     "HNNForm",
@@ -74,7 +79,6 @@ __all__ = [
     "SPWord",
     "SchreierGenerator",
     "SchreierWord",
-    "Transversal",
     "b3_is_trivial",
     "britton_reduce",
     "center_generator",

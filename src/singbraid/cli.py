@@ -88,8 +88,11 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_gens(args) -> int:
+    # The table is built first, so that an unsupported strand count prints
+    # nothing to stdout.
+    entries = rewriting.enumerate_generators(args.strands)
     print("rep\tletter\tambient\ttrivial")
-    for entry in rewriting.enumerate_generators(args.strands):
+    for entry in entries:
         print(
             f"{entry.generator.rep}\t{entry.generator.letter.token()}"
             f"\t{entry.ambient}\t{'yes' if entry.trivial else 'no'}"

@@ -1,14 +1,19 @@
 """
-Subgroup generators and rewriting for the pure subgroup SP_n.
+The coset table of the pure subgroup SP_n, its Schreier generators, and
+rewriting over them.
 
-For a Schreier transversal L and an ambient generator a, the element
-S(l, a) = l a (rep(l a))^-1 lies in the kernel of the projection, and
-these elements generate SP_n.  A kernel word u = a_1^e_1 ... a_m^e_m
-rewrites to the product of S(k_j, a_j)^e_j where k_j is the representative
-of the prefix of u before the j-th letter when e_j = +1 and of the prefix
-through the j-th letter when e_j = -1.  Substituting each S(l, a) by its
-ambient word telescopes back to u exactly, which is the correctness
-property the tests machine-check.
+A Schreier transversal for SP_n, of index n! in SG_n, is built from the
+descending products m(k, l) = s_{k-1} s_{k-2} ... s_l (and m(k, k) = 1):
+it is the set of all products m(2, j_2) m(3, j_3) ... m(n, j_n) with
+1 <= j_k <= k.  Every prefix of a transversal word is again a transversal
+word.  For a representative l and an ambient generator a, the element
+S(l, a) = l a (rep(l a))^-1 lies in the kernel of the projection, and these
+elements generate SP_n.  A kernel word u = a_1^e_1 ... a_m^e_m rewrites to
+the product of S(k_j, a_j)^e_j where k_j is the representative of the
+prefix of u before the j-th letter when e_j = +1 and of the prefix through
+the j-th letter when e_j = -1.  Substituting each S(l, a) by its ambient
+word telescopes back to u exactly, which is the correctness property the
+tests machine-check.
 
 Generators whose ambient word freely reduces to the empty word (for
 example S(1, s1) = s1 s1^-1) carry no content and are dropped during
@@ -16,14 +21,17 @@ rewriting; all other generators are kept even when they happen to be
 trivial as group elements, since dropping them would break the exact
 telescoping above.
 
-Rewriting is one walk over a coset table, which is coset-table rewriting
-as in Sims, *Computation with Finitely Presented Groups* (1994).
-``coset_table`` derives, once per strand count and from the transversal
-alone, the move of every coset index under every unit letter together with
-the Schreier factors the letter emits; ``walk`` reads a word through such a
-table, and ``rewrite_tau`` is that walk alone.  The table holds every
-Schreier generator the walk can emit, so rewriting composes no
-permutations and builds no Schreier generators.
+All of this is one ``CosetTable`` per strand count, built once by the
+cached ``coset_table`` (coset-table Reidemeister-Schreier, as in Sims,
+*Computation with Finitely Presented Groups*, 1994): the representatives,
+the move of every coset under every unit letter with the Schreier factors
+the letter emits, and one ``SchreierGenerator`` per coset and positive
+letter with its ambient word rep_i a rep_j^-1, read off the move.  A coset
+is told apart from the others by its projection, kept as a tuple of
+images, so the table composes no ``Permutation`` and calls no ``pi``.
+``walk`` reads a word through the moves, and ``rewrite_tau`` is that walk
+alone; ``enumerate_generators``, ``s_generator_word``, ``expand``,
+``schreier_transversal`` and ``coset_rep`` read the same table.
 
 The walk of a freely reduced word emits a freely reduced Schreier word
 (Magnus, Karrass and Solitar, *Combinatorial Group Theory*, ch. 2), so no
@@ -45,11 +53,14 @@ S[s1,s1] S[s1,s1].  ``expand`` substitutes ambient words with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import itertools
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
-from .permutations import Permutation, pi, schreier_transversal
-from .words import SIGMA, TAU, BraidWord, Letter, concat, conjugate, sg3_relators, substitute
+from .permutations import Permutation, pi
+from .words import SIGMA, TAU, BraidWord, Letter, conjugate, sg3_relators, substitute
 
 
 @dataclass(frozen=True)
@@ -57,21 +68,18 @@ class SchreierGenerator:
     """The kernel element S(rep, letter) for a transversal word and a
     positive ambient generator.
 
-    Equal when the representatives and letters are equal.  The hash is
-    computed once, at construction: the coset table emits the same objects
-    over and over into the lookups of their rows.
+    Equal when the representatives and letters are equal.  ``id`` is the
+    generator's position in its coset table, which ``sp3`` indexes its rows
+    by; a generator built elsewhere has none.
     """
 
     rep: BraidWord
     letter: Letter
+    id: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.letter.exponent != 1:
             raise ValueError("Schreier generators use bare ambient generators")
-        object.__setattr__(self, "_hash", hash((self.rep, self.letter)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"S[{self.rep},{self.letter.token()}]"
@@ -110,18 +118,9 @@ def schreier_word(factors) -> SchreierWord:
     return SchreierWord(tuple(stack))
 
 
-def s_generator_word(generator: SchreierGenerator) -> BraidWord:
-    """The ambient word l a (rep(l a))^-1, freely reduced."""
-    rep = generator.rep
-    transversal = schreier_transversal(rep.strands)
-    if transversal.rep_of(pi(rep)) != rep:
-        raise ValueError(f"{rep} is not a transversal representative")
-    stepped = concat(rep, BraidWord(rep.strands, (generator.letter,)))
-    return concat(stepped, transversal.rep_of(pi(stepped)).inverse())
+class GeneratorEntry(NamedTuple):
+    """A row of the coset table: a Schreier generator and its ambient word."""
 
-
-@dataclass(frozen=True)
-class GeneratorEntry:
     generator: SchreierGenerator
     ambient: BraidWord
 
@@ -130,67 +129,128 @@ class GeneratorEntry:
         return self.ambient.is_empty
 
 
-def _generator_letters(strands: int) -> list[Letter]:
-    sigmas = [Letter(SIGMA, i, 1) for i in range(1, strands)]
-    taus = [Letter(TAU, i, 1) for i in range(1, strands)]
-    return sigmas + taus
+def _then_swap(images: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The images of a permutation followed by the transposition (i, i+1)."""
+    return tuple(i + 1 if image == i else i if image == i + 1 else image for image in images)
+
+
+class CosetTable:
+    """The coset table of SP_n in SG_n, for 2 <= n <= 6; build it through
+    the cached ``coset_table(n)``.
+
+    - ``elements``: the Schreier transversal, ordered by unit length, ties
+      broken by the index sequence (1, s1, s2, s1 s2, s2 s1, s1 s2 s1 on
+      three strands).  A coset's index is its position, so 0 is the
+      trivial coset; ``index`` maps a representative to it.
+    - ``letters``: the positive ambient generators, crossings first.
+    - ``moves[u][i]``: for a unit letter u and a coset i, the next coset
+      and the factors u emits.  A generator ``a`` leads coset i to the
+      coset j of rep_i a and emits S(rep_i, a) unless its ambient word is
+      freely empty; ``a`` projects to an involution, so ``a^-1`` leads j
+      back to i and emits the inverse.
+    - ``generators``: one ``GeneratorEntry`` per coset and positive letter,
+      coset-major; a generator's ``id`` is its position here.
+    """
+
+    def __init__(self, strands: int) -> None:
+        if not 2 <= strands <= 6:
+            raise ValueError(f"transversal supported for 2 <= n <= 6, got {strands}")
+        # The products m(2, j_2) ... m(n, j_n), with m(k, j) = s_{k-1} ... s_j.
+        words = [
+            BraidWord(strands, tuple(
+                Letter(SIGMA, i, 1) for k, j in enumerate(choices, start=2) for i in range(k - 1, j - 1, -1)
+            ))
+            for choices in itertools.product(*(range(1, k + 1) for k in range(2, strands + 1)))
+        ]
+        words.sort(key=lambda w: (w.unit_length(), tuple(l.index for l in w.letters)))
+        images = [reduce(_then_swap, (l.index for l in w.letters), tuple(range(1, strands + 1))) for w in words]
+        self.strands = strands
+        self.elements = tuple(words)
+        self.index = {rep: i for i, rep in enumerate(words)}
+        self._by_images = {image: i for i, image in enumerate(images)}
+        if len(self._by_images) != math.factorial(strands):
+            raise RuntimeError(f"transversal for n={strands} does not hit every permutation")
+        self.letters = tuple(Letter(kind, i, 1) for kind in (SIGMA, TAU) for i in range(1, strands))
+        self.moves = {u: [None] * len(words) for a in self.letters for u in (a, a.inverse())}
+        inverses = [w.inverse().letters for w in words]
+        generators = []
+        for i, rep in enumerate(words):
+            for a in self.letters:
+                j = self._by_images[_then_swap(images[i], a.index)]
+                generator = SchreierGenerator(rep, a, len(generators))
+                ambient = BraidWord(strands, rep.letters + (a,) + inverses[j])
+                emits = not ambient.is_empty
+                self.moves[a][i] = (j, ((generator, 1),) if emits else ())
+                self.moves[a.inverse()][j] = (i, ((generator, -1),) if emits else ())
+                generators.append(GeneratorEntry(generator, ambient))
+        self.generators = tuple(generators)
+
+    def rep_of(self, perm: Permutation) -> BraidWord:
+        """The representative of the coset that projects to ``perm``."""
+        try:
+            return self.elements[self._by_images[perm.images]]
+        except KeyError:
+            raise ValueError(
+                f"{perm.images} is not a permutation of {self.strands} points"
+            ) from None
+
+
+@lru_cache(maxsize=None)
+def coset_table(strands: int) -> CosetTable:
+    """The coset table on ``strands`` strands, built once."""
+    return CosetTable(strands)
+
+
+def schreier_transversal(strands: int) -> CosetTable:
+    """The Schreier transversal for SP_n in SG_n, 2 <= n <= 6: the coset
+    table, read through its ``elements`` and ``rep_of``."""
+    return coset_table(strands)
+
+
+def coset_rep(word: BraidWord) -> BraidWord:
+    """The transversal representative of the coset of ``word``."""
+    return coset_table(word.strands).rep_of(pi(word))
 
 
 def enumerate_generators(strands: int) -> tuple[GeneratorEntry, ...]:
     """All |L| * 2(n-1) Schreier generators with their ambient words,
     transversal-major, crossings before singular letters within a block."""
-    transversal = schreier_transversal(strands)
-    entries = []
-    for rep in transversal.elements:
-        for letter in _generator_letters(strands):
-            generator = SchreierGenerator(rep, letter)
-            entries.append(GeneratorEntry(generator, s_generator_word(generator)))
-    return tuple(entries)
+    return coset_table(strands).generators
 
 
-@lru_cache(maxsize=None)
-def coset_table(strands: int) -> dict:
-    """The coset table of SP_n in SG_n: a coset index and a unit letter map
-    to the next coset index and the Schreier factors the letter emits.
-
-    Coset indices follow the transversal order, so 0 is the trivial coset.
-    A generator ``a`` leads coset i to the coset j of pi(rep_i) followed by
-    the transposition of ``a``, and emits S(rep_i, a); since ``a`` projects
-    to an involution, ``a^-1`` leads j back to i and emits S(rep_i, a)^-1.
-    Representatives are positive words, so S(rep_i, a) = rep_i a rep_j^-1
-    is freely empty, and emits nothing, exactly when rep_j spells rep_i a.
-    """
-    perms, reps = zip(*schreier_transversal(strands).by_perm.items())
-    index = {perm: i for i, perm in enumerate(perms)}
-    table = {}
-    for letter in _generator_letters(strands):
-        move = Permutation.transposition(strands, letter.index)
-        for i, rep in enumerate(reps):
-            j = index[perms[i].then(move)]
-            out = () if reps[j].letters == rep.letters + (letter,) else ((SchreierGenerator(rep, letter), 1),)
-            table[i, letter] = (j, out)
-            table[j, letter.inverse()] = (i, tuple((g, -e) for g, e in out))
-    return table
+def s_generator_word(generator: SchreierGenerator) -> BraidWord:
+    """The ambient word l a (rep(l a))^-1, freely reduced."""
+    rep, letter = generator.rep, generator.letter
+    table = coset_table(rep.strands)
+    coset = table.index.get(rep)
+    if coset is None:
+        raise ValueError(f"{rep} is not a transversal representative")
+    if letter not in table.letters:
+        # A letter the table lacks is one a word refuses: raise its message.
+        BraidWord(rep.strands, (letter,))
+    return table.generators[coset * len(table.letters) + table.letters.index(letter)].ambient
 
 
-def walk(word: BraidWord, table: dict) -> tuple:
+def walk(word: BraidWord, table: CosetTable) -> tuple:
     """Read ``word`` through a coset table from the trivial coset and
     return everything its unit letters emit.
 
     The walk goes syllable by syllable: a letter of exponent +-1 is its own
-    table key, and a syllable a^e with |e| > 1 builds one unit letter a^+-1
-    and steps it |e| times.
+    key into the moves, and a syllable a^e with |e| > 1 looks up the moves
+    of a^+-1 once and steps them |e| times.
     """
+    moves = table.moves
     coset, emitted = 0, []
     for letter in word.letters:
         exponent = letter.exponent
         if exponent == 1 or exponent == -1:
-            coset, out = table[coset, letter]
+            coset, out = moves[letter][coset]
             emitted += out
         else:
-            unit = Letter(letter.kind, letter.index, 1 if exponent > 0 else -1)
+            # A plain tuple hashes and compares like the Letter it spells.
+            row = moves[letter.kind, letter.index, 1 if exponent > 0 else -1]
             for _ in range(abs(exponent)):
-                coset, out = table[coset, unit]
+                coset, out = row[coset]
                 emitted += out
     if coset:
         raise ValueError("can only rewrite words with trivial projection")
@@ -230,10 +290,9 @@ class RelatorRewrite:
 def relator_rewrites() -> tuple[RelatorRewrite, ...]:
     """The 30 rewrites of the SG_3 relators conjugated by each transversal
     element; these words present SP_3 over the Schreier generators."""
-    transversal = schreier_transversal(3)
     rewrites = []
     for index, relator in enumerate(sg3_relators(), start=1):
-        for rep in transversal.elements:
+        for rep in coset_table(3).elements:
             rewritten = rewrite_tau(conjugate(relator, rep))
             rewrites.append(RelatorRewrite(index, rep, rewritten))
     return tuple(rewrites)

@@ -10,17 +10,19 @@ subject to eight relations (see ``presentation_relators``).  An SP word
 is a ``words.FreeWord``: it is reduced, multiplied, inverted, powered and
 printed by the same free-group core as a braid word, and only checks its
 letter names itself.  Every Schreier generator of SP_3 equals a short word
-in these six letters; the lookup lives in ``EXPRESSION_TABLE``.  At import
-each Schreier factor S^+-1 is mapped to the letters of its row or of the
-row's inverse, and ``_express`` reads those rows: ``rewrite_to_sp3`` turns
-a kernel word of SG_3 into an SP word with one coset-table walk of
-``rewriting.rewrite_tau``, one lookup per factor and one merge of the
-letters, and ``verify --rs`` expresses the rewritten relators the same
-way.  Conjugation by the four ambient generators restricts to
-automorphisms of SP_3: ``ACTION_TABLES`` holds the paper's rules for
-x -> g^-1 x g, and ``conjugate_by_sg3_generator`` computes any power of
-the action by rewriting the conjugated ambient word, the same walk again,
-so ``verify --prop41`` checks the rules against that one path.
+in these six letters; the lookup lives in ``EXPRESSION_TABLE``, the
+paper's literal data.  At import the rows are laid out once more as one
+list indexed by the id of each generator of ``rewriting.coset_table(3)``,
+with the letters of the row and of its inverse, and ``_express`` reads
+that list: ``rewrite_to_sp3`` turns a kernel word of SG_3 into an SP word
+with one coset-table walk of ``rewriting.rewrite_tau``, one list lookup per
+factor and one merge of the letters, and ``verify --rs`` expresses the
+rewritten relators the same way.  Conjugation by the four ambient
+generators restricts to automorphisms of SP_3: ``ACTION_TABLES`` holds the
+paper's rules for x -> g^-1 x g, and ``conjugate_by_sg3_generator``
+computes any power of the action by rewriting the conjugated ambient word,
+the same walk again, so ``verify --prop41`` checks the rules against that
+one path.
 ``sp3_to_sg3`` substitutes the defining words with ``words.substitute``.
 
 ``verify_presentation`` machine-checks all of the above against the
@@ -171,35 +173,25 @@ def express_schreier_gen(generator: rewriting.SchreierGenerator) -> SPWord:
         raise ValueError(f"unknown Schreier generator {generator}") from None
 
 
-def _factor_rows() -> dict:
-    """Each Schreier factor (generator, +-1) of SP_3 mapped to the letters
-    of its row of ``EXPRESSION_TABLE``, or of the row's inverse, read when
-    called.
-
-    The factor objects of ``rewriting.coset_table(3)`` go in first, so they
-    are the keys: a factor the walk emits is then found by identity, without
-    comparing generator words.  Equal factors built elsewhere still find
-    their rows by value.
-    """
-    by_value = {(g, e): (row**e).letters for g, row in EXPRESSION_TABLE.items() for e in (1, -1)}
-    rows = {}
-    for _, out in rewriting.coset_table(3).values():
-        for factor in out:
-            rows[factor] = by_value[factor]
-    for factor, letters in by_value.items():
-        rows.setdefault(factor, letters)
-    return rows
+def _factor_rows() -> list[dict[int, tuple[SPLetter, ...]]]:
+    """The letters of each Schreier generator's row of ``EXPRESSION_TABLE``
+    and of the row's inverse, read when called, indexed by the generator's
+    id in ``rewriting.coset_table(3)`` and then by the exponent +-1."""
+    return [
+        {e: (EXPRESSION_TABLE[entry.generator] ** e).letters for e in (1, -1)}
+        for entry in rewriting.enumerate_generators(3)
+    ]
 
 
 _FACTOR_ROWS = _factor_rows()
 
 
 def _express(factors: Iterable[tuple[rewriting.SchreierGenerator, int]]) -> SPWord:
-    """Substitute each Schreier factor by its row, or the inverse of the
-    row, and freely reduce the whole word once."""
+    """Substitute each Schreier factor of the coset table by its row, or the
+    inverse of the row, and freely reduce the whole word once."""
     # A list, not a generator: tuple() over a generator grows by resizing,
     # which raised peak memory by about 1 MB over 30k short words.
-    return SPWord(tuple([letter for factor in factors for letter in _FACTOR_ROWS[factor]]))
+    return SPWord(tuple([letter for g, e in factors for letter in _FACTOR_ROWS[g.id][e]]))
 
 
 def rewrite_to_sp3(word: BraidWord) -> SPWord:

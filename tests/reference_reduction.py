@@ -7,8 +7,12 @@ c-power flag per syllable that the run-based ``_BaseStack`` replaced, so
 the oracle shares no reduction code with the engine.
 ``rewrite_tau`` is the rewriter that the coset-table walk replaced: it
 composes the projection of every prefix as a ``Permutation`` and looks the
-coset representative up in the transversal.  ``rewrite_to_sp3`` is the left
-fold over it that merged the whole word again for every Schreier factor.
+coset representative up in a dict from projections to the transversal
+words, which acceptance criterion 1 pins.  It decides whether to drop a
+generator from the generator's ambient word ``rep a rep(pi(rep a))^-1``,
+composed here too, so it reads nothing else of the engine's coset table.
+``rewrite_to_sp3`` is the left fold over it that merged the whole word
+again for every Schreier factor.
 ``pi`` is the projection that the list swap replaced: it composes one
 ``Permutation.transposition`` per odd-exponent letter.
 
@@ -23,10 +27,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from singbraid.normal_form import FactorSyllable, FreeProductWord, HNNForm
-from singbraid.permutations import Permutation, schreier_transversal
-from singbraid.rewriting import SchreierGenerator, SchreierWord, s_generator_word, schreier_word
+from singbraid.permutations import Permutation
+from singbraid.rewriting import SchreierGenerator, SchreierWord, schreier_transversal, schreier_word
 from singbraid.sp3 import A12, B12, SPLetter, SPWord, express_schreier_gen
-from singbraid.words import BraidWord, Letter
+from singbraid.words import BraidWord, Letter, concat
 
 
 # The syllables of c = a13 a23 and of c^-1 = a23^-1 a13^-1.
@@ -182,7 +186,18 @@ def pi(word: BraidWord) -> Permutation:
     return result
 
 
-_ambient = lru_cache(maxsize=None)(s_generator_word)
+@lru_cache(maxsize=None)
+def _reps(strands: int) -> dict[Permutation, BraidWord]:
+    """Each projection's representative among the transversal words."""
+    return {pi(rep): rep for rep in schreier_transversal(strands).elements}
+
+
+@lru_cache(maxsize=None)
+def _ambient(generator: SchreierGenerator) -> BraidWord:
+    """The ambient word rep a rep(pi(rep a))^-1, freely reduced."""
+    rep = generator.rep
+    stepped = concat(rep, BraidWord(rep.strands, (generator.letter,)))
+    return concat(stepped, _reps(rep.strands)[pi(stepped)].inverse())
 
 
 def rewrite_tau(word: BraidWord) -> SchreierWord:
@@ -191,7 +206,7 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     Streams the projection over the prefixes of ``word`` once; generators
     with freely empty ambient words are skipped.
     """
-    transversal = schreier_transversal(word.strands)
+    reps = _reps(word.strands)
     if not pi(word).is_identity:
         raise ValueError("can only rewrite words with trivial projection")
     prefix = Permutation.identity(word.strands)
@@ -200,9 +215,7 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
         before = prefix
         prefix = prefix.then(Permutation.transposition(word.strands, letter.index))
         key = before if letter.exponent == 1 else prefix
-        generator = SchreierGenerator(
-            transversal.rep_of(key), Letter(letter.kind, letter.index, 1)
-        )
+        generator = SchreierGenerator(reps[key], Letter(letter.kind, letter.index, 1))
         if _ambient(generator).is_empty:
             continue
         factors.append((generator, letter.exponent))

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -37,6 +38,27 @@ def test_gens_table(capsys):
     assert "1\tt1\tt1 s1^-1\tno" in lines
     assert "1\ts1\t1\tyes" in lines
     assert "s2 s1\ts1\ts2 s1^2 s2^-1\tno" in lines
+
+
+@pytest.mark.parametrize("strands", ["0", "1", "7"])
+def test_gens_on_an_unsupported_strand_count_prints_nothing(capsys, strands):
+    code, out, err = run(capsys, "gens", "-n", strands)
+    assert code == 2 and out == ""
+    assert err == f"error: transversal supported for 2 <= n <= 6, got {strands}\n"
+
+
+@pytest.mark.parametrize(
+    "strands, digest",
+    [
+        ("4", "d4d9ca500b92aae3f8d92fd9920858d4dbc07231ae4ecd80e1e3c6eed765526d"),
+        ("5", "827b046dbbf6d1e4f1e28ed601f71691d4527c49f50873a2ae84587f635954f3"),
+        ("6", "8f0de5b570c891f818f3e683c6de065e006f3286a2dc354a48b219c789418815"),
+    ],
+)
+def test_gens_output_is_pinned(capsys, strands, digest):
+    # n = 2 and 3 are pinned row by row in the acceptance suite.
+    code, out, _ = run(capsys, "gens", "-n", strands)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_rewrite(capsys):

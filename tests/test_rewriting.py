@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from singbraid import (
     s_generator_word,
     sg3_relators,
 )
+from singbraid import permutations
 from singbraid.rewriting import coset_table, expand
 from singbraid.sp3 import express_schreier_gen, parse_sp_word
 from helpers import random_pi_trivial
@@ -43,7 +46,7 @@ def test_fresh_schreier_generator_finds_table_entries():
     # Hash and equality are by value: a generator built anew is found in
     # the coset table and in the expression table, which hold other objects.
     fresh = gen("s2 s1", "t1")
-    emitted = [g for _, out in coset_table(3).values() for g, _ in out]
+    emitted = [g for row in coset_table(3).moves.values() for _, out in row for g, _ in out]
     entry = next(g for g in emitted if g == fresh)
     assert entry is not fresh
     assert hash(entry) == hash(fresh)
@@ -58,10 +61,35 @@ def test_schreier_generator_requires_bare_letter():
 
 
 def test_generator_word_requires_transversal_rep():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="s1\\^2 is not a transversal representative"):
         s_generator_word(gen("s1^2", "t1"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="s2 s1 s2 is not a transversal representative"):
         s_generator_word(gen("s2 s1 s2", "t1"))
+    with pytest.raises(ValueError, match="letter t3 out of range for 3 strands"):
+        s_generator_word(gen("1", "t3"))
+
+
+def test_table_readers_call_no_pi(monkeypatch):
+    # The coset table tells cosets apart by their image tuples, and every
+    # reader of the generators goes through it, so none of them projects.
+    def refuse(word):
+        raise AssertionError("pi called")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("singbraid")]:
+        for attr, value in list(vars(module).items()):
+            if value is permutations.pi:
+                monkeypatch.setattr(module, attr, refuse)
+    coset_table.cache_clear()
+    for n in range(2, 7):
+        assert len(enumerate_generators(n)) == math.factorial(n) * 2 * (n - 1)
+    assert str(s_generator_word(gen("s1 s2 s1", "t2"))) == "s1 s2 s1 t2 s1^-1 s2^-1"
+    word = parse_braid_word("s1^2 t1 s1^-2 t1^-1", 3)
+    assert expand(rewrite_tau(word)) == word
+
+
+def test_enumerate_generators_returns_the_cached_table_rows():
+    assert enumerate_generators(6) is enumerate_generators(6)
+    assert enumerate_generators(6) is coset_table(6).generators
 
 
 def test_enumerate_n2():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from singbraid import (
-    BraidWord,
     Letter,
     SchreierGenerator,
     SPLetter,
@@ -286,17 +285,14 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
     assert sp3_module.GROUP_EXPRESSION not in failed_groups
 
 
-def test_walk_factors_find_their_rows_by_identity():
-    # The rows are keyed by the coset table's own factor objects, so the
-    # lookup of a factor the walk emits never compares generator words.
-    keys = {id(factor) for factor in sp3_module._FACTOR_ROWS}
-    emitted = [factor for _, out in coset_table(3).values() for factor in out]
-    assert emitted and all(id(factor) in keys for factor in emitted)
+def test_walk_factors_find_their_rows_by_id():
+    # The rows are one list indexed by the id of each generator of the coset
+    # table, so the lookup of a factor the walk emits never compares words.
+    table = coset_table(3)
+    emitted = [factor for row in table.moves.values() for _, out in row for factor in out]
+    assert len(emitted) == 2 * 19
     for factor in emitted:
         generator, exponent = factor
+        assert table.generators[generator.id].generator is generator
         row = sp3_module.EXPRESSION_TABLE[generator]
-        assert sp3_module._FACTOR_ROWS[factor] == (row**exponent).letters
-    # Equal factors built elsewhere still find their rows.
-    for generator, row in sp3_module.EXPRESSION_TABLE.items():
-        fresh = SchreierGenerator(BraidWord(3, generator.rep.letters), generator.letter)
-        assert sp3_module._FACTOR_ROWS[fresh, -1] == row.inverse().letters
+        assert sp3_module._FACTOR_ROWS[generator.id][exponent] == (row**exponent).letters
