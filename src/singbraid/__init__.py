@@ -10,6 +10,7 @@ with their ambient words, built once per strand count (``rewriting``),
 express each factor by its row in the six-generator presentation of SP_3
 (``sp3``), and decide triviality and equality through the center
 splitting and Britton reduction (``normal_form``).
+``verify`` checks the presentation data against those decisions.
 Cheap matrix-quotient invariants cross-check the engine (``oracles``).
 """
 
@@ -52,8 +53,8 @@ from .sp3 import (
     rewrite_to_sp3,
     sp2_normal_form,
     sp3_to_sg3,
-    verify_presentation,
 )
+from .verify import verify_presentation
 from .words import (
     BraidWord,
     Letter,

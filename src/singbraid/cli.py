@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import normal_form, oracles, rewriting, sp3
+from . import normal_form, oracles, rewriting, sp3, verify
 from .permutations import pi
 from .words import parse_braid_word
 
 _VERIFY_FLAGS = {
-    "rs": sp3.GROUP_REWRITTEN,
-    "theorem1": sp3.GROUP_PRESENTATION,
-    "prop41": sp3.GROUP_CONJUGATION,
-    "table": sp3.GROUP_EXPRESSION,
+    "rs": verify.GROUP_REWRITTEN,
+    "theorem1": verify.GROUP_PRESENTATION,
+    "prop41": verify.GROUP_CONJUGATION,
+    "table": verify.GROUP_EXPRESSION,
 }
 
 
@@ -150,16 +150,15 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     chosen = [name for flag, name in _VERIFY_FLAGS.items() if getattr(args, flag)]
-    report = sp3.verify_presentation(chosen or None)
-    for group in report.groups:
-        for check in group.checks:
-            status = "PASS" if check.passed else "FAIL"
-            line = f"{status} {group.name} {check.label}"
-            if not check.passed:
-                line += f" [{check.witness}]"
-            print(line)
-    print(f"{report.passed}/{report.total} checks passed")
-    return 0 if report.all_passed else 3
+    checks = verify.verify_presentation(chosen or None)
+    for check in checks:
+        line = f"{'PASS' if check.passed else 'FAIL'} {check.group} {check.label}"
+        if not check.passed:
+            line += f" [{check.witness}]"
+        print(line)
+    passed = sum(check.passed for check in checks)
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 3
 
 
 _COMMANDS = {

@@ -24,21 +24,15 @@ computes any power of the action by rewriting the conjugated ambient word,
 the same walk again, so ``verify --prop41`` checks the rules against that
 one path.
 ``sp3_to_sg3`` substitutes the defining words with ``words.substitute``.
-
-``verify_presentation`` machine-checks all of the above against the
-normal-form engine: the 30 rewritten relators and the 8 presentation
-relators must be trivial, the 24 conjugation formulas must hold, and the
-expression table must agree with the ambient generator words.  Each suite
-is written once, as a generator of ``Check``s that imports from
-``normal_form`` the one decision it calls; one table maps each ``GROUP_*``
-name to its suite, and ``verify_presentation`` walks it.
+The module imports no decision: the ``verify`` module checks all of the
+data above against ``normal_form``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import rewriting
 from .words import (
@@ -46,7 +40,6 @@ from .words import (
     FreeWord,
     Letter,
     check_unit_length,
-    concat,
     conjugate,
     free_reduce,
     parse_braid_word,
@@ -305,117 +298,3 @@ def sp2_normal_form(word: SPWord) -> SP2Form:
         else:
             raise ValueError(f"{letter.name} is not an SP_2 generator")
     return SP2Form(a_exp, b_exp)
-
-
-class Check(NamedTuple):
-    label: str
-    passed: bool
-    witness: str = ""
-
-
-class CheckGroup(NamedTuple):
-    name: str
-    checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> int:
-        return sum(check.passed for check in self.checks)
-
-    @property
-    def total(self) -> int:
-        return len(self.checks)
-
-
-class VerificationReport(NamedTuple):
-    groups: tuple[CheckGroup, ...]
-
-    @property
-    def passed(self) -> int:
-        return sum(group.passed for group in self.groups)
-
-    @property
-    def total(self) -> int:
-        return sum(group.total for group in self.groups)
-
-    @property
-    def all_passed(self) -> bool:
-        return self.passed == self.total
-
-    def failures(self) -> list[tuple[str, Check]]:
-        return [
-            (group.name, check)
-            for group in self.groups
-            for check in group.checks
-            if not check.passed
-        ]
-
-
-GROUP_REWRITTEN = "rewritten-relators"
-GROUP_PRESENTATION = "presentation-relators"
-GROUP_CONJUGATION = "conjugation-rules"
-GROUP_EXPRESSION = "expression-table"
-
-
-def _check_rewritten_relators() -> Iterator[Check]:
-    from .normal_form import is_trivial_sp3
-
-    for rewrite in rewriting.relator_rewrites():
-        expressed = _express(rewrite.word.factors)
-        label = f"r{rewrite.relator_index} @ {rewrite.rep}"
-        yield Check(label, is_trivial_sp3(expressed), str(expressed))
-
-
-def _check_presentation_relators() -> Iterator[Check]:
-    from .normal_form import is_trivial_sp3
-
-    for i, relator in enumerate(presentation_relators(), start=1):
-        yield Check(f"relator {i}", is_trivial_sp3(relator), str(relator))
-
-
-def _check_conjugation_rules() -> Iterator[Check]:
-    from .normal_form import equal_sp3
-
-    for token, rows in ACTION_TABLES.items():
-        (generator,) = parse_braid_word(token, 3).letters
-        for name, claimed in rows.items():
-            computed = conjugate_by_sg3_generator(SPWord((SPLetter(name, 1),)), generator)
-            yield Check(f"{name}^{token}", equal_sp3(computed, claimed), f"{computed} vs {claimed}")
-
-
-def _check_expression_table() -> Iterator[Check]:
-    from .normal_form import is_trivial_sg3
-
-    for entry in rewriting.enumerate_generators(3):
-        if not entry.trivial:
-            row = express_schreier_gen(entry.generator)
-            same = is_trivial_sg3(concat(sp3_to_sg3(row), entry.ambient.inverse()))
-            yield Check(str(entry.generator), same, f"{entry.generator} = {row}")
-
-
-# Every suite in the order ``verify`` runs and prints them.
-_SUITES = {
-    GROUP_REWRITTEN: _check_rewritten_relators,
-    GROUP_PRESENTATION: _check_presentation_relators,
-    GROUP_CONJUGATION: _check_conjugation_rules,
-    GROUP_EXPRESSION: _check_expression_table,
-}
-
-
-def verify_presentation(groups: Iterable[str] | None = None) -> VerificationReport:
-    """Machine-check the presentation data against the decision engine.
-
-    ``groups`` names suites by their ``GROUP_*`` constants, run in the
-    order given; None runs all four (30 + 8 + 24 + 19 checks): triviality of the rewritten
-    relators after expression through the six-letter table, triviality of
-    the presentation relators, the conjugation formulas for all generator
-    pairs, and agreement of the expression table with the ambient Schreier
-    generator words.  An empty selection or an unknown name raises
-    ``ValueError``: a report of no checks would pass vacuously.
-    """
-    names = tuple(_SUITES if groups is None else groups)
-    if not names:
-        raise ValueError("no check group selected")
-    for name in names:
-        if name not in _SUITES:
-            raise ValueError(f"unknown check group {name!r}")
-    return VerificationReport(tuple(CheckGroup(name, tuple(_SUITES[name]())) for name in names))

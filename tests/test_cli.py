@@ -203,6 +203,32 @@ def test_verify_default_runs_everything(capsys):
     assert code == 0 and out.splitlines()[-1] == "81/81 checks passed"
 
 
+def test_verify_all_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--all")
+    digest = "381b35c28a0cc8d07211a0610458d709d82767a08f3ae56b8de18e4b59a6b948"
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_flags_print_their_slice_of_all(capsys):
+    # Each line reads "PASS <group> <label>"; a flag prints the lines of its
+    # group, in the order of --all, and its own count.
+    body = run(capsys, "verify", "--all")[1].splitlines()[:-1]
+    slices = []
+    for flag, group in [
+        ("--rs", "rewritten-relators"),
+        ("--theorem1", "presentation-relators"),
+        ("--prop41", "conjugation-rules"),
+        ("--table", "expression-table"),
+    ]:
+        code, out, _ = run(capsys, "verify", flag)
+        lines = out.splitlines()
+        expected = [line for line in body if line.split()[1] == group]
+        assert code == 0 and lines[:-1] == expected
+        assert lines[-1] == f"{len(expected)}/{len(expected)} checks passed"
+        slices += expected
+    assert slices == body
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     from singbraid import sp3 as sp3_module
     from singbraid.sp3 import parse_sp_word

@@ -1,0 +1,33 @@
+"""The package's modules import each other without a cycle, counting the
+imports inside function bodies too."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "singbraid"
+
+
+def import_graph() -> dict[str, set[str]]:
+    """Each module of the package and the package modules it imports, from
+    ``from .x import ...`` and ``from . import x``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for module in modules:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        graph[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                graph[module].update(name for name in names if name in modules)
+    return graph
+
+
+def test_import_graph_is_acyclic():
+    graph = import_graph()
+    assert "normal_form" in graph["verify"] and "sp3" in graph["normal_form"]
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as error:
+        raise AssertionError(f"import cycle: {' -> '.join(error.args[1])}") from None
+    assert set(order) == set(graph)

@@ -21,6 +21,7 @@ from singbraid import (
 )
 from singbraid import sp3 as sp3_module
 from singbraid.rewriting import coset_table
+from singbraid.verify import GROUP_CONJUGATION, GROUP_EXPRESSION, GROUP_PRESENTATION, GROUP_REWRITTEN
 from singbraid.words import MAX_UNIT_LETTERS, substitute
 from helpers import random_sp_word
 
@@ -238,15 +239,18 @@ def test_sp2_normal_form():
 
 
 def test_verify_presentation_all_pass():
-    report = verify_presentation()
-    assert report.all_passed
-    assert [group.total for group in report.groups] == [30, 8, 24, 19]
-    assert report.total == 81
+    checks = verify_presentation()
+    assert all(check.passed for check in checks)
+    groups = [check.group for check in checks]
+    suites = (GROUP_REWRITTEN, GROUP_PRESENTATION, GROUP_CONJUGATION, GROUP_EXPRESSION)
+    assert [groups.count(group) for group in suites] == [30, 8, 24, 19]
+    assert len(checks) == 81
 
 
 def test_verify_presentation_subset():
-    report = verify_presentation([sp3_module.GROUP_PRESENTATION])
-    assert report.total == 8 and report.all_passed
+    checks = verify_presentation([GROUP_PRESENTATION])
+    assert len(checks) == 8 and all(check.passed for check in checks)
+    assert {check.group for check in checks} == {GROUP_PRESENTATION}
 
 
 def test_verify_presentation_rejects_unknown_group():
@@ -264,8 +268,8 @@ def test_verify_detects_corrupt_action_row(monkeypatch):
     corrupted = dict(sp3_module.ACTION_TABLES["t1"])
     corrupted["b23"] = parse_sp_word("b13")
     monkeypatch.setitem(sp3_module.ACTION_TABLES, "t1", corrupted)
-    report = verify_presentation([sp3_module.GROUP_CONJUGATION])
-    failed = [check.label for _, check in report.failures()]
+    checks = verify_presentation([GROUP_CONJUGATION])
+    failed = [check.label for check in checks if not check.passed]
     assert failed == ["b23^t1"]
 
 
@@ -278,11 +282,10 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
     key = gen("s2", "t1")
     monkeypatch.setitem(sp3_module.EXPRESSION_TABLE, key, parse_sp_word("b13 a13"))
     monkeypatch.setattr(sp3_module, "_FACTOR_ROWS", sp3_module._factor_rows())
-    report = verify_presentation()
-    assert not report.all_passed
-    failed_groups = {name for name, _ in report.failures()}
-    assert sp3_module.GROUP_REWRITTEN in failed_groups
-    assert sp3_module.GROUP_EXPRESSION not in failed_groups
+    checks = verify_presentation()
+    failed_groups = {check.group for check in checks if not check.passed}
+    assert GROUP_REWRITTEN in failed_groups
+    assert GROUP_EXPRESSION not in failed_groups
 
 
 def test_walk_factors_find_their_rows_by_id():
