@@ -47,6 +47,7 @@ from .sp3 import (
     B23,
     SPLetter,
     SPWord,
+    _reduced_sp_word,
     rewrite_to_sp3,
 )
 from .words import BraidWord
@@ -143,7 +144,8 @@ class _BaseStack:
             if not (a_exp or b_exp):
                 return
             syllable = FactorSyllable(syllable.factor, a_exp, b_exp)
-        elif syllable.is_trivial:
+        elif not (syllable.a_exp or syllable.b_exp):
+            # syllable.is_trivial, without the call of the property.
             return
         pair = _C_PAIRS.get(syllable)
         if pair is not None and entries and entries[-1] == pair[0]:
@@ -261,6 +263,18 @@ _UNIT_SYLLABLES = {
     for name in _FACTOR_OF
     for exponent in (1, -1)
 }
+# The second letter of c^sign, mapped to the syllable of the first and the
+# sign: arriving on that very syllable, it turns it into a run.
+_C_SECOND_LETTERS = {
+    second.letters()[0]: (_UNIT_SYLLABLES[first.letters()[0]], sign)
+    for sign, (first, second) in _C_SYLLABLES.items()
+}
+# What the first pass of ``britton_reduce`` reads for each unit base letter:
+# its syllable, then that syllable and sign or (None, 0).
+_UNITS = {
+    letter: (syllable, *_C_SECOND_LETTERS.get(letter, (None, 0)))
+    for letter, syllable in _UNIT_SYLLABLES.items()
+}
 
 
 def free_product_nf(word: SPWord) -> FreeProductWord:
@@ -359,7 +373,7 @@ def eliminate_a12(word: SPWord) -> tuple[int, SPWord]:
         e = letter.exponent
         delta_exp += e
         letters.extend(_C_LETTERS[-1 if e > 0 else 1] * abs(e))
-    return delta_exp, SPWord(tuple(letters))
+    return delta_exp, _reduced_sp_word(letters)
 
 
 def britton_reduce(word: SPWord) -> HNNForm:
@@ -387,11 +401,22 @@ def britton_reduce(word: SPWord) -> HNNForm:
     # free each base it slides away.
     bases = deque([_BaseStack()])
     powers: deque[int] = deque()
-    push = bases[-1].push
+    push, entries = bases[-1].push, bases[-1].entries
     for letter in word.letters:
-        syllable = _UNIT_SYLLABLES.get(letter)
-        if syllable is not None:
-            push(syllable)
+        unit = _UNITS.get(letter)
+        if unit is not None:
+            syllable, first, sign = unit
+            if first is not None and entries and entries[-1] is first:
+                # What push does with the second syllable of c^sign on the
+                # first, without the call: eliminate_a12 writes a12^e as
+                # 2|e| such letters.
+                entries.pop()
+                if entries and entries[-1].__class__ is int:
+                    entries[-1] += sign
+                else:
+                    entries.append(sign)
+            else:
+                push(syllable)
             continue
         if letter.name == A12:
             raise ValueError("eliminate a12 before Britton reduction")
@@ -405,7 +430,7 @@ def britton_reduce(word: SPWord) -> HNNForm:
         if exponent:
             powers.append(exponent)
             bases.append(_BaseStack())
-        push = bases[-1].push
+        push, entries = bases[-1].push, bases[-1].entries
     reduced = [bases.popleft()]
     reduced_powers: list[int] = []
     while powers:

@@ -30,8 +30,11 @@ letter with its ambient word rep_i a rep_j^-1, read off the move.  A coset
 is told apart from the others by its projection, kept as a tuple of
 images, so the table composes no ``Permutation`` and calls no ``pi``.
 ``walk`` reads a word through the moves, and ``rewrite_tau`` is that walk
-alone; ``enumerate_generators``, ``s_generator_word``, ``expand``,
-``schreier_transversal`` and ``coset_rep`` read the same table.
+alone.  Each unit letter projects to an involution, so its moves have
+period 2 and the walk reads a syllable a^e of any exponent with two
+lookups and one tuple product.  ``enumerate_generators``,
+``s_generator_word``, ``expand``, ``schreier_transversal`` and
+``coset_rep`` read the same table.
 
 The walk of a freely reduced word emits a freely reduced Schreier word
 (Magnus, Karrass and Solitar, *Combinatorial Group Theory*, ch. 2), so no
@@ -236,8 +239,13 @@ def walk(word: BraidWord, table: CosetTable) -> tuple:
     return everything its unit letters emit.
 
     The walk goes syllable by syllable: a letter of exponent +-1 is its own
-    key into the moves, and a syllable a^e with |e| > 1 looks up the moves
-    of a^+-1 once and steps them |e| times.
+    key into the moves.  A syllable a^e with |e| > 1 reads the moves of
+    a^+-1 from its coset i and from the coset j they lead to.  The action
+    of every unit letter is an involution, so the next step leads back to
+    i, and a^e emits the factors of the two steps |e| // 2 times, then those
+    of the step from i once more when |e| is odd, ending on j.  The
+    repetition is one tuple product, so the syllable costs no Python step
+    per unit letter.
     """
     moves = table.moves
     coset, emitted = 0, []
@@ -249,8 +257,11 @@ def walk(word: BraidWord, table: CosetTable) -> tuple:
         else:
             # A plain tuple hashes and compares like the Letter it spells.
             row = moves[letter.kind, letter.index, 1 if exponent > 0 else -1]
-            for _ in range(abs(exponent)):
-                coset, out = row[coset]
+            there, out = row[coset]
+            pairs, odd = divmod(abs(exponent), 2)
+            emitted += (out + row[there][1]) * pairs
+            if odd:
+                coset = there
                 emitted += out
     if coset:
         raise ValueError("can only rewrite words with trivial projection")

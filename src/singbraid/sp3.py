@@ -17,12 +17,14 @@ with the letters of the row and of its inverse, and ``_express`` reads
 that list: ``rewrite_to_sp3`` turns a kernel word of SG_3 into an SP word
 with one coset-table walk of ``rewriting.rewrite_tau``, one list lookup per
 factor and one merge of the letters, and ``verify --rs`` expresses the
-rewritten relators the same way.  Conjugation by the four ambient
-generators restricts to automorphisms of SP_3: ``ACTION_TABLES`` holds the
-paper's rules for x -> g^-1 x g, and ``conjugate_by_sg3_generator``
-computes any power of the action by rewriting the conjugated ambient word,
-the same walk again, so ``verify --prop41`` checks the rules against that
-one path.
+rewritten relators the same way.  The merge builds the word through
+``_reduced_sp_word``, which skips the check of each letter's name: the
+rows are checked once, by ``verify --table``.  Conjugation by the four
+ambient generators restricts to automorphisms of SP_3: ``ACTION_TABLES``
+holds the paper's rules for x -> g^-1 x g, and
+``conjugate_by_sg3_generator`` computes any power of the action by
+rewriting the conjugated ambient word, the same walk again, so
+``verify --prop41`` checks the rules against that one path.
 ``sp3_to_sg3`` substitutes the defining words with ``words.substitute``.
 The module imports no decision: the ``verify`` module checks all of the
 data above against ``normal_form``.
@@ -81,6 +83,16 @@ class SPWord(FreeWord):
             if letter.name not in SP_NAMES:
                 raise ValueError(f"unknown SP_3 generator {letter.name!r}")
         object.__setattr__(self, "letters", free_reduce(self.letters))
+
+
+def _reduced_sp_word(letters: Iterable[SPLetter]) -> SPWord:
+    """``SPWord(letters)`` without the check of each letter's name, for
+    letters known to name SP_3 generators: the rows of ``_FACTOR_ROWS``,
+    which ``verify --table`` checks, and the letters of c^+-1 that
+    ``normal_form.eliminate_a12`` writes."""
+    word = object.__new__(SPWord)
+    object.__setattr__(word, "letters", free_reduce(letters))
+    return word
 
 
 def parse_sp_word(text: str) -> SPWord:
@@ -182,9 +194,9 @@ _FACTOR_ROWS = _factor_rows()
 def _express(factors: Iterable[tuple[rewriting.SchreierGenerator, int]]) -> SPWord:
     """Substitute each Schreier factor of the coset table by its row, or the
     inverse of the row, and freely reduce the whole word once."""
-    # A list, not a generator: tuple() over a generator grows by resizing,
-    # which raised peak memory by about 1 MB over 30k short words.
-    return SPWord(tuple([letter for g, e in factors for letter in _FACTOR_ROWS[g.id][e]]))
+    # A list, not a generator: the comprehension fills it faster than
+    # free_reduce would resume a generator for each letter.
+    return _reduced_sp_word([letter for g, e in factors for letter in _FACTOR_ROWS[g.id][e]])
 
 
 def rewrite_to_sp3(word: BraidWord) -> SPWord:

@@ -61,27 +61,47 @@ def free_reduce(letters: Iterable) -> tuple:
     ``sp3.SPLetter``).  The stack never holds two adjacent letters of the
     same generator, so a single left-to-right pass suffices: cancellations
     that expose a new mergeable pair are caught when the next letter
-    arrives.
+    arrives.  A run of letters of the generator at the top of the stack is
+    added up in a local and written back as one letter, so a run of any
+    length builds at most one letter.
     """
     stack: list = []
     top = None  # stack[-1], kept in a local: this loop is on the hot path
+    letters = iter(letters)
     for letter in letters:
-        exponent = letter[-1]
-        if not exponent:
-            continue
-        # Comparing the first field and the one before the exponent names
-        # the generator without slicing either letter.
-        if top is not None and top[0] == letter[0] and top[-2] == letter[-2]:
-            exponent += top[-1]
-            if exponent:
+        while letter[-1]:
+            # Comparing the first field and the one before the exponent
+            # names the generator without slicing either letter.
+            if top is None or top[0] != letter[0] or top[-2] != letter[-2]:
+                stack.append(letter)
+                top = letter
+                break
+            total = top[-1] + letter[-1]
+            if not total:
+                # Cancelled at once, as inverse pairs mostly are: the next
+                # letter meets the one below in the outer loop.
+                stack.pop()
+                top = stack[-1] if stack else None
+                break
+            # A run on the top's generator: add it up as far as the first
+            # nonzero letter of another generator.
+            letter = None
+            for after in letters:
+                if after[0] == top[0] and after[-2] == top[-2]:
+                    total += after[-1]
+                elif after[-1]:
+                    letter = after
+                    break
+            if total:
                 # What NamedTuple._make does, without its call and length check.
-                top = stack[-1] = tuple.__new__(type(letter), letter[:-1] + (exponent,))
+                top = stack[-1] = tuple.__new__(type(top), top[:-1] + (total,))
             else:
                 stack.pop()
                 top = stack[-1] if stack else None
-        else:
-            stack.append(letter)
-            top = letter
+            if letter is None:
+                break
+            # The letter that ended the run goes round again: if the run
+            # cancelled, the letter below it may share its generator.
     return tuple(stack)
 
 

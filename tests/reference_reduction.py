@@ -5,7 +5,8 @@ restarts from the left after every step.  The segment normal forms and the
 c-power test use ``FlagStack``, the stack of plain syllables with one
 c-power flag per syllable that the run-based ``_BaseStack`` replaced, so
 the oracle shares no reduction code with the engine.
-``rewrite_tau`` is the rewriter that the coset-table walk replaced: it
+``rewrite_tau`` is the rewriter that the coset-table walk replaced.  Its
+``walk`` steps a word one unit letter at a time, from any coset: it
 composes the projection of every prefix as a ``Permutation`` and looks the
 coset representative up in a dict from projections to the transversal
 words, which acceptance criterion 1 pins.  It decides whether to drop a
@@ -200,16 +201,16 @@ def _ambient(generator: SchreierGenerator) -> BraidWord:
     return concat(stepped, _reps(rep.strands)[pi(stepped)].inverse())
 
 
-def rewrite_tau(word: BraidWord) -> SchreierWord:
-    """Rewrite a kernel word as a word over the Schreier generators.
+def walk(word: BraidWord, start: BraidWord | None = None) -> tuple[list[tuple[SchreierGenerator, int]], BraidWord]:
+    """Step the unit letters of ``word`` from the coset of ``start``, the
+    trivial coset by default, one letter at a time.
 
-    Streams the projection over the prefixes of ``word`` once; generators
-    with freely empty ambient words are skipped.
+    Returns the factors the letters emit, generators with freely empty
+    ambient words skipped, and the representative of the coset the steps
+    end in.
     """
     reps = _reps(word.strands)
-    if not pi(word).is_identity:
-        raise ValueError("can only rewrite words with trivial projection")
-    prefix = Permutation.identity(word.strands)
+    prefix = Permutation.identity(word.strands) if start is None else pi(start)
     factors: list[tuple[SchreierGenerator, int]] = []
     for letter in word.unit_letters():
         before = prefix
@@ -219,7 +220,18 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
         if _ambient(generator).is_empty:
             continue
         factors.append((generator, letter.exponent))
-    return schreier_word(factors)
+    return factors, reps[prefix]
+
+
+def rewrite_tau(word: BraidWord) -> SchreierWord:
+    """Rewrite a kernel word as a word over the Schreier generators.
+
+    Streams the projection over the prefixes of ``word`` once; generators
+    with freely empty ambient words are skipped.
+    """
+    if not pi(word).is_identity:
+        raise ValueError("can only rewrite words with trivial projection")
+    return schreier_word(walk(word)[0])
 
 
 def rewrite_to_sp3(word: BraidWord) -> SPWord:

@@ -22,6 +22,7 @@ from singbraid import permutations
 from singbraid.rewriting import coset_table, expand
 from singbraid.sp3 import express_schreier_gen, parse_sp_word
 from helpers import random_pi_trivial
+import reference_reduction as reference
 
 
 def gen(rep_text: str, letter_token: str) -> SchreierGenerator:
@@ -126,6 +127,76 @@ def test_rewrite_examples():
     assert str(rewrite_tau(parse_braid_word("s2 s1^2 s2^-1", 3))) == "S[s2 s1,s1]"
     # Schreier words cancel inverse factors but never merge equal ones.
     assert str(rewrite_tau(parse_braid_word("s1^4", 3))) == "S[s1,s1] S[s1,s1]"
+
+
+def test_every_unit_letter_acts_as_an_involution():
+    for n in range(2, 7):
+        moves = coset_table(n).moves
+        for u, row in moves.items():
+            for i in range(len(row)):
+                assert moves[u][moves[u][i][0]][0] == i
+
+
+# Exponents of the syllable a^e that the walk reads from each coset.  The
+# unit-stepping reference steps the small ones itself; 2^17 unit steps per
+# coset would take it minutes, so the large ones are checked against its
+# steps of a and a^2 (see test_large_syllables_repeat_the_reference_steps).
+SMALL_EXPONENTS = (1, 2, 3, 4, 5)
+LARGE_EXPONENTS = (2**17, 2**17 + 1)
+
+
+def syllable_sites(n, cosets=None):
+    """Representatives with unit letters of n strands: on up to 4 strands
+    every coset with every unit letter, on more one seeded unit letter per
+    coset, which keeps 720 cosets x 20 letters on 6 strands out of the run.
+    ``cosets`` takes a seeded sample of that many cosets instead of all."""
+    rng = random.Random(n)
+    table = coset_table(n)
+    units = [Letter(a.kind, a.index, sign) for a in table.letters for sign in (1, -1)]
+    reps = table.elements if cosets is None else rng.sample(table.elements, min(cosets, len(table.elements)))
+    for rep in reps:
+        for letter in units if n <= 4 and cosets is None else [rng.choice(units)]:
+            yield rep, letter
+
+
+def rewrite_syllable(rep, letter, exponent, end):
+    """``rewrite_tau`` of rep a^e end^-1: the factors the walk emits for the
+    syllable a^e from the coset of ``rep``, since the representatives walk
+    along tree edges and emit nothing.  It raises unless a^e leads the coset
+    of ``rep`` to the coset of ``end``."""
+    syllable = BraidWord(rep.strands, (letter._replace(exponent=letter.exponent * exponent),))
+    return rewrite_tau(concat(concat(rep, syllable), end.inverse())).factors
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_syllables_match_the_unit_stepping_rewriter(n):
+    for rep, letter in syllable_sites(n):
+        unit = BraidWord(n, (letter,))
+        for e in SMALL_EXPONENTS:
+            factors, end = reference.walk(unit ** e, rep)
+            assert rewrite_syllable(rep, letter, e, end) == tuple(factors)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_large_syllables_repeat_the_reference_steps(n):
+    """The reference's steps are memoryless: once its two steps a a lead
+    back to the coset they start from, its steps of a^e are those two
+    repeated |e| // 2 times, then the first once more for odd |e|.  Each
+    such syllable emits up to 2^17 factors, so on 4 strands and more a
+    seeded sample of 24 cosets is read."""
+    # The table's generator equal to each of the reference's, so that the
+    # long factor tuples compare by identity.
+    own = {entry.generator: entry.generator for entry in coset_table(n).generators}
+    for rep, letter in syllable_sites(n, None if n <= 3 else 24):
+        unit = BraidWord(n, (letter,))
+        once, there = reference.walk(unit, rep)
+        twice, back = reference.walk(unit ** 2, rep)
+        assert back == rep
+        once = tuple((own[g], e) for g, e in once)
+        twice = tuple((own[g], e) for g, e in twice)
+        for e in LARGE_EXPONENTS:
+            expected = twice * (e // 2) + once * (e % 2)
+            assert rewrite_syllable(rep, letter, e, there if e % 2 else rep) == expected
 
 
 def test_rewrite_rejects_nontrivial_projection():

@@ -14,16 +14,18 @@ from singbraid import (
     parse_sp_word,
     pi,
     presentation_relators,
+    rewrite_tau,
     rewrite_to_sp3,
     sp2_normal_form,
     sp3_to_sg3,
     verify_presentation,
 )
 from singbraid import sp3 as sp3_module
+from singbraid.normal_form import eliminate_a12
 from singbraid.rewriting import coset_table
 from singbraid.verify import GROUP_CONJUGATION, GROUP_EXPRESSION, GROUP_PRESENTATION, GROUP_REWRITTEN
 from singbraid.words import MAX_UNIT_LETTERS, substitute
-from helpers import random_sp_word
+from helpers import random_kernel_word, random_sp_word
 
 
 def gen(rep_text: str, letter_token: str) -> SchreierGenerator:
@@ -299,3 +301,33 @@ def test_walk_factors_find_their_rows_by_id():
         assert table.generators[generator.id].generator is generator
         row = sp3_module.EXPRESSION_TABLE[generator]
         assert sp3_module._FACTOR_ROWS[generator.id][exponent] == (row**exponent).letters
+
+
+def test_reduce_only_builds_equal_the_checked_constructor():
+    # _express and eliminate_a12 skip the name check of SPWord, since their
+    # letters come from the checked rows and from the letters of c^+-1.
+    rng = random.Random(29)
+    a12_image = {1: [SPLetter("a23", -1), SPLetter("a13", -1)], -1: [SPLetter("a13", 1), SPLetter("a23", 1)]}
+    for _ in range(300):
+        factors = rewrite_tau(random_kernel_word(rng, 3, max_exp=rng.choice((1, 4, 40)))).factors
+        letters = tuple(letter for g, e in factors for letter in (express_schreier_gen(g) ** e).letters)
+        built = sp3_module._express(factors)
+        assert type(built) is SPWord and built == SPWord(letters)
+        assert all(type(letter) is SPLetter for letter in built.letters)
+
+        word = random_sp_word(rng, 30) ** rng.choice((1, 3))
+        word = SPWord(tuple(letter._replace(exponent=letter.exponent * rng.randint(1, 9)) for letter in word.letters))
+        letters = tuple(
+            image
+            for letter in word.letters
+            for image in (a12_image[1 if letter.exponent > 0 else -1] * abs(letter.exponent) if letter.name == "a12" else [letter])
+        )
+        delta, residual = eliminate_a12(word)
+        assert delta == sum(letter.exponent for letter in word.letters if letter.name == "a12")
+        assert type(residual) is SPWord and residual == SPWord(letters)
+        assert all(type(letter) is SPLetter for letter in residual.letters)
+
+
+def test_public_sp_word_still_checks_names():
+    with pytest.raises(ValueError, match="unknown SP_3 generator 'a14'"):
+        SPWord((SPLetter("a13", 1), SPLetter("a14", 1)))

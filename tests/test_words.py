@@ -253,3 +253,24 @@ def test_free_reduce_matches_naive_reduction():
         reduced = free_reduce(letters)
         assert reduced == naive_free_reduce(letters)
         assert all(type(letter) is type(letters[0]) and letter[-1] for letter in reduced)
+
+    def run(letter, length, total):
+        """``length`` letters of ``letter``'s generator, zero exponents
+        among them, whose exponents add up to ``total``."""
+        exponents = [rng.randint(-3, 3) for _ in range(length - 1)]
+        return [letter._replace(exponent=e) for e in exponents + [total - sum(exponents)]]
+
+    # Long runs of one generator.  A run that adds up to 0 between two
+    # letters of another generator exposes the one below, and the run that
+    # follows it must merge with it; that run may cancel it in turn.
+    for trial in range(200):
+        make = makers[trial % 2]
+        letters = [make(rng.choice((-1, 1))) for _ in range(rng.randrange(4))]
+        for _ in range(rng.randrange(1, 4)):
+            below = make(rng.choice((-3, -2, -1, 1, 2, 3)))
+            letters += [below] + run(make(1), rng.randrange(2, 120), 0)
+            letters += run(below, rng.randrange(1, 120), rng.choice((-below.exponent, rng.randint(-3, 3))))
+        letters += run(make(1), rng.randrange(1, 120), rng.randint(-3, 3))
+        reduced = free_reduce(letters)
+        assert reduced == naive_free_reduce(letters)
+        assert all(type(letter) is type(letters[0]) and letter[-1] for letter in reduced)
