@@ -61,7 +61,6 @@ from .words import (
     concat,
     conjugate,
     exponent_sums,
-    invert,
     parse_braid_word,
     sg3_relators,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "exponent_sums",
     "express_schreier_gen",
     "free_product_nf",
-    "invert",
     "is_trivial_sg3",
     "is_trivial_sp3",
     "parse_braid_word",

@@ -21,7 +21,8 @@ cancellation can only expose another at the top of the stack.  A base
 stack holds each run c^n as one entry, an int, next to its plain
 syllables, so a base is a power of c exactly when it is empty or one run:
 the pinch test and the slide each cost O(1), and the reduction takes time
-amortised linear in the letters.
+amortised linear in the letters.  A form prints through its ``sp_word``:
+the letters of its bases and stable powers in one freely reduced SP word.
 
 By Britton's lemma a reduced word that still contains stable letters is
 never trivial, so a V~ word is trivial exactly when its reduced form is an
@@ -65,10 +66,6 @@ class FactorSyllable(NamedTuple):
     factor: str
     a_exp: int
     b_exp: int
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.a_exp == 0 and self.b_exp == 0
 
     def letters(self) -> tuple[SPLetter, ...]:
         a_name, b_name = (A13, B13) if self.factor == F13 else (A23, B23)
@@ -145,7 +142,6 @@ class _BaseStack:
                 return
             syllable = FactorSyllable(syllable.factor, a_exp, b_exp)
         elif not (syllable.a_exp or syllable.b_exp):
-            # syllable.is_trivial, without the call of the property.
             return
         pair = _C_PAIRS.get(syllable)
         if pair is not None and entries and entries[-1] == pair[0]:
@@ -318,23 +314,16 @@ class HNNForm:
         return sum(abs(power) for power in self.powers)
 
     def sp_word(self) -> SPWord:
-        letters: list[SPLetter] = list(self.bases[0].sp_word().letters)
-        for power, base in zip(self.powers, self.bases[1:]):
-            letters.append(SPLetter(B12, power))
-            letters.extend(base.sp_word().letters)
+        """The letters of every base and stable power, freely reduced once."""
+        letters: list[SPLetter] = []
+        for power, base in zip((0,) + self.powers, self.bases):
+            if power:
+                letters.append(SPLetter(B12, power))
+            letters += [letter for syllable in base.syllables for letter in syllable.letters()]
         return SPWord(tuple(letters))
 
     def __str__(self) -> str:
-        if self.is_trivial:
-            return "1"
-        parts = []
-        if not self.bases[0].is_empty:
-            parts.append(str(self.bases[0]))
-        for power, base in zip(self.powers, self.bases[1:]):
-            parts.append(SPLetter(B12, power).token())
-            if not base.is_empty:
-                parts.append(str(base))
-        return " ".join(parts)
+        return str(self.sp_word())
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,10 @@ edges, then a^-1.  A nonempty closed walk in a tree steps straight back
 somewhere, which puts x x^-1 in the input; an empty one puts a a^-1 there.
 A freely reduced ``BraidWord`` has neither.
 
-A Schreier word is not a ``words.FreeWord``: ``schreier_word`` cancels
-adjacent inverse factors but never merges equal ones, so s1^4 rewrites to
-S[s1,s1] S[s1,s1].  ``expand`` substitutes ambient words with
-``words.substitute``.
+A Schreier word is not a ``words.FreeWord``: it is only printed and
+expanded, never multiplied or reduced, and equal factors stay apart, so
+s1^4 rewrites to S[s1,s1] S[s1,s1].  ``expand`` substitutes ambient words
+with ``words.substitute``.
 """
 
 from __future__ import annotations
@@ -95,30 +95,12 @@ class SchreierWord:
 
     factors: tuple[tuple[SchreierGenerator, int], ...] = ()
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.factors
-
-    def __mul__(self, other: SchreierWord) -> SchreierWord:
-        return schreier_word(self.factors + other.factors)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
         return " ".join(
             str(g) if e == 1 else f"{g}^-1" for g, e in self.factors
         )
-
-
-def schreier_word(factors) -> SchreierWord:
-    """Cancel adjacent mutually inverse factors."""
-    stack: list[tuple[SchreierGenerator, int]] = []
-    for factor in factors:
-        if stack and stack[-1][0] == factor[0] and stack[-1][1] == -factor[1]:
-            stack.pop()
-        else:
-            stack.append(factor)
-    return SchreierWord(tuple(stack))
 
 
 class GeneratorEntry(NamedTuple):

@@ -10,11 +10,13 @@ subject to eight relations (see ``presentation_relators``).  An SP word
 is a ``words.FreeWord``: it is reduced, multiplied, inverted, powered and
 printed by the same free-group core as a braid word, and only checks its
 letter names itself.  Every Schreier generator of SP_3 equals a short word
-in these six letters; the lookup lives in ``EXPRESSION_TABLE``, the
-paper's literal data.  At import the rows are laid out once more as one
-list indexed by the id of each generator of ``rewriting.coset_table(3)``,
-with the letters of the row and of its inverse, and ``_express`` reads
-that list: ``rewrite_to_sp3`` turns a kernel word of SG_3 into an SP word
+in these six letters: ``_EXPRESSION_ROWS`` holds the paper's literal rows,
+named by representative and letter, and ``EXPRESSION_TABLE`` keys them at
+import by the generators of ``rewriting.coset_table(3)``, refusing rows
+that do not name each generator once.  The rows are laid out once more as
+one list indexed by the id of each generator of that table, with the
+letters of the row and of its inverse, and ``_express`` reads that list:
+``rewrite_to_sp3`` turns a kernel word of SG_3 into an SP word
 with one coset-table walk of ``rewriting.rewrite_tau``, one list lookup per
 factor and one merge of the letters, and ``verify --rs`` expresses the
 rewritten relators the same way.  The merge builds the word through
@@ -123,48 +125,47 @@ def sp3_to_sg3(word: SPWord) -> BraidWord:
     return BraidWord(3, substitute(word.letters, _SP_TO_SG))
 
 
-def _schreier_generator(rep_text: str, letter_token: str) -> rewriting.SchreierGenerator:
-    (letter,) = parse_braid_word(letter_token, 3).letters
-    return rewriting.SchreierGenerator(parse_braid_word(rep_text, 3), letter)
+# Every Schreier generator of SP_3, named by its representative and letter,
+# as a word in the six letters.  The five generators with freely empty
+# ambient words map to the empty word, and so does S[s2 s1, s2]: its ambient
+# word is a conjugate of the braid relator, hence trivial as a group element.
+_EXPRESSION_ROWS = {
+    ("1", "s1"): "1",
+    ("1", "s2"): "1",
+    ("1", "t1"): "b12 a12^-1",
+    ("1", "t2"): "b23 a23^-1",
+    ("s1", "s1"): "a12",
+    ("s1", "s2"): "1",
+    ("s1", "t1"): "b12",
+    ("s1", "t2"): "a23^-1 b13 a13^-1 a23",
+    ("s2", "s1"): "1",
+    ("s2", "s2"): "a23",
+    ("s2", "t1"): "b13 a13^-1",
+    ("s2", "t2"): "b23",
+    ("s1 s2", "s1"): "1",
+    ("s1 s2", "s2"): "a23^-1 a13 a23",
+    ("s1 s2", "t1"): "b23 a23^-1",
+    ("s1 s2", "t2"): "a23^-1 b13 a23",
+    ("s2 s1", "s1"): "a13",
+    ("s2 s1", "s2"): "1",
+    ("s2 s1", "t1"): "b13",
+    ("s2 s1", "t2"): "b12 a12^-1",
+    ("s1 s2 s1", "s1"): "a23",
+    ("s1 s2 s1", "s2"): "a12",
+    ("s1 s2 s1", "t1"): "b23",
+    ("s1 s2 s1", "t2"): "b12",
+}
 
 
 def _expression_table() -> dict[rewriting.SchreierGenerator, SPWord]:
-    """Every Schreier generator of SP_3 as a word in the six letters.
-
-    The five generators with freely empty ambient words map to the empty
-    word, and so does S[s2 s1, s2]: its ambient word is a conjugate of the
-    braid relator, hence trivial as a group element.
-    """
-    rows = {
-        ("1", "s1"): "1",
-        ("1", "s2"): "1",
-        ("1", "t1"): "b12 a12^-1",
-        ("1", "t2"): "b23 a23^-1",
-        ("s1", "s1"): "a12",
-        ("s1", "s2"): "1",
-        ("s1", "t1"): "b12",
-        ("s1", "t2"): "a23^-1 b13 a13^-1 a23",
-        ("s2", "s1"): "1",
-        ("s2", "s2"): "a23",
-        ("s2", "t1"): "b13 a13^-1",
-        ("s2", "t2"): "b23",
-        ("s1 s2", "s1"): "1",
-        ("s1 s2", "s2"): "a23^-1 a13 a23",
-        ("s1 s2", "t1"): "b23 a23^-1",
-        ("s1 s2", "t2"): "a23^-1 b13 a23",
-        ("s2 s1", "s1"): "a13",
-        ("s2 s1", "s2"): "1",
-        ("s2 s1", "t1"): "b13",
-        ("s2 s1", "t2"): "b12 a12^-1",
-        ("s1 s2 s1", "s1"): "a23",
-        ("s1 s2 s1", "s2"): "a12",
-        ("s1 s2 s1", "t1"): "b23",
-        ("s1 s2 s1", "t2"): "b12",
-    }
-    return {
-        _schreier_generator(rep, letter): parse_sp_word(text)
-        for (rep, letter), text in rows.items()
-    }
+    """The rows of ``_EXPRESSION_ROWS`` keyed by the generators of
+    ``rewriting.coset_table(3)``, in its order; ``RuntimeError`` unless the
+    rows name each generator exactly once."""
+    generators = [entry.generator for entry in rewriting.enumerate_generators(3)]
+    names = [(str(g.rep), g.letter.token()) for g in generators]
+    if _EXPRESSION_ROWS.keys() != set(names):
+        raise RuntimeError("the expression rows do not name each Schreier generator of SP_3 once")
+    return {g: parse_sp_word(_EXPRESSION_ROWS[name]) for g, name in zip(generators, names)}
 
 
 EXPRESSION_TABLE = _expression_table()

@@ -256,10 +256,6 @@ def check_unit_length(word: _W) -> _W:
     return word
 
 
-def invert(word: BraidWord) -> BraidWord:
-    return word.inverse()
-
-
 def conjugate(word: BraidWord, by: BraidWord) -> BraidWord:
     """Return ``by * word * by^-1``."""
     return concat(concat(by, word), by.inverse())

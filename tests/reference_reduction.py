@@ -14,6 +14,8 @@ generator from the generator's ambient word ``rep a rep(pi(rep a))^-1``,
 composed here too, so it reads nothing else of the engine's coset table.
 ``rewrite_to_sp3`` is the left fold over it that merged the whole word
 again for every Schreier factor.
+``schreier_word`` cancels adjacent inverse factors, which the engine's
+walk never emits; the tests multiply Schreier words with it.
 ``pi`` is the projection that the list swap replaced: it composes one
 ``Permutation.transposition`` per odd-exponent letter.
 
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 from singbraid.normal_form import FactorSyllable, FreeProductWord, HNNForm
 from singbraid.permutations import Permutation
-from singbraid.rewriting import SchreierGenerator, SchreierWord, schreier_transversal, schreier_word
+from singbraid.rewriting import SchreierGenerator, SchreierWord, schreier_transversal
 from singbraid.sp3 import A12, B12, SPLetter, SPWord, express_schreier_gen
 from singbraid.words import BraidWord, Letter, concat
 
@@ -66,7 +68,7 @@ class FlagStack:
             if not (a_exp or b_exp):
                 return
             syllable = FactorSyllable(syllable.factor, a_exp, b_exp)
-        elif syllable.is_trivial:
+        elif not (syllable.a_exp or syllable.b_exp):
             return
         sign = signs[-1] if signs else (1 if syllable.a_exp > 0 else -1)
         if sign and syllable != C_SYLLABLES[sign][len(signs) % 2]:
@@ -221,6 +223,17 @@ def walk(word: BraidWord, start: BraidWord | None = None) -> tuple[list[tuple[Sc
             continue
         factors.append((generator, letter.exponent))
     return factors, reps[prefix]
+
+
+def schreier_word(factors) -> SchreierWord:
+    """Cancel adjacent mutually inverse factors."""
+    stack: list[tuple[SchreierGenerator, int]] = []
+    for factor in factors:
+        if stack and stack[-1][0] == factor[0] and stack[-1][1] == -factor[1]:
+            stack.pop()
+        else:
+            stack.append(factor)
+    return SchreierWord(tuple(stack))
 
 
 def rewrite_tau(word: BraidWord) -> SchreierWord:

@@ -290,6 +290,20 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
     assert GROUP_EXPRESSION not in failed_groups
 
 
+def test_expression_rows_must_name_each_generator_once(monkeypatch):
+    assert sp3_module._expression_table() == sp3_module.EXPRESSION_TABLE
+    rows = sp3_module._EXPRESSION_ROWS
+    dropped = {key: text for key, text in rows.items() if key != ("s2", "t1")}
+    not_a_rep = {
+        ("s2 s1 s2" if rep == "s1 s2 s1" else rep, letter): text for (rep, letter), text in rows.items()
+    }
+    extra = {**rows, ("s2 s1 s2", "t1"): "b23"}
+    for corrupt in (dropped, not_a_rep, extra):
+        monkeypatch.setattr(sp3_module, "_EXPRESSION_ROWS", corrupt)
+        with pytest.raises(RuntimeError):
+            sp3_module._expression_table()
+
+
 def test_walk_factors_find_their_rows_by_id():
     # The rows are one list indexed by the id of each generator of the coset
     # table, so the lookup of a factor the walk emits never compares words.

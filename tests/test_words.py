@@ -9,7 +9,6 @@ from singbraid import (
     concat,
     conjugate,
     exponent_sums,
-    invert,
     parse_braid_word,
     parse_sp_word,
     sg3_relators,
@@ -152,7 +151,7 @@ def test_concat_interior_cancellation():
 
 def test_invert_reverses_and_flips():
     word = parse_braid_word("s1 t2", 3)
-    assert str(invert(word)) == "t2^-1 s1^-1"
+    assert str(word.inverse()) == "t2^-1 s1^-1"
 
 
 def test_concat_rejects_strand_mismatch():
@@ -175,9 +174,9 @@ def test_free_reduction_is_confluent():
         direct = BraidWord(3, tuple(letters))
         split = concat(BraidWord(3, tuple(letters[:cut])), BraidWord(3, tuple(letters[cut:])))
         assert direct == split
-        assert invert(direct) == concat(
-            invert(BraidWord(3, tuple(letters[cut:]))),
-            invert(BraidWord(3, tuple(letters[:cut]))),
+        assert direct.inverse() == concat(
+            BraidWord(3, tuple(letters[cut:])).inverse(),
+            BraidWord(3, tuple(letters[:cut])).inverse(),
         )
 
 
