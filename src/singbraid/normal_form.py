@@ -21,8 +21,13 @@ cancellation can only expose another at the top of the stack.  A base
 stack holds each run c^n as one entry, an int, next to its plain
 syllables, so a base is a power of c exactly when it is empty or one run:
 the pinch test and the slide each cost O(1), and the reduction takes time
-amortised linear in the letters.  A form prints through its ``sp_word``:
-the letters of its bases and stable powers in one freely reduced SP word.
+amortised linear in the letters.  The stack's entries are the stored form
+of a word of V, runs included, from the reducer to the printer.
+``FreeProductWord(entries)`` takes a normal form as given, so a word is
+built with ``free_product_nf`` or ``*``, which go through a stack.  A form
+prints through its ``sp_word``: the letters of its bases and stable powers
+in one freely reduced SP word, each run c^n written as one product of the
+letters of c^+-1.
 
 By Britton's lemma a reduced word that still contains stable letters is
 never trivial, so a V~ word is trivial exactly when its reduced form is an
@@ -101,15 +106,14 @@ class _BaseStack:
     coalesce into a run, and that run merges into a same-sign run below
     it, so no two runs are adjacent and no two adjacent plain syllables
     spell c^+-1.  The word is then a power of c exactly when it is empty or
-    one run: ``c_power`` costs O(1), and so does ``push_run``.
+    one run: ``cyclic_power_of_c`` costs O(1), and so does ``push_run``.
     """
 
     __slots__ = ("entries",)
 
-    def __init__(self, syllables: Iterable[FactorSyllable] = ()) -> None:
-        self.entries: list[FactorSyllable | int] = []
-        for syllable in syllables:
-            self.push(syllable)
+    def __init__(self, entries: Iterable[FactorSyllable | int] = ()) -> None:
+        # The entries of a normal form, taken as given.
+        self.entries: list[FactorSyllable | int] = list(entries)
 
     def push(self, syllable: FactorSyllable) -> None:
         """Append a syllable, merging it into a same-factor top and dropping
@@ -182,25 +186,29 @@ class _BaseStack:
             self.push(second)
             k -= sign
 
-    def extend(self, other: _BaseStack) -> None:
-        """Append the word of another stack, run by run."""
+    def extend(self, other: _BaseStack | FreeProductWord) -> None:
+        """Append the entries of a stack or a word, run by run."""
         for entry in other.entries:
             if entry.__class__ is int:
                 self.push_run(entry)
             else:
                 self.push(entry)
 
-    def c_power(self) -> int | None:
-        """The k with this word = c^k, or None when there is none."""
-        entries = self.entries
-        if not entries:
-            return 0
-        if len(entries) == 1 and entries[0].__class__ is int:
-            return entries[0]
-        return None
+    def word(self) -> FreeProductWord:
+        return FreeProductWord(tuple(self.entries))
 
+
+@dataclass(frozen=True)
+class FreeProductWord:
+    """Normal form in V: the entries of a ``_BaseStack``, plain syllables and
+    an int n for each run c^n.  The constructor takes a normal form as given
+    and does not check it; build one with ``free_product_nf`` or ``*``."""
+
+    entries: tuple[FactorSyllable | int, ...] = ()
+
+    @property
     def syllables(self) -> tuple[FactorSyllable, ...]:
-        """The normal form, with every run expanded."""
+        """The alternating nontrivial syllables, with every run expanded."""
         syllables: list[FactorSyllable] = []
         for entry in self.entries:
             if entry.__class__ is int:
@@ -209,35 +217,28 @@ class _BaseStack:
                 syllables.append(entry)
         return tuple(syllables)
 
-    def word(self) -> FreeProductWord:
-        # The stack is in normal form already, so the merge in
-        # FreeProductWord.__post_init__ is skipped.
-        word = object.__new__(FreeProductWord)
-        object.__setattr__(word, "syllables", self.syllables())
-        return word
-
-
-@dataclass(frozen=True)
-class FreeProductWord:
-    """Normal form in V: an alternating sequence of nontrivial syllables."""
-
-    syllables: tuple[FactorSyllable, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "syllables", _BaseStack(self.syllables).syllables())
-
     @property
     def is_empty(self) -> bool:
-        return not self.syllables
+        return not self.entries
 
     def __mul__(self, other: FreeProductWord) -> FreeProductWord:
-        return FreeProductWord(self.syllables + other.syllables)
+        stack = _BaseStack(self.entries)
+        stack.extend(other)
+        return stack.word()
+
+    def _letters(self) -> list[SPLetter]:
+        """The letters of the entries, each run c^n as one product of the
+        letters of c^+-1."""
+        letters: list[SPLetter] = []
+        for entry in self.entries:
+            if entry.__class__ is int:
+                letters += _C_LETTERS[1 if entry > 0 else -1] * abs(entry)
+            else:
+                letters += entry.letters()
+        return letters
 
     def sp_word(self) -> SPWord:
-        letters: list[SPLetter] = []
-        for syllable in self.syllables:
-            letters.extend(syllable.letters())
-        return SPWord(tuple(letters))
+        return _reduced_sp_word(self._letters())
 
     def __str__(self) -> str:
         return str(self.sp_word())
@@ -252,40 +253,44 @@ def _syllable(letter: SPLetter) -> FactorSyllable:
     return FactorSyllable(factor, 0, letter.exponent)
 
 
-# The syllables of the eight unit base letters, so that the first pass of
-# ``britton_reduce`` builds none for them.
-_UNIT_SYLLABLES = {
-    SPLetter(name, exponent): _syllable(SPLetter(name, exponent))
-    for name in _FACTOR_OF
-    for exponent in (1, -1)
-}
-# The second letter of c^sign, mapped to the syllable of the first and the
-# sign: arriving on that very syllable, it turns it into a run.
-_C_SECOND_LETTERS = {
-    second.letters()[0]: (_UNIT_SYLLABLES[first.letters()[0]], sign)
-    for sign, (first, second) in _C_SYLLABLES.items()
-}
-# What the first pass of ``britton_reduce`` reads for each unit base letter:
-# its syllable, then that syllable and sign or (None, 0).
+# What the first pass of ``britton_reduce`` reads for each of the eight unit
+# base letters: its syllable, so that the pass builds none, then (None, 0)
+# or, for the second letter of c^sign, the first syllable of c^sign and the
+# sign: arriving on that very syllable, it turns it into a run.  The
+# syllables of c^+-1 are the objects of _C_SYLLABLES, so that the pass can
+# find the first one at the top of the stack by identity.
 _UNITS = {
-    letter: (syllable, *_C_SECOND_LETTERS.get(letter, (None, 0)))
-    for letter, syllable in _UNIT_SYLLABLES.items()
+    syllable.letters()[0]: (syllable, *_C_PAIRS.get(syllable, (None, 0)))
+    for syllable in _C_SYLLABLES[1] + _C_SYLLABLES[-1]
+    + tuple(FactorSyllable(factor, 0, e) for factor in (F13, F23) for e in (1, -1))
 }
 
 
 def free_product_nf(word: SPWord) -> FreeProductWord:
     """Normal form of a word over a13, b13, a23, b23 in V."""
-    return _BaseStack(map(_syllable, word.letters)).word()
+    stack = _BaseStack()
+    for letter in word.letters:
+        stack.push(_syllable(letter))
+    return stack.word()
 
 
 def _c_power(k: int) -> FreeProductWord:
-    """(a13 a23)^k in normal form."""
-    return FreeProductWord(_C_SYLLABLES[1 if k > 0 else -1] * abs(k))
+    """(a13 a23)^k in normal form: one run, or nothing for k = 0."""
+    return _BaseStack((k,) if k else ()).word()
 
 
-def cyclic_power_of_c(word: FreeProductWord) -> int | None:
-    """The k with word = (a13 a23)^k in V, or None when no such k exists."""
-    return _BaseStack(word.syllables).c_power()
+def cyclic_power_of_c(word: FreeProductWord | _BaseStack) -> int | None:
+    """The k with word = (a13 a23)^k in V, or None when no such k exists.
+
+    Read in O(1) from the entries of a word or a stack: a normal form is a
+    power of c exactly when it is empty or one run.
+    """
+    entries = word.entries
+    if not entries:
+        return 0
+    if len(entries) == 1 and entries[0].__class__ is int:
+        return entries[0]
+    return None
 
 
 @dataclass(frozen=True)
@@ -315,12 +320,11 @@ class HNNForm:
 
     def sp_word(self) -> SPWord:
         """The letters of every base and stable power, freely reduced once."""
-        letters: list[SPLetter] = []
-        for power, base in zip((0,) + self.powers, self.bases):
-            if power:
-                letters.append(SPLetter(B12, power))
-            letters += [letter for syllable in base.syllables for letter in syllable.letters()]
-        return SPWord(tuple(letters))
+        letters = self.bases[0]._letters()
+        for power, base in zip(self.powers, self.bases[1:]):
+            letters.append(SPLetter(B12, power))
+            letters += base._letters()
+        return _reduced_sp_word(letters)
 
     def __str__(self) -> str:
         return str(self.sp_word())
@@ -429,7 +433,7 @@ def britton_reduce(word: SPWord) -> HNNForm:
             if top.entries:
                 if (reduced_powers[-1] > 0) == (exponent > 0):
                     break
-                k = top.c_power()
+                k = cyclic_power_of_c(top)
                 if k is None:
                     break
                 reduced[-2].push_run(k)

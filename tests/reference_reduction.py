@@ -4,7 +4,8 @@ normal form of each segment, then merge and cancel pinches with a scan that
 restarts from the left after every step.  The segment normal forms and the
 c-power test use ``FlagStack``, the stack of plain syllables with one
 c-power flag per syllable that the run-based ``_BaseStack`` replaced, so
-the oracle shares no reduction code with the engine.
+the oracle shares no reduction code with the engine; ``base_word`` groups
+the c^+-1 pairs of a ``FlagStack`` form into runs with its own scan.
 ``rewrite_tau`` is the rewriter that the coset-table walk replaced.  Its
 ``walk`` steps a word one unit letter at a time, from any coset: it
 composes the projection of every prefix as a ``Permutation`` and looks the
@@ -85,10 +86,26 @@ class FlagStack:
 
 
 def base_word(syllables) -> FreeProductWord:
-    """The normal form of a syllable sequence, built by ``FlagStack``."""
-    word = object.__new__(FreeProductWord)
-    object.__setattr__(word, "syllables", tuple(FlagStack(syllables).syllables))
-    return word
+    """The normal form of a syllable sequence, built by ``FlagStack``, stored
+    as the engine stores it: each maximal sequence of c^+-1 pairs becomes
+    one run, an int.  Pairs of one sign cannot overlap, and pairs of
+    opposite signs would cancel, so the grouping is unique."""
+    normal = FlagStack(syllables).syllables
+    entries: list = []
+    i = 0
+    while i < len(normal):
+        pair = tuple(normal[i : i + 2])
+        sign = next((s for s, c in C_SYLLABLES.items() if pair == c), 0)
+        if not sign:
+            entries.append(normal[i])
+            i += 1
+            continue
+        if entries and isinstance(entries[-1], int) and (entries[-1] > 0) == (sign > 0):
+            entries[-1] += sign
+        else:
+            entries.append(sign)
+        i += 2
+    return FreeProductWord(tuple(entries))
 
 
 def c_power_syllables(k: int) -> tuple[FactorSyllable, ...]:

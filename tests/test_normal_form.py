@@ -86,6 +86,19 @@ def test_cyclic_power_recognition():
     assert cyclic_power_of_c(free_product_nf(parse_sp_word("a13 a23^2"))) is None
 
 
+def test_reduced_forms_keep_their_runs():
+    # Each base stores c^n as one int entry, and cyclic_power_of_c reads it.
+    word = parse_sp_word("a12^131070 b12 a13 b12^-1 a12^-131070 b13")
+    form = center_split(word)
+    assert form.delta_exp == 0 and form.v.powers == (1, -1)
+    assert [base.entries for base in form.v.bases] == [
+        (-131070,),
+        (FactorSyllable(F13, 1, 0),),
+        (131070, FactorSyllable(F13, 0, 1)),
+    ]
+    assert [cyclic_power_of_c(base) for base in form.v.bases] == [-131070, None, None]
+
+
 def test_britton_examples():
     slid = britton_reduce(parse_sp_word("b12^-1 a13 a23 b12"))
     assert slid.is_base_only and str(slid) == "a13 a23"

@@ -205,7 +205,7 @@ def assert_same_stack(operations) -> None:
     expected = reference.FlagStack(syllables)
     word = stack.word()
     assert word.syllables == tuple(expected.syllables), operations
-    assert stack.c_power() == expected.c_power(), operations
+    assert cyclic_power_of_c(stack) == expected.c_power(), operations
     assert cyclic_power_of_c(word) == reference.cyclic_power_of_c(word), operations
     # Every c^+-1 pair of the expanded word lies in a run and no two runs
     # touch, so the runs are the same whichever way the word was pushed.
