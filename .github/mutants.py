@@ -1,0 +1,138 @@
+"""Check that the tests kill a fixed list of mutants of the source.
+
+Usage:  python3 .github/mutants.py [NAME...]    (default: every mutant)
+
+Each mutant is one exact edit of a module under src/: the text it replaces,
+which must occur exactly once, its replacement, and the tests that should
+fail once it is applied.  For each mutant the script copies src/, tests/
+and pyproject.toml into a temporary directory, applies the edit there, and
+runs the named tests with ``pytest -x``.  The named tests first run once on
+an unedited copy, where they must pass.  Exits 0 when every mutant is
+killed, 1 when one survives, and 2 when an edit does not apply exactly
+once or the unedited tests fail.  Standard library and pytest only.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "exponent-sum-stage-never-fires",
+        "src/singbraid/normal_form.py",
+        "    if any(sums.values()):\n",
+        "    if all(sums.values()):\n",
+        ("tests/test_normal_form.py::test_exponent_sums_refute_before_reduction",),
+    ),
+    Mutant(
+        "eliminate-a12-guard-removed",
+        "src/singbraid/normal_form.py",
+        "    if A12 not in {name for name, _ in word.letters}:\n"
+        "        # An SPWord is freely reduced already: nothing to substitute or merge.\n"
+        "        return 0, word\n",
+        "",
+        ("tests/test_normal_form.py::test_eliminate_a12_returns_a12_free_words_as_given",),
+    ),
+    Mutant(
+        "push-run-sign",
+        "src/singbraid/normal_form.py",
+        "            first, second = _C_SYLLABLES[sign]\n",
+        "            first, second = _C_SYLLABLES[-sign]\n",
+        ("tests/test_normal_form.py",),
+    ),
+    Mutant(
+        "pi-parity",
+        "src/singbraid/permutations.py",
+        "        if letter.exponent % 2:\n",
+        "        if not letter.exponent % 2:\n",
+        ("tests/test_permutations.py",),
+    ),
+    Mutant(
+        "pinch-sign-test",
+        "src/singbraid/normal_form.py",
+        "                if (reduced_powers[-1] > 0) == (exponent > 0):\n",
+        "                if (reduced_powers[-1] > 0) != (exponent > 0):\n",
+        ("tests/test_normal_form.py",),
+    ),
+)
+
+
+def copy_tree(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def run_tests(root: Path, tests) -> tuple[bool, str]:
+    """Run the tests in a copy; (passed, last line of pytest's output).  A
+    run past ``TIMEOUT_S`` counts as failed."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = done.stdout.strip().splitlines()
+    return done.returncode == 0, lines[-1] if lines else done.stderr.strip()[-200:]
+
+
+def main(names: list[str]) -> int:
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutants: {unknown}")
+        return 2
+    mutants = [known[name] for name in names] or list(MUTANTS)
+    for mutant in mutants:
+        count = (ROOT / mutant.module).read_text().count(mutant.old)
+        if count != 1:
+            print(f"{mutant.name}: its old text occurs {count} times in {mutant.module}, not once")
+            return 2
+    with tempfile.TemporaryDirectory() as scratch:
+        clean = Path(scratch) / "clean"
+        copy_tree(clean)
+        tests = dict.fromkeys(test for mutant in mutants for test in mutant.tests)
+        passed, summary = run_tests(clean, tests)
+        if not passed:
+            print(f"the named tests fail without any mutant: {summary}")
+            return 2
+        survivors = []
+        for mutant in mutants:
+            root = Path(scratch) / mutant.name
+            copy_tree(root)
+            module = root / mutant.module
+            module.write_text(module.read_text().replace(mutant.old, mutant.new))
+            start = time.perf_counter()
+            passed, summary = run_tests(root, mutant.tests)
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{mutant.name}: {verdict} in {time.perf_counter() - start:.1f} s ({summary})")
+            if passed:
+                survivors.append(mutant.name)
+            shutil.rmtree(root)
+    if survivors:
+        print(f"{len(survivors)} of {len(mutants)} mutants survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(mutants)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,8 +8,10 @@ rewrite kernel words over the Schreier generators in one walk of the coset
 table, which holds the Schreier transversal, the moves and the generators
 with their ambient words, built once per strand count (``rewriting``),
 express each factor by its row in the six-generator presentation of SP_3
-(``sp3``), and decide triviality and equality through the center
-splitting and Britton reduction (``normal_form``).
+(``sp3``), and decide triviality and equality in SP_3 (``normal_form``):
+a nonzero sum of the exponents of one of the six generators refutes a word
+at once, and any other word goes through the center splitting and Britton
+reduction.
 ``verify`` checks the presentation data against those decisions.
 Cheap matrix-quotient invariants cross-check the engine (``oracles``).
 """

@@ -33,8 +33,12 @@ By Britton's lemma a reduced word that still contains stable letters is
 never trivial, so a V~ word is trivial exactly when its reduced form is an
 empty base with no stable letters.  Triviality of the whole group element
 then needs d-exponent zero as well, and equality is triviality of the
-quotient.  A word of SG_3 is trivial when its projection to the symmetric
-group is trivial and its rewrite into SP_3 is.
+quotient.  ``is_trivial_sp3`` first reads the six exponent sums: every
+defining relation balances each generator, so the sums are a homomorphism
+SP_3 -> Z^6, a nonzero sum refutes the word at once, and only a word whose
+six sums vanish goes through ``center_split``.  A word of SG_3 is trivial
+when its projection to the symmetric group is trivial and its rewrite into
+SP_3 is.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .sp3 import (
     B12,
     B13,
     B23,
+    SP_NAMES,
     SPLetter,
     SPWord,
     _reduced_sp_word,
@@ -354,9 +359,12 @@ def eliminate_a12(word: SPWord) -> tuple[int, SPWord]:
     """Substitute a12 = d a23^-1 a13^-1 and collect the central d-powers.
 
     Returns the total d-exponent and the residual word over the remaining
-    five generators.  Collection before any further reduction is harmless
-    because d is central.
+    five generators, the word itself when it has no a12.  Collection before
+    any further reduction is harmless because d is central.
     """
+    if A12 not in {name for name, _ in word.letters}:
+        # An SPWord is freely reduced already: nothing to substitute or merge.
+        return 0, word
     delta_exp = 0
     letters: list[SPLetter] = []
     for letter in word.letters:
@@ -454,7 +462,18 @@ def center_split(word: SPWord) -> CenterSplitForm:
 
 
 def is_trivial_sp3(word: SPWord) -> bool:
-    """Decide triviality in SP_3."""
+    """Decide triviality in SP_3: first by the six exponent sums, then by
+    ``center_split``.
+
+    Each defining relation has exponent sum zero in every generator, so the
+    sums are a homomorphism SP_3 -> Z^6, and a word with a nonzero sum is
+    nontrivial.  Only a word whose six sums vanish is reduced.
+    """
+    sums = dict.fromkeys(SP_NAMES, 0)
+    for name, exponent in word.letters:
+        sums[name] += exponent
+    if any(sums.values()):
+        return False
     return center_split(word).is_trivial
 
 

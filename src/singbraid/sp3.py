@@ -21,9 +21,10 @@ with one coset-table walk of ``rewriting.rewrite_tau``, one list lookup per
 factor and one merge of the letters, and ``verify --rs`` expresses the
 rewritten relators the same way.  The merge builds the word through
 ``_reduced_sp_word``, which skips the check of each letter's name: the
-rows are checked once, by ``verify --table``.  Conjugation by the four
-ambient generators restricts to automorphisms of SP_3: ``ACTION_TABLES``
-holds the paper's rules for x -> g^-1 x g, and
+rows are checked once, by ``verify --table``, and ``parse_sp_word`` builds
+its word the same way, since its token pattern admits only the six names.
+Conjugation by the four ambient generators restricts to automorphisms of
+SP_3: ``ACTION_TABLES`` holds the paper's rules for x -> g^-1 x g, and
 ``conjugate_by_sg3_generator`` computes any power of the action by
 rewriting the conjugated ambient word, the same walk again, so
 ``verify --prop41`` checks the rules against that one path.
@@ -89,10 +90,12 @@ class SPWord(FreeWord):
 
 def _reduced_sp_word(letters: Iterable[SPLetter]) -> SPWord:
     """``SPWord(letters)`` without the check of each letter's name, for
-    letters known to name SP_3 generators: the rows of ``_FACTOR_ROWS``,
-    which ``verify --table`` checks, the letters of c^+-1 that
-    ``normal_form.eliminate_a12`` writes, and the letters of the reduced
-    forms that the ``normal_form`` printers read from their entries."""
+    letters known to name SP_3 generators: the letters of ``parse_sp_word``,
+    whose token pattern admits only the six names, the rows of
+    ``_FACTOR_ROWS``, which ``verify --table`` checks, the letters of c^+-1
+    that ``normal_form.eliminate_a12`` writes, and the letters of the
+    reduced forms that the ``normal_form`` printers read from their
+    entries."""
     word = object.__new__(SPWord)
     object.__setattr__(word, "letters", free_reduce(letters))
     return word
@@ -107,7 +110,7 @@ def parse_sp_word(text: str) -> SPWord:
         name, exponent = match.groups()
         return SPLetter(name, 1 if exponent is None else parse_number(exponent))
 
-    return check_unit_length(SPWord(parse_tokens(text, _SP_TOKEN_RE, "SP", letter)))
+    return check_unit_length(_reduced_sp_word(parse_tokens(text, _SP_TOKEN_RE, "SP", letter)))
 
 
 # The defining SG_3 words of the six generators, parsed once.

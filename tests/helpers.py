@@ -66,3 +66,11 @@ def random_sp_word(rng: random.Random, max_len: int = 20) -> SPWord:
         SPLetter(rng.choice(SP_NAMES), rng.choice((-1, 1))) for _ in range(length)
     )
     return SPWord(letters)
+
+
+def exponent_sums(word: SPWord) -> dict[str, int]:
+    """The exponent sum of each of the six SP_3 generators in a word."""
+    sums = dict.fromkeys(SP_NAMES, 0)
+    for letter in word.letters:
+        sums[letter.name] += letter.exponent
+    return sums

@@ -13,6 +13,7 @@ from singbraid import (
     SPLetter,
     SPWord,
     center_generator,
+    center_split,
     enumerate_generators,
     equal_sp3,
     is_trivial_sg3,
@@ -147,6 +148,10 @@ def test_criterion_6_word_problem_consistency():
         if sg3_necessary_trivial(word):
             continue
         assert not is_trivial_sg3(word), f"oracle-refuted word judged trivial: {word}"
+        # A kernel word with a nonzero exponent sum stops before the
+        # reducer, so check the reducer's verdict on it as well.
+        if pi(word).is_identity:
+            assert not center_split(rewrite_to_sp3(word)).is_trivial, f"reducer judged trivial: {word}"
         refuted += 1
 
     for _ in range(1000):

@@ -9,6 +9,7 @@ from singbraid import (
     BraidWord,
     SPLetter,
     SPWord,
+    center_split,
     concat,
     conjugate,
     equal_sp3,
@@ -19,7 +20,7 @@ from singbraid import (
     sg3_relators,
     sp2_normal_form,
 )
-from helpers import random_pi_trivial, random_sp_word, random_word
+from helpers import exponent_sums, random_pi_trivial, random_sp_word, random_word
 
 
 def restricted_word(rng, names, max_len=30):
@@ -29,13 +30,6 @@ def restricted_word(rng, names, max_len=30):
     return SPWord(letters)
 
 
-def letter_sums(word):
-    sums = {}
-    for letter in word.letters:
-        sums[letter.name] = sums.get(letter.name, 0) + letter.exponent
-    return sums
-
-
 def test_engine_matches_rank_two_abelian_factors():
     # Inside either free factor the group is Z^2, so triviality is just
     # exponent bookkeeping.
@@ -43,8 +37,10 @@ def test_engine_matches_rank_two_abelian_factors():
     for names in (("a13", "b13"), ("a23", "b23")):
         for _ in range(300):
             word = restricted_word(rng, names)
-            expected = all(value == 0 for value in letter_sums(word).values())
+            expected = not any(exponent_sums(word).values())
             assert is_trivial_sp3(word) == expected
+            # Words with a nonzero sum stop before the reducer; check it too.
+            assert center_split(word).is_trivial == expected
 
 
 def test_engine_matches_sp2_plane():
@@ -55,6 +51,7 @@ def test_engine_matches_sp2_plane():
     for _ in range(500):
         word = restricted_word(rng, ("a12", "b12"))
         assert is_trivial_sp3(word) == sp2_normal_form(word).is_trivial
+        assert center_split(word).is_trivial == sp2_normal_form(word).is_trivial
 
 
 def test_engine_matches_free_group_on_a_letters():
@@ -69,14 +66,16 @@ def test_engine_matches_free_group_on_a_letters():
 def test_nonzero_letter_sum_is_never_trivial():
     # Every defining relator balances each generator separately, so the six
     # exponent sums are invariants; the engine must refute any word that
-    # fails one.
+    # fails one, and so must the reducer, which is_trivial_sp3 does not
+    # call for such a word.
     rng = random.Random(617)
     checked = 0
     while checked < 300:
         word = random_sp_word(rng, max_len=30)
-        if all(value == 0 for value in letter_sums(word).values()):
+        if not any(exponent_sums(word).values()):
             continue
         assert not is_trivial_sp3(word)
+        assert not center_split(word).is_trivial
         checked += 1
 
 

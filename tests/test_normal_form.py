@@ -23,8 +23,9 @@ from singbraid import (
     presentation_relators,
     rewrite_to_sp3,
 )
+from singbraid import normal_form, rewriting, sp3
 from singbraid.normal_form import F13, F23, _c_power, canonical_display
-from helpers import random_sp_word
+from helpers import exponent_sums, random_sp_word
 
 
 def test_eliminate_a12_examples():
@@ -36,6 +37,14 @@ def test_eliminate_a12_examples():
     assert delta == 0 and str(rest) == "b13^2"
     delta, rest = eliminate_a12(parse_sp_word("a12^-2 b12"))
     assert delta == -2 and str(rest) == "a13 a23 a13 a23 b12"
+
+
+def test_eliminate_a12_returns_a12_free_words_as_given():
+    word = parse_sp_word("b12 a13 a23 b12^-1 b13^2 a23^-1")
+    delta, rest = eliminate_a12(word)
+    assert delta == 0 and rest is word
+    delta, rest = eliminate_a12(parse_sp_word("b13 a12 a12^-1 b13^-1"))
+    assert delta == 0 and rest.is_empty
 
 
 def test_free_product_nf_examples():
@@ -177,6 +186,44 @@ def test_is_trivial_sp3_detects_nontrivial():
     assert not is_trivial_sp3(parse_sp_word("b12^-1 a13 b12 a13^-1"))
     assert not is_trivial_sp3(parse_sp_word("a12"))
     assert not is_trivial_sp3(parse_sp_word("a13 a23 a13^-1 a23^-1"))
+
+
+def test_exponent_sums_refute_before_reduction(monkeypatch):
+    def refuse(word):
+        raise AssertionError(f"{word} reached center_split")
+
+    monkeypatch.setattr(normal_form, "center_split", refuse)
+    assert not is_trivial_sp3(parse_sp_word("a13 b12"))
+    assert not equal_sp3(parse_sp_word("b12 a13"), parse_sp_word("a13 b12 a23"))
+    kernel = parse_braid_word("s1^2 t2 s1^-2 t2^-1", 3)
+    sums = exponent_sums(rewrite_to_sp3(kernel))
+    assert sums == {"a12": 1, "a13": -1, "a23": 0, "b12": 0, "b13": 0, "b23": 0}
+    assert not is_trivial_sg3(kernel)
+
+
+def test_zero_sum_words_reach_the_reducer(monkeypatch):
+    seen = []
+
+    def spy(word):
+        seen.append(word)
+        return center_split(word)
+
+    monkeypatch.setattr(normal_form, "center_split", spy)
+    word = parse_sp_word("b12^-1 a13 b12 a13^-1")
+    assert not any(exponent_sums(word).values())
+    assert not is_trivial_sp3(word)
+    assert seen == [word]
+
+
+def test_relators_have_zero_exponent_sums():
+    # The premise of the exponent-sum stage: every relation of both
+    # presentations of SP_3 balances each of the six generators.
+    relators = presentation_relators()
+    assert len(relators) == 8
+    rewritten = [sp3._express(rewrite.word.factors) for rewrite in rewriting.relator_rewrites()]
+    assert len(rewritten) == 30
+    for relator in relators + rewritten:
+        assert not any(exponent_sums(relator).values()), str(relator)
 
 
 def test_equal_sp3_examples():
