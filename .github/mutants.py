@@ -42,6 +42,13 @@ MUTANTS = (
         ("tests/test_normal_form.py::test_exponent_sums_refute_before_reduction",),
     ),
     Mutant(
+        "sg3-sum-exit-never-fires",
+        "src/singbraid/normal_form.py",
+        "    if exponent_sums(word) != (0, 0):\n",
+        "    if exponent_sums(word) is None:\n",
+        ("tests/test_normal_form.py::test_sigma_tau_sums_refute_before_projection",),
+    ),
+    Mutant(
         "eliminate-a12-guard-removed",
         "src/singbraid/normal_form.py",
         "    if A12 not in {name for name, _ in word.letters}:\n"
@@ -69,6 +76,20 @@ MUTANTS = (
         "src/singbraid/normal_form.py",
         "                if (reduced_powers[-1] > 0) == (exponent > 0):\n",
         "                if (reduced_powers[-1] > 0) != (exponent > 0):\n",
+        ("tests/test_normal_form.py",),
+    ),
+    Mutant(
+        "c-syllables-order",
+        "src/singbraid/normal_form.py",
+        "    -1: (FactorSyllable(F23, -1, 0), FactorSyllable(F13, -1, 0)),\n",
+        "    -1: (FactorSyllable(F13, -1, 0), FactorSyllable(F23, -1, 0)),\n",
+        ("tests/test_normal_form.py",),
+    ),
+    Mutant(
+        "cyclic-power-length-test",
+        "src/singbraid/normal_form.py",
+        "    if len(entries) == 1 and entries[0].__class__ is int:\n",
+        "    if entries[0].__class__ is int:\n",
         ("tests/test_normal_form.py",),
     ),
 )

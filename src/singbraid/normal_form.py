@@ -38,7 +38,9 @@ defining relation balances each generator, so the sums are a homomorphism
 SP_3 -> Z^6, a nonzero sum refutes the word at once, and only a word whose
 six sums vanish goes through ``center_split``.  A word of SG_3 is trivial
 when its projection to the symmetric group is trivial and its rewrite into
-SP_3 is.
+SP_3 is.  ``is_trivial_sg3`` first reads the crossing and singular exponent
+sums, a homomorphism SG_3 -> Z^2 for the same reason, and refutes a word
+with a nonzero sum before it projects or rewrites it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .sp3 import (
     _reduced_sp_word,
     rewrite_to_sp3,
 )
-from .words import BraidWord
+from .words import BraidWord, exponent_sums
 
 F13 = "13"
 F23 = "23"
@@ -483,9 +485,18 @@ def equal_sp3(first: SPWord, second: SPWord) -> bool:
 
 
 def is_trivial_sg3(word: BraidWord) -> bool:
-    """Decide triviality in SG_3: trivial projection and trivial SP_3 part."""
+    """Decide triviality in SG_3: zero crossing and singular exponent sums,
+    trivial projection and trivial SP_3 part, in that order.
+
+    Each defining relation of SG_3 balances the crossing letters and the
+    singular letters separately, so the two sums are a homomorphism
+    SG_3 -> Z^2, and a word with a nonzero sum is nontrivial before it is
+    projected or rewritten.
+    """
     if word.strands != 3:
         raise ValueError("the SG_3 decision needs a 3-strand word")
+    if exponent_sums(word) != (0, 0):
+        return False
     if not pi(word).is_identity:
         return False
     return is_trivial_sp3(rewrite_to_sp3(word))

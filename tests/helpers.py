@@ -74,3 +74,22 @@ def exponent_sums(word: SPWord) -> dict[str, int]:
     for letter in word.letters:
         sums[letter.name] += letter.exponent
     return sums
+
+
+def braid_exponent_sums(letters) -> tuple[int, int]:
+    """The crossing and the singular exponent sum of a sequence of
+    ``Letter``s, counted one letter at a time; free reduction keeps both."""
+    sigma = sum(letter.exponent for letter in letters if letter.kind == SIGMA)
+    tau = sum(letter.exponent for letter in letters if letter.kind == TAU)
+    return sigma, tau
+
+
+def random_run_letters(rng: random.Random, strands: int = 3, max_runs: int = 12, max_exp: int = 4) -> list[Letter]:
+    """Letters in runs of one generator, with exponents up to +-max_exp, so
+    that ``BraidWord`` merges and cancels them as it reduces."""
+    letters = []
+    for _ in range(rng.randrange(max_runs + 1)):
+        kind, index = rng.choice((SIGMA, TAU)), rng.randrange(1, strands)
+        for _ in range(rng.randint(1, 4)):
+            letters.append(Letter(kind, index, rng.choice((-1, 1)) * rng.randint(1, max_exp)))
+    return letters

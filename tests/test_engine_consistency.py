@@ -17,6 +17,7 @@ from singbraid import (
     is_trivial_sp3,
     parse_sp_word,
     presentation_relators,
+    rewrite_to_sp3,
     sg3_relators,
     sp2_normal_form,
 )
@@ -114,6 +115,10 @@ def test_sg3_decision_is_conjugation_invariant():
         word = random_pi_trivial(rng, max_len=20)
         moved = conjugate(word, random_word(rng, max_len=8))
         assert is_trivial_sg3(moved) == is_trivial_sg3(word)
+        # Most of these words stop at the crossing and singular exponent
+        # sums, so the rewrite and the reducer are compared on their own.
+        reduced = center_split(rewrite_to_sp3(moved)).is_trivial
+        assert reduced == center_split(rewrite_to_sp3(word)).is_trivial
 
 
 def test_heavy_stable_letter_words_reduce_soundly():

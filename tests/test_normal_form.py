@@ -3,6 +3,7 @@ import random
 import pytest
 
 from singbraid import (
+    BraidWord,
     CenterSplitForm,
     FactorSyllable,
     FreeProductWord,
@@ -15,6 +16,7 @@ from singbraid import (
     cyclic_power_of_c,
     eliminate_a12,
     equal_sp3,
+    exponent_sums as sigma_tau_sums,
     free_product_nf,
     is_trivial_sg3,
     is_trivial_sp3,
@@ -22,10 +24,11 @@ from singbraid import (
     parse_sp_word,
     presentation_relators,
     rewrite_to_sp3,
+    sg3_relators,
 )
 from singbraid import normal_form, rewriting, sp3
 from singbraid.normal_form import F13, F23, _c_power, canonical_display
-from helpers import exponent_sums, random_sp_word
+from helpers import braid_exponent_sums, exponent_sums, random_run_letters, random_sp_word
 
 
 def test_eliminate_a12_examples():
@@ -240,6 +243,52 @@ def test_is_trivial_sg3_examples():
     assert not is_trivial_sg3(parse_braid_word("t1 t2 t1 t2^-1 t1^-1 t2^-1", 3))
     with pytest.raises(ValueError):
         is_trivial_sg3(parse_braid_word("s1", 4))
+
+
+def test_sigma_tau_sums_refute_before_projection(monkeypatch):
+    def refuse(word):
+        raise AssertionError(f"{word} was projected or rewritten")
+
+    monkeypatch.setattr(normal_form, "pi", refuse)
+    monkeypatch.setattr(normal_form, "rewrite_to_sp3", refuse)
+    kernel = parse_braid_word("s1 t1^-1", 3)
+    assert sigma_tau_sums(kernel) == (1, -1)
+    assert not is_trivial_sg3(kernel)
+    assert not is_trivial_sg3(parse_braid_word("s1", 3))
+
+
+def test_zero_sigma_tau_words_reach_the_rewrite(monkeypatch):
+    seen = []
+
+    def spy(word):
+        seen.append(word)
+        return rewrite_to_sp3(word)
+
+    monkeypatch.setattr(normal_form, "rewrite_to_sp3", spy)
+    word = parse_braid_word("s1^2 t2 s1^-2 t2^-1", 3)
+    assert sigma_tau_sums(word) == (0, 0)
+    assert not is_trivial_sg3(word)
+    assert seen == [word]
+
+
+def test_sg3_relators_have_zero_sigma_tau_sums():
+    # The premise of the exit in is_trivial_sg3: each of the five relations
+    # balances the crossing letters and the singular letters separately.
+    relators = sg3_relators()
+    assert len(relators) == 5
+    for relator in relators:
+        assert sigma_tau_sums(relator) == braid_exponent_sums(relator.letters) == (0, 0), str(relator)
+
+
+def test_sigma_tau_sums_match_an_independent_count():
+    rng = random.Random(331)
+    merged = 0
+    for _ in range(500):
+        letters = random_run_letters(rng)
+        word = BraidWord(3, tuple(letters))
+        merged += len(word.letters) < len(letters)
+        assert sigma_tau_sums(word) == braid_exponent_sums(letters)
+    assert merged > 400
 
 
 def test_hard_word_powers_stay_nontrivial():
