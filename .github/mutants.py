@@ -4,9 +4,9 @@ Usage:  python3 .github/mutants.py [NAME...]    (default: every mutant)
 
 Each mutant is one exact edit of a module under src/: the text it replaces,
 which must occur exactly once, its replacement, and the tests that should
-fail once it is applied.  For each mutant the script copies src/, tests/
-and pyproject.toml into a temporary directory, applies the edit there, and
-runs the named tests with ``pytest -x``.  The named tests first run once on
+fail once it is applied.  For each mutant the script copies src/, tests/,
+pyproject.toml and README.md into a temporary directory, applies the edit
+there, and runs the named tests with ``pytest -x``.  The named tests first run once on
 an unedited copy, where they must pass.  Exits 0 when every mutant is
 killed, 1 when one survives, and 2 when an edit does not apply exactly
 once or the unedited tests fail.  Standard library and pytest only.
@@ -92,6 +92,41 @@ MUTANTS = (
         "    if entries[0].__class__ is int:\n",
         ("tests/test_normal_form.py",),
     ),
+    Mutant(
+        "free-reduce-cancel-forgets-top",
+        "src/singbraid/words.py",
+        "                stack.pop()\n                top = stack[-1] if stack else None\n                break\n",
+        "                stack.pop()\n                top = None\n                break\n",
+        ("tests/test_words.py",),
+    ),
+    Mutant(
+        "walk-odd-keeps-coset",
+        "src/singbraid/rewriting.py",
+        "            if odd:\n                coset = there\n",
+        "            if odd:\n",
+        ("tests/test_rewriting.py",),
+    ),
+    Mutant(
+        "walk-divmod-without-abs",
+        "src/singbraid/rewriting.py",
+        "            pairs, odd = divmod(abs(exponent), 2)\n",
+        "            pairs, odd = divmod(exponent, 2)\n",
+        ("tests/test_rewriting.py",),
+    ),
+    Mutant(
+        "eliminate-a12-sign",
+        "src/singbraid/normal_form.py",
+        "        letters.extend(_C_LETTERS[-1 if e > 0 else 1] * abs(e))\n",
+        "        letters.extend(_C_LETTERS[1 if e > 0 else -1] * abs(e))\n",
+        ("tests/test_normal_form.py",),
+    ),
+    Mutant(
+        "b3-matrix-sign",
+        "src/singbraid/oracles.py",
+        "            a, c = a - b * e, c - d * e\n",
+        "            a, c = a + b * e, c + d * e\n",
+        ("tests/test_oracles.py",),
+    ),
 )
 
 
@@ -99,7 +134,9 @@ def copy_tree(into: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, into / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+    # tests/test_readme.py runs the README's library tour.
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, into / name)
 
 
 def run_tests(root: Path, tests) -> tuple[bool, str]:

@@ -38,19 +38,16 @@ from .rewriting import (
     CosetTable,
     SchreierGenerator,
     SchreierWord,
-    coset_rep,
-    enumerate_generators,
+    coset_table,
     relator_rewrites,
     rewrite_tau,
     s_generator_word,
-    schreier_transversal,
 )
 from .sp3 import (
     SP2Form,
     SPLetter,
     SPWord,
     conjugate_by_sg3_generator,
-    express_schreier_gen,
     parse_sp_word,
     presentation_relators,
     rewrite_to_sp3,
@@ -89,13 +86,11 @@ __all__ = [
     "concat",
     "conjugate",
     "conjugate_by_sg3_generator",
-    "coset_rep",
+    "coset_table",
     "cyclic_power_of_c",
     "eliminate_a12",
-    "enumerate_generators",
     "equal_sp3",
     "exponent_sums",
-    "express_schreier_gen",
     "free_product_nf",
     "is_trivial_sg3",
     "is_trivial_sp3",
@@ -112,6 +107,5 @@ __all__ = [
     "sg3_relators",
     "sp2_normal_form",
     "sp3_to_sg3",
-    "schreier_transversal",
     "verify_presentation",
 ]

@@ -90,7 +90,7 @@ def _cmd_pi(args) -> int:
 def _cmd_gens(args) -> int:
     # The table is built first, so that an unsupported strand count prints
     # nothing to stdout.
-    entries = rewriting.enumerate_generators(args.strands)
+    entries = rewriting.coset_table(args.strands).generators
     print("rep\tletter\tambient\ttrivial")
     for entry in entries:
         print(

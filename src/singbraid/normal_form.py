@@ -315,12 +315,8 @@ class HNNForm:
             raise ValueError("stable-letter powers must be nonzero")
 
     @property
-    def is_base_only(self) -> bool:
-        return not self.powers
-
-    @property
     def is_trivial(self) -> bool:
-        return self.is_base_only and self.bases[0].is_empty
+        return not self.powers and self.bases[0].is_empty
 
     def stable_letter_count(self) -> int:
         return sum(abs(power) for power in self.powers)

@@ -5,14 +5,15 @@ Both s_i and t_i project to the transposition (i, i+1).  The kernel of the
 projection is the pure subgroup SP_n, of index n! in SG_n; its coset table
 lives in ``rewriting``.
 
-``Permutation`` is the value ``pi`` returns, which ``rewriting``'s
-``rep_of`` and ``coset_rep`` look up in the coset table.  ``pi`` itself
-composes no ``Permutation``: it swaps two entries of one list per
-odd-exponent letter and validates the image once, so it costs one step per
-syllable plus one pass over the strands.  The SG_3 decision calls ``pi``
-once, as an early exit for words outside the kernel; rewriting a kernel
-word reads coset indices from the coset table and composes no
-permutations.
+``Permutation`` is the value ``pi`` returns: an image tuple, checked to be
+a permutation, that prints in cycle or one-line notation and knows whether
+it is the identity.  It has no algebra, since nothing composes or inverts
+permutations: ``pi`` swaps two entries of one list per odd-exponent letter
+and validates the image once, so it costs one step per syllable plus one
+pass over the strands.  The SG_3 decision calls ``pi`` once, as an early
+exit for words outside the kernel; rewriting a kernel word reads coset
+indices from the coset table, which tells cosets apart by image tuples of
+its own.
 
 Convention: words act left to right, so the image of a product applies the
 first letter's transposition first.  Any consistent choice leaves the
@@ -37,17 +38,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"{self.images} is not a permutation of 1..{n}")
 
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n: int, i: int) -> Permutation:
-        """The adjacent transposition (i, i+1) on n points."""
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
-
     @property
     def size(self) -> int:
         return len(self.images)
@@ -58,18 +48,6 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return self.images[point - 1]
-
-    def then(self, other: Permutation) -> Permutation:
-        """Apply ``self`` first, then ``other`` (left-to-right composition)."""
-        if self.size != other.size:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(other.images[image - 1] for image in self.images))
-
-    def inverse(self) -> Permutation:
-        images = [0] * self.size
-        for point, image in enumerate(self.images, start=1):
-            images[image - 1] = point
-        return Permutation(tuple(images))
 
     def cycle_string(self) -> str:
         """Cycle notation with fixed points shown, e.g. ``(1 2)(3)``."""

@@ -28,13 +28,14 @@ the move of every coset under every unit letter with the Schreier factors
 the letter emits, and one ``SchreierGenerator`` per coset and positive
 letter with its ambient word rep_i a rep_j^-1, read off the move.  A coset
 is told apart from the others by its projection, kept as a tuple of
-images, so the table composes no ``Permutation`` and calls no ``pi``.
+images that the table composes itself, so this module imports nothing of
+``permutations``.
 ``walk`` reads a word through the moves, and ``rewrite_tau`` is that walk
 alone.  Each unit letter projects to an involution, so its moves have
 period 2 and the walk reads a syllable a^e of any exponent with two
-lookups and one tuple product.  ``enumerate_generators``,
-``s_generator_word``, ``expand``, ``schreier_transversal`` and
-``coset_rep`` read the same table.
+lookups and one tuple product.  ``s_generator_word``, ``expand``,
+``relator_rewrites``, ``sp3``, ``verify`` and the ``gens`` command read the
+same table, and nothing else holds the transversal or the generators.
 
 The walk of a freely reduced word emits a freely reduced Schreier word
 (Magnus, Karrass and Solitar, *Combinatorial Group Theory*, ch. 2), so no
@@ -62,7 +63,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .permutations import Permutation, pi
 from .words import SIGMA, TAU, BraidWord, Letter, conjugate, sg3_relators, substitute
 
 
@@ -152,8 +152,8 @@ class CosetTable:
         self.strands = strands
         self.elements = tuple(words)
         self.index = {rep: i for i, rep in enumerate(words)}
-        self._by_images = {image: i for i, image in enumerate(images)}
-        if len(self._by_images) != math.factorial(strands):
+        by_images = {image: i for i, image in enumerate(images)}
+        if len(by_images) != math.factorial(strands):
             raise RuntimeError(f"transversal for n={strands} does not hit every permutation")
         self.letters = tuple(Letter(kind, i, 1) for kind in (SIGMA, TAU) for i in range(1, strands))
         self.moves = {u: [None] * len(words) for a in self.letters for u in (a, a.inverse())}
@@ -161,7 +161,7 @@ class CosetTable:
         generators = []
         for i, rep in enumerate(words):
             for a in self.letters:
-                j = self._by_images[_then_swap(images[i], a.index)]
+                j = by_images[_then_swap(images[i], a.index)]
                 generator = SchreierGenerator(rep, a, len(generators))
                 ambient = BraidWord(strands, rep.letters + (a,) + inverses[j])
                 emits = not ambient.is_empty
@@ -170,37 +170,11 @@ class CosetTable:
                 generators.append(GeneratorEntry(generator, ambient))
         self.generators = tuple(generators)
 
-    def rep_of(self, perm: Permutation) -> BraidWord:
-        """The representative of the coset that projects to ``perm``."""
-        try:
-            return self.elements[self._by_images[perm.images]]
-        except KeyError:
-            raise ValueError(
-                f"{perm.images} is not a permutation of {self.strands} points"
-            ) from None
-
 
 @lru_cache(maxsize=None)
 def coset_table(strands: int) -> CosetTable:
     """The coset table on ``strands`` strands, built once."""
     return CosetTable(strands)
-
-
-def schreier_transversal(strands: int) -> CosetTable:
-    """The Schreier transversal for SP_n in SG_n, 2 <= n <= 6: the coset
-    table, read through its ``elements`` and ``rep_of``."""
-    return coset_table(strands)
-
-
-def coset_rep(word: BraidWord) -> BraidWord:
-    """The transversal representative of the coset of ``word``."""
-    return coset_table(word.strands).rep_of(pi(word))
-
-
-def enumerate_generators(strands: int) -> tuple[GeneratorEntry, ...]:
-    """All |L| * 2(n-1) Schreier generators with their ambient words,
-    transversal-major, crossings before singular letters within a block."""
-    return coset_table(strands).generators
 
 
 def s_generator_word(generator: SchreierGenerator) -> BraidWord:

@@ -165,7 +165,7 @@ def _expression_table() -> dict[rewriting.SchreierGenerator, SPWord]:
     """The rows of ``_EXPRESSION_ROWS`` keyed by the generators of
     ``rewriting.coset_table(3)``, in its order; ``RuntimeError`` unless the
     rows name each generator exactly once."""
-    generators = [entry.generator for entry in rewriting.enumerate_generators(3)]
+    generators = [entry.generator for entry in rewriting.coset_table(3).generators]
     names = [(str(g.rep), g.letter.token()) for g in generators]
     if _EXPRESSION_ROWS.keys() != set(names):
         raise RuntimeError("the expression rows do not name each Schreier generator of SP_3 once")
@@ -175,21 +175,13 @@ def _expression_table() -> dict[rewriting.SchreierGenerator, SPWord]:
 EXPRESSION_TABLE = _expression_table()
 
 
-def express_schreier_gen(generator: rewriting.SchreierGenerator) -> SPWord:
-    """Look up a Schreier generator in the six-letter expression table."""
-    try:
-        return EXPRESSION_TABLE[generator]
-    except KeyError:
-        raise ValueError(f"unknown Schreier generator {generator}") from None
-
-
 def _factor_rows() -> list[dict[int, tuple[SPLetter, ...]]]:
     """The letters of each Schreier generator's row of ``EXPRESSION_TABLE``
     and of the row's inverse, read when called, indexed by the generator's
     id in ``rewriting.coset_table(3)`` and then by the exponent +-1."""
     return [
         {e: (EXPRESSION_TABLE[entry.generator] ** e).letters for e in (1, -1)}
-        for entry in rewriting.enumerate_generators(3)
+        for entry in rewriting.coset_table(3).generators
     ]
 
 

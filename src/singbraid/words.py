@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 SIGMA = "s"
 TAU = "t"
@@ -181,13 +181,6 @@ class BraidWord(FreeWord):
                         f"letter {letter.token()} out of range for {self.strands} strands"
                     )
         object.__setattr__(self, "letters", free_reduce(self.letters))
-
-    def unit_letters(self) -> Iterator[Letter]:
-        """Yield the word letter by letter with exponents split into +-1."""
-        for letter in self.letters:
-            step = 1 if letter.exponent > 0 else -1
-            for _ in range(abs(letter.exponent)):
-                yield Letter(letter.kind, letter.index, step)
 
     __mul__ = concat
 

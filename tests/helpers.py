@@ -1,9 +1,11 @@
-"""Shared word generators for the test suite.  Everything is seeded, so
+"""Shared word generators for the test suite, and the few word and
+permutation operations that only the tests need.  Everything is seeded, so
 failures reproduce."""
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from singbraid import (
     BraidWord,
@@ -12,11 +14,37 @@ from singbraid import (
     SPWord,
     concat,
     conjugate,
-    coset_rep,
+    coset_table,
+    pi,
     sg3_relators,
 )
 from singbraid.sp3 import SP_NAMES
 from singbraid.words import SIGMA, TAU
+
+
+def unit_letters(word: BraidWord) -> list[Letter]:
+    """The letters of a word in order, with exponents split into +-1."""
+    return [
+        Letter(letter.kind, letter.index, 1 if letter.exponent > 0 else -1)
+        for letter in word.letters
+        for _ in range(abs(letter.exponent))
+    ]
+
+
+def compose(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of applying ``first``, then ``second``."""
+    return tuple(second[image - 1] for image in first)
+
+
+@lru_cache(maxsize=None)
+def _reps_by_image(strands: int) -> dict[tuple[int, ...], BraidWord]:
+    return {pi(rep).images: rep for rep in coset_table(strands).elements}
+
+
+def coset_rep(word: BraidWord) -> BraidWord:
+    """The transversal representative of the coset of ``word``: the
+    element of ``coset_table`` with the same projection."""
+    return _reps_by_image(word.strands)[pi(word).images]
 
 
 def random_letter(rng: random.Random, strands: int = 3) -> Letter:

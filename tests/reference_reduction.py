@@ -8,20 +8,22 @@ the oracle shares no reduction code with the engine; ``base_word`` groups
 the c^+-1 pairs of a ``FlagStack`` form into runs with its own scan.
 ``rewrite_tau`` is the rewriter that the coset-table walk replaced.  Its
 ``walk`` steps a word one unit letter at a time, from any coset: it
-composes the projection of every prefix as a ``Permutation`` and looks the
+composes the projection of every prefix as a tuple of images and looks the
 coset representative up in a dict from projections to the transversal
-words, which acceptance criterion 1 pins.  It decides whether to drop a
-generator from the generator's ambient word ``rep a rep(pi(rep a))^-1``,
-composed here too, so it reads nothing else of the engine's coset table.
+words, ``coset_table(n).elements``, which acceptance criterion 1 pins.  It
+decides whether to drop a generator from the generator's ambient word
+``rep a rep(pi(rep a))^-1``, composed here too, so it reads nothing else of
+the engine's coset table.
 ``rewrite_to_sp3`` is the left fold over it that merged the whole word
 again for every Schreier factor.
 ``schreier_word`` cancels adjacent inverse factors, which the engine's
 walk never emits; the tests multiply Schreier words with it.
-``pi`` is the projection that the list swap replaced: it composes one
-``Permutation.transposition`` per odd-exponent letter.
+``pi`` is the projection that the list swap replaced: it composes the
+image tuple of one transposition per odd-exponent letter, and builds no
+``Permutation``.
 
-The reduction and the fold are quadratic, the rewriter builds a
-``Permutation`` and a ``SchreierGenerator`` per letter, and ``pi`` costs
+The reduction and the fold are quadratic, the rewriter composes an image
+tuple and builds a ``SchreierGenerator`` per letter, and ``pi`` costs
 letters times strands; they exist only for the tests to compare the engine
 against.
 """
@@ -31,10 +33,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from singbraid.normal_form import FactorSyllable, FreeProductWord, HNNForm
-from singbraid.permutations import Permutation
-from singbraid.rewriting import SchreierGenerator, SchreierWord, schreier_transversal
-from singbraid.sp3 import A12, B12, SPLetter, SPWord, express_schreier_gen
+from singbraid.rewriting import SchreierGenerator, SchreierWord, coset_table
+from singbraid.sp3 import A12, B12, EXPRESSION_TABLE, SPLetter, SPWord
 from singbraid.words import BraidWord, Letter, concat
+from helpers import compose, unit_letters
 
 
 # The syllables of c = a13 a23 and of c^-1 = a23^-1 a13^-1.
@@ -196,20 +198,31 @@ def britton_reduce(word: SPWord) -> HNNForm:
             return HNNForm(tuple(bases), tuple(powers))
 
 
-def pi(word: BraidWord) -> Permutation:
+def _identity(strands: int) -> tuple[int, ...]:
+    return tuple(range(1, strands + 1))
+
+
+def _transposition(strands: int, i: int) -> tuple[int, ...]:
+    """The image tuple of the adjacent transposition (i, i+1)."""
+    images = list(_identity(strands))
+    images[i - 1], images[i] = images[i], images[i - 1]
+    return tuple(images)
+
+
+def pi(word: BraidWord) -> tuple[int, ...]:
     """Project a word to the symmetric group, composing the transposition
-    of each odd-exponent letter left to right."""
-    result = Permutation.identity(word.strands)
+    of each odd-exponent letter left to right; the image tuple."""
+    result = _identity(word.strands)
     for letter in word.letters:
         if letter.exponent % 2:
-            result = result.then(Permutation.transposition(word.strands, letter.index))
+            result = compose(result, _transposition(word.strands, letter.index))
     return result
 
 
 @lru_cache(maxsize=None)
-def _reps(strands: int) -> dict[Permutation, BraidWord]:
+def _reps(strands: int) -> dict[tuple[int, ...], BraidWord]:
     """Each projection's representative among the transversal words."""
-    return {pi(rep): rep for rep in schreier_transversal(strands).elements}
+    return {pi(rep): rep for rep in coset_table(strands).elements}
 
 
 @lru_cache(maxsize=None)
@@ -229,11 +242,11 @@ def walk(word: BraidWord, start: BraidWord | None = None) -> tuple[list[tuple[Sc
     end in.
     """
     reps = _reps(word.strands)
-    prefix = Permutation.identity(word.strands) if start is None else pi(start)
+    prefix = _identity(word.strands) if start is None else pi(start)
     factors: list[tuple[SchreierGenerator, int]] = []
-    for letter in word.unit_letters():
+    for letter in unit_letters(word):
         before = prefix
-        prefix = prefix.then(Permutation.transposition(word.strands, letter.index))
+        prefix = compose(prefix, _transposition(word.strands, letter.index))
         key = before if letter.exponent == 1 else prefix
         generator = SchreierGenerator(reps[key], Letter(letter.kind, letter.index, 1))
         if _ambient(generator).is_empty:
@@ -259,7 +272,7 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     Streams the projection over the prefixes of ``word`` once; generators
     with freely empty ambient words are skipped.
     """
-    if not pi(word).is_identity:
+    if pi(word) != _identity(word.strands):
         raise ValueError("can only rewrite words with trivial projection")
     return schreier_word(walk(word)[0])
 
@@ -271,6 +284,6 @@ def rewrite_to_sp3(word: BraidWord) -> SPWord:
     schreier = rewrite_tau(word)
     result = SPWord()
     for generator, exponent in schreier.factors:
-        expressed = express_schreier_gen(generator)
+        expressed = EXPRESSION_TABLE[generator]
         result = result * (expressed if exponent == 1 else expressed.inverse())
     return result

@@ -14,7 +14,7 @@ from singbraid import (
     SPWord,
     center_generator,
     center_split,
-    enumerate_generators,
+    coset_table,
     equal_sp3,
     is_trivial_sg3,
     parse_braid_word,
@@ -22,7 +22,6 @@ from singbraid import (
     pi,
     rewrite_tau,
     rewrite_to_sp3,
-    schreier_transversal,
     sg3_necessary_trivial,
     sp2_normal_form,
 )
@@ -66,8 +65,8 @@ EXPECTED_GENERATOR_TABLE_N2 = [
 
 
 def test_criterion_1_transversals():
-    assert [str(w) for w in schreier_transversal(2).elements] == ["1", "s1"]
-    assert [str(w) for w in schreier_transversal(3).elements] == [
+    assert [str(w) for w in coset_table(2).elements] == ["1", "s1"]
+    assert [str(w) for w in coset_table(3).elements] == [
         "1",
         "s1",
         "s2",
@@ -76,7 +75,7 @@ def test_criterion_1_transversals():
         "s1 s2 s1",
     ]
     for n in (2, 3, 4, 5):
-        transversal = schreier_transversal(n)
+        transversal = coset_table(n)
         images = {pi(word).images for word in transversal.elements}
         assert len(images) == math.factorial(n)
     print("ACCEPTANCE 1: PASS transversals reproduced exactly, bijective up to n=5")
@@ -85,13 +84,13 @@ def test_criterion_1_transversals():
 def test_criterion_2_generator_tables():
     got3 = [
         (str(e.generator.rep), e.generator.letter.token(), str(e.ambient))
-        for e in enumerate_generators(3)
+        for e in coset_table(3).generators
     ]
     assert got3 == EXPECTED_GENERATOR_TABLE_N3
     assert sum(ambient == "1" for _, _, ambient in got3) == 5
     got2 = [
         (str(e.generator.rep), e.generator.letter.token(), str(e.ambient))
-        for e in enumerate_generators(2)
+        for e in coset_table(2).generators
     ]
     assert got2 == EXPECTED_GENERATOR_TABLE_N2
     print("ACCEPTANCE 2: PASS generator tables match for n=2 and n=3")

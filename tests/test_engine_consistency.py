@@ -21,7 +21,7 @@ from singbraid import (
     sg3_relators,
     sp2_normal_form,
 )
-from helpers import exponent_sums, random_pi_trivial, random_sp_word, random_word
+from helpers import exponent_sums, random_pi_trivial, random_sp_word, random_word, unit_letters
 
 
 def restricted_word(rng, names, max_len=30):
@@ -99,7 +99,7 @@ def test_sg3_triviality_survives_relator_insertion():
     relators = sg3_relators()
     for _ in range(200):
         word = random_pi_trivial(rng, max_len=24)
-        units = list(word.unit_letters())
+        units = unit_letters(word)
         cut = rng.randrange(len(units) + 1)
         insert = conjugate(rng.choice(relators), random_word(rng, max_len=6))
         padded = concat(

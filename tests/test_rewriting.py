@@ -11,7 +11,6 @@ from singbraid import (
     SchreierWord,
     concat,
     conjugate,
-    enumerate_generators,
     parse_braid_word,
     relator_rewrites,
     rewrite_tau,
@@ -20,7 +19,7 @@ from singbraid import (
 )
 from singbraid import permutations
 from singbraid.rewriting import coset_table, expand
-from singbraid.sp3 import express_schreier_gen, parse_sp_word
+from singbraid.sp3 import EXPRESSION_TABLE, parse_sp_word
 from helpers import random_pi_trivial
 import reference_reduction as reference
 
@@ -39,7 +38,7 @@ def test_generator_word_examples():
 def test_generator_word_has_trivial_projection():
     from singbraid import pi
 
-    for entry in enumerate_generators(3):
+    for entry in coset_table(3).generators:
         assert pi(entry.ambient).is_identity
 
 
@@ -51,7 +50,7 @@ def test_fresh_schreier_generator_finds_table_entries():
     entry = next(g for g in emitted if g == fresh)
     assert entry is not fresh
     assert hash(entry) == hash(fresh)
-    assert express_schreier_gen(fresh) == express_schreier_gen(entry) == parse_sp_word("b13")
+    assert EXPRESSION_TABLE[fresh] == EXPRESSION_TABLE[entry] == parse_sp_word("b13")
     assert {fresh: 1}[entry] == 1
     assert fresh != gen("s2 s1", "t2") and fresh != gen("s1 s2", "t1") and fresh != "S[s2 s1,t1]"
 
@@ -82,19 +81,19 @@ def test_table_readers_call_no_pi(monkeypatch):
                 monkeypatch.setattr(module, attr, refuse)
     coset_table.cache_clear()
     for n in range(2, 7):
-        assert len(enumerate_generators(n)) == math.factorial(n) * 2 * (n - 1)
+        assert len(coset_table(n).generators) == math.factorial(n) * 2 * (n - 1)
     assert str(s_generator_word(gen("s1 s2 s1", "t2"))) == "s1 s2 s1 t2 s1^-1 s2^-1"
     word = parse_braid_word("s1^2 t1 s1^-2 t1^-1", 3)
     assert expand(rewrite_tau(word)) == word
 
 
-def test_enumerate_generators_returns_the_cached_table_rows():
-    assert enumerate_generators(6) is enumerate_generators(6)
-    assert enumerate_generators(6) is coset_table(6).generators
+def test_coset_table_is_built_once():
+    assert coset_table(6) is coset_table(6)
+    assert coset_table(6).generators is coset_table(6).generators
 
 
 def test_enumerate_n2():
-    entries = enumerate_generators(2)
+    entries = coset_table(2).generators
     assert len(entries) == 4
     table = {(str(e.generator.rep), e.generator.letter.token()): str(e.ambient) for e in entries}
     assert table == {
@@ -106,7 +105,7 @@ def test_enumerate_n2():
 
 
 def test_enumerate_n3_counts():
-    entries = enumerate_generators(3)
+    entries = coset_table(3).generators
     assert len(entries) == 24
     trivial = {
         (str(e.generator.rep), e.generator.letter.token()) for e in entries if e.trivial

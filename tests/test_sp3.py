@@ -9,7 +9,6 @@ from singbraid import (
     SPWord,
     conjugate_by_sg3_generator,
     equal_sp3,
-    express_schreier_gen,
     parse_braid_word,
     parse_sp_word,
     pi,
@@ -25,7 +24,7 @@ from singbraid.normal_form import eliminate_a12
 from singbraid.rewriting import coset_table
 from singbraid.verify import GROUP_CONJUGATION, GROUP_EXPRESSION, GROUP_PRESENTATION, GROUP_REWRITTEN
 from singbraid.words import MAX_UNIT_LETTERS, substitute
-from helpers import random_kernel_word, random_sp_word
+from helpers import random_kernel_word, random_sp_word, unit_letters
 
 
 def gen(rep_text: str, letter_token: str) -> SchreierGenerator:
@@ -44,18 +43,18 @@ def test_sp_word_parsing_and_reduction():
 
 
 def test_expression_examples():
-    assert str(express_schreier_gen(gen("s2", "t1"))) == "b13 a13^-1"
-    assert str(express_schreier_gen(gen("s1", "t2"))) == "a23^-1 b13 a13^-1 a23"
-    assert str(express_schreier_gen(gen("s1 s2 s1", "t2"))) == "b12"
-    assert express_schreier_gen(gen("1", "s1")).is_empty
-    assert express_schreier_gen(gen("s2 s1", "s2")).is_empty
+    table = sp3_module.EXPRESSION_TABLE
+    assert str(table[gen("s2", "t1")]) == "b13 a13^-1"
+    assert str(table[gen("s1", "t2")]) == "a23^-1 b13 a13^-1 a23"
+    assert str(table[gen("s1 s2 s1", "t2")]) == "b12"
+    assert table[gen("1", "s1")].is_empty
+    assert table[gen("s2 s1", "s2")].is_empty
 
 
 def test_expression_rejects_unknown_generator():
-    with pytest.raises(ValueError):
-        express_schreier_gen(gen("s1 s2 s1", "t2").__class__(
-            parse_braid_word("s1^2", 3), Letter("t", 1, 1)
-        ))
+    # The table holds the 24 generators of the coset table and nothing else.
+    with pytest.raises(KeyError):
+        sp3_module.EXPRESSION_TABLE[gen("s1^2", "t1")]
 
 
 def test_rewrite_to_sp3_examples():
@@ -175,7 +174,7 @@ def test_conjugation_respects_sg3_relations():
         word = parse_sp_word(name)
         for relator in sg3_relators():
             image = word
-            for letter in relator.unit_letters():
+            for letter in unit_letters(relator):
                 image = conjugate_by_sg3_generator(image, letter)
             assert equal_sp3(image, word)
 
@@ -326,7 +325,7 @@ def test_reduce_only_builds_equal_the_checked_constructor():
     a12_image = {1: [SPLetter("a23", -1), SPLetter("a13", -1)], -1: [SPLetter("a13", 1), SPLetter("a23", 1)]}
     for _ in range(300):
         factors = rewrite_tau(random_kernel_word(rng, 3, max_exp=rng.choice((1, 4, 40)))).factors
-        letters = tuple(letter for g, e in factors for letter in (express_schreier_gen(g) ** e).letters)
+        letters = tuple(letter for g, e in factors for letter in (sp3_module.EXPRESSION_TABLE[g] ** e).letters)
         built = sp3_module._express(factors)
         assert type(built) is SPWord and built == SPWord(letters)
         assert all(type(letter) is SPLetter for letter in built.letters)

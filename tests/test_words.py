@@ -15,7 +15,7 @@ from singbraid import (
 )
 from singbraid.sp3 import SP_NAMES
 from singbraid.words import MAX_UNIT_LETTERS, free_reduce
-from helpers import random_word
+from helpers import random_word, unit_letters
 
 
 def test_parse_basic():
@@ -169,7 +169,7 @@ def test_word_times_inverse_is_empty():
 def test_free_reduction_is_confluent():
     rng = random.Random(31)
     for _ in range(100):
-        letters = list(random_word(rng, max_len=30).unit_letters())
+        letters = unit_letters(random_word(rng, max_len=30))
         cut = rng.randrange(len(letters) + 1)
         direct = BraidWord(3, tuple(letters))
         split = concat(BraidWord(3, tuple(letters[:cut])), BraidWord(3, tuple(letters[cut:])))
@@ -191,7 +191,7 @@ def test_sg3_relators_have_trivial_projection():
     # Independent check: compose the transpositions by hand.
     for relator in sg3_relators():
         images = [1, 2, 3]
-        for letter in relator.unit_letters():
+        for letter in unit_letters(relator):
             i = letter.index
             images = [
                 {i: i + 1, i + 1: i}.get(image, image) for image in images
