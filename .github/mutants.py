@@ -49,13 +49,11 @@ MUTANTS = (
         ("tests/test_normal_form.py::test_sigma_tau_sums_refute_before_projection",),
     ),
     Mutant(
-        "eliminate-a12-guard-removed",
+        "d-exponent-counts-other-letters",
         "src/singbraid/normal_form.py",
-        "    if A12 not in {name for name, _ in word.letters}:\n"
-        "        # An SPWord is freely reduced already: nothing to substitute or merge.\n"
-        "        return 0, word\n",
-        "",
-        ("tests/test_normal_form.py::test_eliminate_a12_returns_a12_free_words_as_given",),
+        "    return sum(exponent for name, exponent in word.letters if name == A12), word\n",
+        "    return sum(exponent for name, exponent in word.letters if name != A12), word\n",
+        ("tests/test_normal_form.py::test_eliminate_a12_examples",),
     ),
     Mutant(
         "push-run-sign",
@@ -114,11 +112,11 @@ MUTANTS = (
         ("tests/test_rewriting.py",),
     ),
     Mutant(
-        "eliminate-a12-sign",
+        "a12-run-sign",
         "src/singbraid/normal_form.py",
-        "        letters.extend(_C_LETTERS[-1 if e > 0 else 1] * abs(e))\n",
-        "        letters.extend(_C_LETTERS[1 if e > 0 else -1] * abs(e))\n",
-        ("tests/test_normal_form.py",),
+        "            bases[-1].push_run(-letter.exponent)\n",
+        "            bases[-1].push_run(letter.exponent)\n",
+        ("tests/test_normal_form.py::test_britton_reads_a12_as_a_c_run",),
     ),
     Mutant(
         "b3-matrix-sign",

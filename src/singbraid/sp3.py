@@ -92,9 +92,8 @@ def _reduced_sp_word(letters: Iterable[SPLetter]) -> SPWord:
     """``SPWord(letters)`` without the check of each letter's name, for
     letters known to name SP_3 generators: the letters of ``parse_sp_word``,
     whose token pattern admits only the six names, the rows of
-    ``_FACTOR_ROWS``, which ``verify --table`` checks, the letters of c^+-1
-    that ``normal_form.eliminate_a12`` writes, and the letters of the
-    reduced forms that the ``normal_form`` printers read from their
+    ``_FACTOR_ROWS``, which ``verify --table`` checks, and the letters of
+    the reduced forms that the ``normal_form`` printers read from their
     entries."""
     word = object.__new__(SPWord)
     object.__setattr__(word, "letters", free_reduce(letters))

@@ -6,6 +6,10 @@ c-power test use ``FlagStack``, the stack of plain syllables with one
 c-power flag per syllable that the run-based ``_BaseStack`` replaced, so
 the oracle shares no reduction code with the engine; ``base_word`` groups
 the c^+-1 pairs of a ``FlagStack`` form into runs with its own scan.
+``eliminate_a12`` is the substitution that the engine's reducer replaced
+by reading a12^e as one run c^-e: it writes a12^e out as |e| copies of the
+letters of c^-+1 and collects the d-exponent, so the reference
+``britton_reduce``, which rejects a12, reduces the spelled-out residual.
 ``rewrite_tau`` is the rewriter that the coset-table walk replaced.  Its
 ``walk`` steps a word one unit letter at a time, from any coset: it
 composes the projection of every prefix as a tuple of images and looks the
@@ -127,6 +131,28 @@ def free_product_nf(letters) -> FreeProductWord:
         else FactorSyllable(letter.name[1:], 0, letter.exponent)
         for letter in letters
     )
+
+
+# The letters of c^-1 and of c: a12^e = d^e c^-e.
+A12_IMAGES = {
+    1: (SPLetter("a23", -1), SPLetter("a13", -1)),
+    -1: (SPLetter("a13", 1), SPLetter("a23", 1)),
+}
+
+
+def eliminate_a12(word: SPWord) -> tuple[int, SPWord]:
+    """Substitute a12 = d a23^-1 a13^-1 letter by letter and collect the
+    central d-powers: the d-exponent and the residual word over the other
+    five generators, freely reduced by the checked ``SPWord``."""
+    delta_exp = 0
+    letters: list[SPLetter] = []
+    for letter in word.letters:
+        if letter.name == A12:
+            delta_exp += letter.exponent
+            letters.extend(A12_IMAGES[1 if letter.exponent > 0 else -1] * abs(letter.exponent))
+        else:
+            letters.append(letter)
+    return delta_exp, SPWord(tuple(letters))
 
 
 def _split_at_stable(word: SPWord) -> HNNForm:

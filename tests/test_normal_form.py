@@ -32,14 +32,17 @@ from helpers import braid_exponent_sums, exponent_sums, random_run_letters, rand
 
 
 def test_eliminate_a12_examples():
+    # The d-exponent is the a12 exponent sum; the reducer reads a12^e as c^-e.
     delta, rest = eliminate_a12(parse_sp_word("a12"))
-    assert delta == 1 and str(rest) == "a23^-1 a13^-1"
+    assert delta == 1 and str(britton_reduce(rest)) == "a23^-1 a13^-1"
     delta, rest = eliminate_a12(parse_sp_word("a12 a13 a23"))
-    assert delta == 1 and rest.is_empty
+    assert delta == 1 and britton_reduce(rest).is_trivial
     delta, rest = eliminate_a12(parse_sp_word("b13^2"))
     assert delta == 0 and str(rest) == "b13^2"
     delta, rest = eliminate_a12(parse_sp_word("a12^-2 b12"))
-    assert delta == -2 and str(rest) == "a13 a23 a13 a23 b12"
+    assert delta == -2 and str(britton_reduce(rest)) == "a13 a23 a13 a23 b12"
+    delta, _ = eliminate_a12(parse_sp_word("a12^3 b13 a12^-5 b12 a12"))
+    assert delta == -1
 
 
 def test_eliminate_a12_returns_a12_free_words_as_given():
@@ -135,9 +138,18 @@ def test_britton_merges_before_pinching():
     assert str(britton_reduce(word)) == "a13^-1 b12 a13 a23 b23^-1 a13 b23^-1 b12"
 
 
-def test_britton_rejects_a12():
-    with pytest.raises(ValueError):
-        britton_reduce(parse_sp_word("a12 b12"))
+def test_britton_reads_a12_as_a_c_run():
+    # a12^e = d^e c^-e with d central: the V~ image of a12^e is one run c^-e.
+    assert britton_reduce(parse_sp_word("a12^5")).bases[0].entries == (-5,)
+    assert britton_reduce(parse_sp_word("a12^-3 a13")).bases[0].entries == (3, FactorSyllable(F13, 1, 0))
+    # a12 commutes with b12 (relator 3), so their commutator reduces away.
+    assert britton_reduce(parse_sp_word("a12 b12 a12^-1 b12^-1")).is_trivial
+    # A run read from a12 slides through a pinch like a spelled-out c-power.
+    slid = britton_reduce(parse_sp_word("b12^-1 a12^2 b12 b23"))
+    assert not slid.powers and slid.bases[0].entries == (-2, FactorSyllable(F23, 0, 1))
+    word = parse_sp_word("a12^7 b12 a13 b12^-1 a12^-7")
+    delta, rest = eliminate_a12(word)
+    assert delta == 0 and rest is word
 
 
 def test_britton_merges_stable_powers():
