@@ -119,6 +119,20 @@ MUTANTS = (
         ("tests/test_normal_form.py::test_britton_reads_a12_as_a_c_run",),
     ),
     Mutant(
+        "best-slide-ignores-what-follows",
+        "src/singbraid/normal_form.py",
+        "    if len(entries) > i + 1:\n",
+        "    if len(entries) > i:\n",
+        ("tests/test_normal_form.py",),
+    ),
+    Mutant(
+        "best-slide-drops-the-extra-c",
+        "src/singbraid/normal_form.py",
+        "                return k + sign\n",
+        "                return k\n",
+        ("tests/test_normal_form.py",),
+    ),
+    Mutant(
         "b3-matrix-sign",
         "src/singbraid/oracles.py",
         "            a, c = a - b * e, c - d * e\n",

@@ -67,11 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the presentation verification checks")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true")
-    group.add_argument("--rs", action="store_true")
-    group.add_argument("--theorem1", action="store_true")
-    group.add_argument("--prop41", action="store_true")
-    group.add_argument("--table", action="store_true")
+    for flag in ("all", *_VERIFY_FLAGS):
+        group.add_argument(f"--{flag}", action="store_true")
 
     return parser
 

@@ -25,10 +25,12 @@ the pinch test and the slide each cost O(1), and the reduction takes time
 amortised linear in the letters.  The stack's entries are the stored form
 of a word of V, runs included, from the reducer to the printer.
 ``FreeProductWord(entries)`` takes a normal form as given, so a word is
-built with ``free_product_nf`` or ``*``, which go through a stack.  A form
-prints through its ``sp_word``: the letters of its bases and stable powers
-in one freely reduced SP word, each run c^n written as one product of the
-letters of c^+-1.
+built with ``free_product_nf``, which goes through a stack.  A form prints
+through its ``sp_word``: the letters of its bases and stable powers in one
+freely reduced SP word, each run c^n written as one product of the letters
+of c^+-1, the only place a run is written out.  ``canonical_display``
+slides runs as stored too: it reads a base's leading run and the entry
+after it, and pushes the slid run onto base stacks on both sides.
 
 By Britton's lemma a reduced word that still contains stable letters is
 never trivial, so a V~ word is trivial exactly when its reduced form is an
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .permutations import pi
 from .sp3 import (
@@ -194,8 +196,8 @@ class _BaseStack:
             self.push(second)
             k -= sign
 
-    def extend(self, other: _BaseStack | FreeProductWord) -> None:
-        """Append the entries of a stack or a word, run by run."""
+    def extend(self, other: _BaseStack) -> None:
+        """Append the entries of another stack, run by run."""
         for entry in other.entries:
             if entry.__class__ is int:
                 self.push_run(entry)
@@ -210,33 +212,19 @@ class _BaseStack:
 class FreeProductWord:
     """Normal form in V: the entries of a ``_BaseStack``, plain syllables and
     an int n for each run c^n.  The constructor takes a normal form as given
-    and does not check it; build one with ``free_product_nf`` or ``*``."""
+    and does not check it; build one with ``free_product_nf``, which goes
+    through a stack.  The runs stay stored until ``_letters`` writes them
+    out for printing."""
 
     entries: tuple[FactorSyllable | int, ...] = ()
-
-    @property
-    def syllables(self) -> tuple[FactorSyllable, ...]:
-        """The alternating nontrivial syllables, with every run expanded."""
-        syllables: list[FactorSyllable] = []
-        for entry in self.entries:
-            if entry.__class__ is int:
-                syllables.extend(_C_SYLLABLES[1 if entry > 0 else -1] * abs(entry))
-            else:
-                syllables.append(entry)
-        return tuple(syllables)
 
     @property
     def is_empty(self) -> bool:
         return not self.entries
 
-    def __mul__(self, other: FreeProductWord) -> FreeProductWord:
-        stack = _BaseStack(self.entries)
-        stack.extend(other)
-        return stack.word()
-
     def _letters(self) -> list[SPLetter]:
         """The letters of the entries, each run c^n as one product of the
-        letters of c^+-1."""
+        letters of c^+-1: the one place that writes a run out."""
         letters: list[SPLetter] = []
         for entry in self.entries:
             if entry.__class__ is int:
@@ -280,11 +268,6 @@ def free_product_nf(word: SPWord) -> FreeProductWord:
     for letter in word.letters:
         stack.push(_syllable(letter))
     return stack.word()
-
-
-def _c_power(k: int) -> FreeProductWord:
-    """(a13 a23)^k in normal form: one run, or nothing for k = 0."""
-    return _BaseStack((k,) if k else ()).word()
 
 
 def cyclic_power_of_c(word: FreeProductWord | _BaseStack) -> int | None:
@@ -494,26 +477,27 @@ def is_trivial_sg3(word: BraidWord) -> bool:
     return is_trivial_sp3(rewrite_to_sp3(word))
 
 
-def _best_slide(syllables: tuple[FactorSyllable, ...]) -> int:
+def _best_slide(entries: Sequence[FactorSyllable | int]) -> int:
     """The k for which c^-k B has the fewest syllables, the smallest |k|
-    among equals.
+    among equals, read from at most the first three entries of B.
 
-    c^-k cancels the longest prefix of B that matches the syllable pattern
-    of c^k, up to its own 2|k| syllables; only one sign of k has a
-    nonempty such prefix, and the other only adds syllables.  Each k up to
-    half the prefix removes two syllables.  Past an odd prefix that B
-    continues, one more c-syllable cancels the last prefix syllable and
-    merges with the next, which shares its factor by alternation: one
-    syllable fewer again.  Any larger |k| adds syllables.
+    c^-k cancels the longest prefix of B that spells the start of c^k, up
+    to its own 2|k| syllables, and each k up to half that prefix removes two
+    syllables.  A leading run c^n is such a prefix of 2|n| syllables.  If the
+    next entry is the first syllable of c^+-1 and B goes on past it, one more
+    c-syllable cancels it and merges with the entry after it, which shares
+    its factor by alternation: one syllable fewer again.  Any larger |k|
+    adds syllables.  Nothing later can extend the prefix: no two runs are
+    adjacent, two plain syllables that spell c^+-1 coalesce, and after a run
+    of sign s alternation rules out the first syllable of c^-s.
     """
-    n = len(syllables)
-    for sign, pattern in _C_SYLLABLES.items():
-        j = 0
-        while j < n and syllables[j] == pattern[j % 2]:
-            j += 1
-        if j:
-            return sign * ((j + 1) // 2 if j % 2 and j < n else j // 2)
-    return 0
+    k = entries[0] if entries and entries[0].__class__ is int else 0
+    i = 1 if k else 0
+    if len(entries) > i + 1:
+        for sign, (first, _) in _C_SYLLABLES.items():
+            if entries[i] == first:
+                return k + sign
+    return k
 
 
 def canonical_display(form: CenterSplitForm) -> str:
@@ -521,16 +505,20 @@ def canonical_display(form: CenterSplitForm) -> str:
 
     Each interior base is replaced by its minimal-syllable representative
     modulo sliding powers of c = a13 a23 across the stable letter to its
-    left (see ``_best_slide``).  Equal group elements may still print
-    differently; only the decision procedures are contractual.  The cost
-    is linear in the syllables.
+    left (see ``_best_slide``).  The slide goes through base stacks, one run
+    pushed onto each side, so no run is written out.  Equal group elements
+    may still print differently; only the decision procedures are
+    contractual.  The cost is linear in the entries.
     """
-    bases = list(form.v.bases)
-    for i in range(1, len(bases)):
-        best = _best_slide(bases[i].syllables)
+    stacks = [_BaseStack(base.entries) for base in form.v.bases]
+    for i in range(1, len(stacks)):
+        best = _best_slide(stacks[i].entries)
         if best:
-            bases[i - 1] = bases[i - 1] * _c_power(best)
-            bases[i] = _c_power(-best) * bases[i]
+            stacks[i - 1].push_run(best)
+            right = _BaseStack((-best,))
+            right.extend(stacks[i])
+            stacks[i] = right
+    bases = [stack.word() for stack in stacks]
     # Sliding can empty an interior base between same-sign stable letters;
     # merge those powers so the display stays compact.
     kept_bases, kept_powers = bases[:1], []

@@ -5,7 +5,8 @@ restarts from the left after every step.  The segment normal forms and the
 c-power test use ``FlagStack``, the stack of plain syllables with one
 c-power flag per syllable that the run-based ``_BaseStack`` replaced, so
 the oracle shares no reduction code with the engine; ``base_word`` groups
-the c^+-1 pairs of a ``FlagStack`` form into runs with its own scan.
+the c^+-1 pairs of a ``FlagStack`` form into runs with its own scan, and
+``syllables`` writes a stored form's runs out again.
 ``eliminate_a12`` is the substitution that the engine's reducer replaced
 by reading a12^e as one run c^-e: it writes a12^e out as |e| copies of the
 letters of c^-+1 and collects the d-exponent, so the reference
@@ -118,9 +119,19 @@ def c_power_syllables(k: int) -> tuple[FactorSyllable, ...]:
     return C_SYLLABLES[1 if k > 0 else -1] * abs(k)
 
 
+def syllables(word: FreeProductWord) -> tuple[FactorSyllable, ...]:
+    """The alternating syllables of a stored form, every run c^n written
+    out by ``c_power_syllables``."""
+    return tuple(
+        syllable
+        for entry in word.entries
+        for syllable in (c_power_syllables(entry) if isinstance(entry, int) else (entry,))
+    )
+
+
 def cyclic_power_of_c(word: FreeProductWord) -> int | None:
     """The k with word = (a13 a23)^k in V, or None when no such k exists."""
-    return FlagStack(word.syllables).c_power()
+    return FlagStack(syllables(word)).c_power()
 
 
 def free_product_nf(letters) -> FreeProductWord:
@@ -192,7 +203,7 @@ def britton_reduce(word: SPWord) -> HNNForm:
             if bases[i].is_empty:
                 combined = powers[i - 1] + powers[i]
                 if combined == 0:
-                    joined = bases[i - 1].syllables + bases[i + 1].syllables
+                    joined = syllables(bases[i - 1]) + syllables(bases[i + 1])
                     bases[i - 1 : i + 2] = [base_word(joined)]
                     del powers[i - 1 : i + 1]
                 else:
@@ -211,9 +222,9 @@ def britton_reduce(word: SPWord) -> HNNForm:
             if k is None:
                 continue
             combined = powers[i - 1] + powers[i]
-            left = bases[i - 1].syllables + c_power_syllables(k)
+            left = syllables(bases[i - 1]) + c_power_syllables(k)
             if combined == 0:
-                bases[i - 1 : i + 2] = [base_word(left + bases[i + 1].syllables)]
+                bases[i - 1 : i + 2] = [base_word(left + syllables(bases[i + 1]))]
                 del powers[i - 1 : i + 1]
             else:
                 bases[i - 1 : i + 1] = [base_word(left)]

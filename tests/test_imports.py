@@ -50,3 +50,8 @@ def test_public_names():
     for module in modules:
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # The canonical display slides runs as stored: no second run expander,
+    # no product of frozen words, no c-power builder.
+    assert not hasattr(singbraid.FreeProductWord, "syllables")
+    assert not hasattr(singbraid.FreeProductWord, "__mul__")
+    assert not hasattr(singbraid.normal_form, "_c_power")

@@ -27,8 +27,9 @@ from singbraid import (
     sg3_relators,
 )
 from singbraid import normal_form, rewriting, sp3
-from singbraid.normal_form import F13, F23, _c_power, canonical_display
+from singbraid.normal_form import F13, F23, _best_slide, canonical_display
 from helpers import braid_exponent_sums, exponent_sums, random_run_letters, random_sp_word
+from reference_reduction import base_word, c_power_syllables, syllables
 
 
 def test_eliminate_a12_examples():
@@ -56,9 +57,9 @@ def test_eliminate_a12_returns_a12_free_words_as_given():
 def test_free_product_nf_examples():
     assert free_product_nf(parse_sp_word("a13 b13 a13^-1 b13^-1")).is_empty
     collapsed = free_product_nf(parse_sp_word("a13 b13 a23 b23 a23^-1 b23^-1"))
-    assert collapsed.syllables == (FactorSyllable(F13, 1, 1),)
+    assert syllables(collapsed) == (FactorSyllable(F13, 1, 1),)
     alternating = free_product_nf(parse_sp_word("a13 a23 a13"))
-    assert alternating.syllables == (
+    assert syllables(alternating) == (
         FactorSyllable(F13, 1, 0),
         FactorSyllable(F23, 1, 0),
         FactorSyllable(F13, 1, 0),
@@ -87,7 +88,8 @@ def test_free_product_nf_is_two_sided():
         # restrict to base-group letters
         u = SPWord(tuple(l for l in u.letters if l.name in names))
         v = SPWord(tuple(l for l in random_sp_word(rng).letters if l.name in names))
-        assert free_product_nf(u * v) == free_product_nf(u) * free_product_nf(v)
+        joined = syllables(free_product_nf(u)) + syllables(free_product_nf(v))
+        assert free_product_nf(u * v) == base_word(joined)
 
 
 def test_cyclic_power_recognition():
@@ -367,19 +369,22 @@ def test_canonical_display_preserves_element():
 
 def reference_canonical_display(form: CenterSplitForm) -> str:
     """The quadratic canonical display that ``canonical_display`` replaced:
-    it builds c^-k B for every candidate k and counts its syllables."""
+    it builds c^-k B for every candidate k and counts its syllables.  The
+    slid bases are normalized by the reference's ``base_word``, so no
+    reduction code of the engine is used."""
     bases = list(form.v.bases)
     powers = list(form.v.powers)
     for i in range(1, len(bases)):
-        window = len(bases[i].syllables) // 2 + 1
+        base = syllables(bases[i])
+        window = len(base) // 2 + 1
         candidates = sorted(range(-window, window + 1), key=lambda k: (abs(k), k))
         best = min(
             candidates,
-            key=lambda k: len((_c_power(-k) * bases[i]).syllables),
+            key=lambda k: len(syllables(base_word(c_power_syllables(-k) + base))),
         )
         if best:
-            bases[i - 1] = bases[i - 1] * _c_power(best)
-            bases[i] = _c_power(-best) * bases[i]
+            bases[i - 1] = base_word(syllables(bases[i - 1]) + c_power_syllables(best))
+            bases[i] = base_word(c_power_syllables(-best) + base)
     i = 1
     while i < len(bases) - 1:
         if bases[i].is_empty:
@@ -417,9 +422,21 @@ def test_canonical_display_matches_reference():
     longest = 0
     for _ in range(20):
         form = center_split(_c_heavy_word(rng, 40, 30))
-        longest = max([longest] + [len(base.syllables) for base in form.v.bases[1:]])
+        longest = max([longest] + [len(syllables(base)) for base in form.v.bases[1:]])
         assert canonical_display(form) == reference_canonical_display(form)
     assert longest > 200
+
+
+def test_best_slide_reads_entries():
+    # A leading run, then the first syllable of c and one more entry: the
+    # slide takes the run and one more c, however long the run is.
+    a13, a23_inv = FactorSyllable(F13, 1, 0), FactorSyllable(F23, -1, 0)
+    assert _best_slide((10**12, a13, FactorSyllable(F23, 0, 1))) == 10**12 + 1
+    # The first syllable of c with nothing after it is kept.
+    assert _best_slide((a13,)) == 0
+    assert _best_slide((a23_inv, FactorSyllable(F13, 0, 1))) == -1
+    assert _best_slide((-3,)) == -3
+    assert _best_slide(()) == 0
 
 
 def test_canonical_display_compacts_c_powers():

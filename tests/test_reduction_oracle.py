@@ -208,13 +208,13 @@ def assert_same_stack(operations) -> None:
             syllables.append(operation)
     expected = reference.FlagStack(syllables)
     word = stack.word()
-    assert word.syllables == tuple(expected.syllables), operations
+    assert reference.syllables(word) == tuple(expected.syllables), operations
     assert cyclic_power_of_c(stack) == expected.c_power(), operations
     assert cyclic_power_of_c(word) == reference.cyclic_power_of_c(word), operations
     # Every c^+-1 pair of the expanded word lies in a run and no two runs
     # touch, so the runs are the same whichever way the word was pushed.
     assert [entry for entry in stack.entries if isinstance(entry, int)] == [
-        entry for entry in run_stack(word.syllables).entries if isinstance(entry, int)
+        entry for entry in run_stack(reference.syllables(word)).entries if isinstance(entry, int)
     ], operations
 
 
