@@ -133,6 +133,20 @@ MUTANTS = (
         ("tests/test_normal_form.py",),
     ),
     Mutant(
+        "value-eq-across-classes",
+        "src/singbraid/words.py",
+        "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+        "",
+        ("tests/test_values.py",),
+    ),
+    Mutant(
+        "value-hash-drops-a-field",
+        "src/singbraid/words.py",
+        "        return hash(self._key(self))\n",
+        "        return hash(self._key(self)[1:])\n",
+        ("tests/test_values.py",),
+    ),
+    Mutant(
         "b3-matrix-sign",
         "src/singbraid/oracles.py",
         "            a, c = a - b * e, c - d * e\n",

@@ -49,7 +49,6 @@ with a nonzero sum before it projects or rewrites it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .permutations import pi
@@ -66,7 +65,7 @@ from .sp3 import (
     _reduced_sp_word,
     rewrite_to_sp3,
 )
-from .words import BraidWord, exponent_sums
+from .words import BraidWord, Value, exponent_sums
 
 F13 = "13"
 F23 = "23"
@@ -208,15 +207,17 @@ class _BaseStack:
         return FreeProductWord(tuple(self.entries))
 
 
-@dataclass(frozen=True)
-class FreeProductWord:
+class FreeProductWord(Value):
     """Normal form in V: the entries of a ``_BaseStack``, plain syllables and
     an int n for each run c^n.  The constructor takes a normal form as given
     and does not check it; build one with ``free_product_nf``, which goes
     through a stack.  The runs stay stored until ``_letters`` writes them
     out for printing."""
 
-    entries: tuple[FactorSyllable | int, ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[FactorSyllable | int, ...] = ()) -> None:
+        object.__setattr__(self, "entries", entries)
 
     @property
     def is_empty(self) -> bool:
@@ -284,19 +285,19 @@ def cyclic_power_of_c(word: FreeProductWord | _BaseStack) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class HNNForm:
+class HNNForm(Value):
     """Alternating stable-letter powers and base words:
     bases[0] b12^powers[0] bases[1] ... b12^powers[m-1] bases[m]."""
 
-    bases: tuple[FreeProductWord, ...]
-    powers: tuple[int, ...]
+    __slots__ = ("bases", "powers")
 
-    def __post_init__(self) -> None:
-        if len(self.bases) != len(self.powers) + 1:
+    def __init__(self, bases: tuple[FreeProductWord, ...], powers: tuple[int, ...]) -> None:
+        if len(bases) != len(powers) + 1:
             raise ValueError("segment counts out of step")
-        if any(power == 0 for power in self.powers):
+        if any(power == 0 for power in powers):
             raise ValueError("stable-letter powers must be nonzero")
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "powers", powers)
 
     @property
     def is_trivial(self) -> bool:
@@ -317,12 +318,14 @@ class HNNForm:
         return str(self.sp_word())
 
 
-@dataclass(frozen=True)
-class CenterSplitForm:
+class CenterSplitForm(Value):
     """A power of the central element d times a reduced V~ form."""
 
-    delta_exp: int
-    v: HNNForm
+    __slots__ = ("delta_exp", "v")
+
+    def __init__(self, delta_exp: int, v: HNNForm) -> None:
+        object.__setattr__(self, "delta_exp", delta_exp)
+        object.__setattr__(self, "v", v)
 
     @property
     def is_trivial(self) -> bool:

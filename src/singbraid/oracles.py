@@ -15,7 +15,10 @@ syllable with one row operation however large its exponent.
 
 These checks can refute equality but never certify it (both quotients
 collapse the singular letters), so the decision engine in ``normal_form``
-remains the authority; the test suite couples the two directions.
+remains the authority; the test suite couples the two directions.  The
+oracle shares none of the engine's deciding stages: it reads the exponent
+sums and the projection to the symmetric group itself, so a fault in the
+engine's ``exponent_sums`` or ``pi`` shows as a disagreement.
 
 Each invariant is written once, as one row of ``_invariants``, a generator
 that computes a row only when the next one is asked for:
@@ -30,8 +33,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from .permutations import pi
-from .words import SIGMA, TAU, BraidWord, Letter, exponent_sums, sg3_relators
+from .words import SIGMA, TAU, BraidWord, Letter, sg3_relators
 
 TAU_TO_SIGMA = "tau_to_sigma"
 TAU_TO_SIGMA_INVERSE = "tau_to_sigma_inverse"
@@ -48,6 +50,25 @@ class IntMatrix2(NamedTuple):
 
 
 IDENTITY = IntMatrix2(1, 0, 0, 1)
+
+
+def _sums(word: BraidWord) -> tuple[int, int]:
+    """The crossing and the singular exponent sum, in one pass."""
+    sums = {SIGMA: 0, TAU: 0}
+    for letter in word.letters:
+        sums[letter.kind] += letter.exponent
+    return sums[SIGMA], sums[TAU]
+
+
+def _projects_to_identity(word: BraidWord) -> bool:
+    """Whether the word's permutation is the identity: each odd-exponent
+    letter swaps two image positions, in reading order."""
+    images = list(range(word.strands))
+    for letter in word.letters:
+        if letter.exponent % 2:
+            i = letter.index
+            images[i - 1], images[i] = images[i], images[i - 1]
+    return images == sorted(images)
 
 
 def _substitute(word: BraidWord, tau_rule: str) -> BraidWord:
@@ -103,17 +124,16 @@ def b3_is_trivial(word: BraidWord) -> bool:
     """Exact triviality test for 3-strand braid words."""
     if word.strands != 3:
         raise ValueError("the braid-group test is set up for 3 strands")
-    sigma_sum, _ = exponent_sums(word)
-    return sigma_sum == 0 and b3_matrix(word) == IDENTITY
+    return _sums(word)[0] == 0 and b3_matrix(word) == IDENTITY
 
 
 def _invariants(word: BraidWord) -> Iterator[tuple[str, str, bool]]:
     """The five cheap invariants as (row name, printed verdict, holds), each
     computed only when the consumer asks for the next row.  A new invariant
     is one more row here."""
-    projection = pi(word).is_identity
+    projection = _projects_to_identity(word)
     yield "projection", "trivial" if projection else "nontrivial", projection
-    sigma_sum, tau_sum = exponent_sums(word)
+    sigma_sum, tau_sum = _sums(word)
     yield "crossing-sum", str(sigma_sum), sigma_sum == 0
     yield "singular-sum", str(tau_sum), tau_sum == 0
     for name, rule in zip(("b3-image(t->s)", "b3-image(t->s^-1)"), TAU_RULES):

@@ -22,21 +22,19 @@ transversal a bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import BraidWord
+from .words import BraidWord, Value
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A permutation of {1, ..., n} in one-line notation."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{n}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"{images} is not a permutation of 1..{n}")
+        object.__setattr__(self, "images", images)
 
     @property
     def size(self) -> int:

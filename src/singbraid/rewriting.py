@@ -59,15 +59,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .words import SIGMA, TAU, BraidWord, Letter, conjugate, sg3_relators, substitute
+from .words import SIGMA, TAU, BraidWord, Letter, Value, conjugate, sg3_relators, substitute
 
 
-@dataclass(frozen=True)
-class SchreierGenerator:
+class SchreierGenerator(Value):
     """The kernel element S(rep, letter) for a transversal word and a
     positive ambient generator.
 
@@ -76,24 +74,28 @@ class SchreierGenerator:
     by; a generator built elsewhere has none.
     """
 
-    rep: BraidWord
-    letter: Letter
-    id: int | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("rep", "letter", "id")
+    _fields = ("rep", "letter")
 
-    def __post_init__(self) -> None:
-        if self.letter.exponent != 1:
+    def __init__(self, rep: BraidWord, letter: Letter, id: int | None = None) -> None:
+        if letter.exponent != 1:
             raise ValueError("Schreier generators use bare ambient generators")
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "id", id)
 
     def __str__(self) -> str:
         return f"S[{self.rep},{self.letter.token()}]"
 
 
-@dataclass(frozen=True)
-class SchreierWord:
+class SchreierWord(Value):
     """A freely reduced word over the Schreier generators; factors carry
     exponent +1 or -1."""
 
-    factors: tuple[tuple[SchreierGenerator, int], ...] = ()
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[SchreierGenerator, int], ...] = ()) -> None:
+        object.__setattr__(self, "factors", factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -247,11 +249,13 @@ def expand(word: SchreierWord, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, substitute(word.factors, ambient))
 
 
-@dataclass(frozen=True)
-class RelatorRewrite:
-    relator_index: int
-    rep: BraidWord
-    word: SchreierWord
+class RelatorRewrite(Value):
+    __slots__ = ("relator_index", "rep", "word")
+
+    def __init__(self, relator_index: int, rep: BraidWord, word: SchreierWord) -> None:
+        object.__setattr__(self, "relator_index", relator_index)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "word", word)
 
 
 def relator_rewrites() -> tuple[RelatorRewrite, ...]:

@@ -36,7 +36,6 @@ data above against ``normal_form``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import rewriting
@@ -75,17 +74,16 @@ class SPLetter(NamedTuple):
         return f"{self.name}^{self.exponent}"
 
 
-@dataclass(frozen=True)
 class SPWord(FreeWord):
     """A freely reduced word over the six SP_3 generators."""
 
-    letters: tuple[SPLetter, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        for letter in self.letters:
+    def __init__(self, letters: tuple[SPLetter, ...] = ()) -> None:
+        for letter in letters:
             if letter.name not in SP_NAMES:
                 raise ValueError(f"unknown SP_3 generator {letter.name!r}")
-        object.__setattr__(self, "letters", free_reduce(self.letters))
+        object.__setattr__(self, "letters", free_reduce(letters))
 
 
 def _reduced_sp_word(letters: Iterable[SPLetter]) -> SPWord:

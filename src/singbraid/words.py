@@ -15,14 +15,15 @@ Equality of stored words is therefore equality in the free group on the
 letters; equality in SG_n itself is decided elsewhere (see normal_form).
 
 All values are immutable and all functions are pure, so words can be
-shared freely between threads.
+shared freely between threads.  ``Value`` is the one base of the package's
+immutable classes: slotted, compared and hashed by their fields, printed
+in ``repr`` as ``Name(field=value, ...)``, and refusing assignment.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 SIGMA = "s"
@@ -110,15 +111,65 @@ _W = TypeVar("_W", bound="FreeWord")
 _L = TypeVar("_L", bound=tuple)
 
 
-class FreeWord:
-    """The operations of a freely reduced word with a ``letters`` field.
+class Value:
+    """An immutable value: the fields named by a subclass's ``__slots__``,
+    or by its ``_fields`` where some slots are not compared.
 
-    Subclasses are frozen dataclasses whose ``__post_init__`` validates the
-    letters and stores them through ``free_reduce``; every result here is
-    built with ``dataclasses.replace``, so it goes through that again.
+    Two values are equal when they are of the same class and their fields
+    are equal; the hash is the hash of the tuple of fields; ``repr`` reads
+    ``Name(field=value, ...)``; assignment raises ``AttributeError``.  Each
+    subclass writes its own ``__init__`` and stores its slots there with
+    ``object.__setattr__``.  Pickling and copying rebuild a value through
+    its constructor, from every slot in order.
     """
 
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _key: Callable[[Value], tuple]
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__dict__.get("_fields", cls.__slots__)
+        if fields:
+            get = attrgetter(*fields)
+            cls._fields = fields
+            cls._key = staticmethod(get if len(fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class FreeWord(Value):
+    """The operations of a freely reduced word with a ``letters`` field.
+
+    ``letters`` is the last field of every subclass, whose constructor
+    validates the letters and stores them through ``free_reduce``; every
+    result here is built by that constructor, from the other fields and
+    new letters, so it is reduced again.
+    """
+
+    __slots__ = ()
     letters: tuple
+
+    def _with(self: _W, letters: tuple) -> _W:
+        return self.__class__(*self._key(self)[:-1], letters)
 
     @property
     def is_empty(self) -> bool:
@@ -128,15 +179,15 @@ class FreeWord:
         return sum(map(abs, map(itemgetter(-1), self.letters)))
 
     def inverse(self: _W) -> _W:
-        return replace(self, letters=tuple(l.inverse() for l in reversed(self.letters)))
+        return self._with(tuple(l.inverse() for l in reversed(self.letters)))
 
     def __mul__(self: _W, other: _W) -> _W:
-        return replace(self, letters=self.letters + other.letters)
+        return self._with(self.letters + other.letters)
 
     def __pow__(self: _W, power: int) -> _W:
         if power < 0:
             return self.inverse() ** (-power)
-        return replace(self, letters=self.letters * power)
+        return self._with(self.letters * power)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -159,28 +210,27 @@ def concat(first: BraidWord, second: BraidWord) -> BraidWord:
     return BraidWord(first.strands, first.letters + second.letters)
 
 
-@dataclass(frozen=True)
 class BraidWord(FreeWord):
     """A freely reduced word over the SG_n generators on ``strands`` strands."""
 
-    strands: int
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self) -> None:
-        if self.strands < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.strands}")
+    def __init__(self, strands: int, letters: tuple[Letter, ...] = ()) -> None:
+        if strands < 2:
+            raise ValueError(f"strand count must be at least 2, got {strands}")
         # Each distinct letter is checked once, read off a set that is built
         # without a Python step per letter; only a failing word is read again
         # in order, so that the message names its first offending letter.
-        if not all(kind in (SIGMA, TAU) and 1 <= index < self.strands for kind, index, _ in set(self.letters)):
-            for letter in self.letters:
+        if not all(kind in (SIGMA, TAU) and 1 <= index < strands for kind, index, _ in set(letters)):
+            for letter in letters:
                 if letter.kind not in (SIGMA, TAU):
                     raise ValueError(f"unknown generator kind {letter.kind!r}")
-                if not 1 <= letter.index <= self.strands - 1:
+                if not 1 <= letter.index <= strands - 1:
                     raise ValueError(
-                        f"letter {letter.token()} out of range for {self.strands} strands"
+                        f"letter {letter.token()} out of range for {strands} strands"
                     )
-        object.__setattr__(self, "letters", free_reduce(self.letters))
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", free_reduce(letters))
 
     __mul__ = concat
 

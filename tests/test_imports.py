@@ -1,10 +1,14 @@
 """The package's modules import each other without a cycle, counting the
 imports inside function bodies too, and the package exports one name for
-each public object."""
+each public object.  Importing the package loads neither ``dataclasses``
+nor ``inspect``, and the oracles import none of the engine's deciding
+stages."""
 
 import ast
 import graphlib
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import singbraid
@@ -55,3 +59,41 @@ def test_public_names():
     assert not hasattr(singbraid.FreeProductWord, "syllables")
     assert not hasattr(singbraid.FreeProductWord, "__mul__")
     assert not hasattr(singbraid.normal_form, "_c_power")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hook may load either module first and hide a regression.
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); heavy = {{'dataclasses', 'inspect'}}\n"
+        "import singbraid; print(sorted(heavy & set(sys.modules)))\n"
+        "import singbraid.cli; print(sorted(heavy & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n[]\n", "")
+
+
+def test_no_module_imports_dataclasses():
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "dataclasses" for name in names), path.name
+
+
+# What the oracles may take from the package: the letters, the word type
+# and the relators, none of which decides anything.
+ORACLE_IMPORTS = {"SIGMA", "TAU", "BraidWord", "Letter", "sg3_relators"}
+
+
+def test_oracles_import_no_deciding_stage():
+    assert import_graph()["oracles"] == {"words"}
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "oracles.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update(alias.name for alias in node.names)
+    assert imported <= ORACLE_IMPORTS, imported - ORACLE_IMPORTS
+    assert not {"pi", "exponent_sums"} & imported
