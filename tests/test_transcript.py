@@ -148,9 +148,8 @@ def calls(rng: random.Random):
     for strands in (2, 3, 4, 3, 2, 5, 1, 7):
         yield ["gens", "-n", str(strands)]
     for _ in range(400):
-        roll = rng.random()
         # A word outside the kernel is refused, as is a bad token.
-        word = braid_word(rng, 3, 6) if roll < MALFORMED_SHARE else maybe_spoil(rng, kernel_word(rng))
+        word = braid_word(rng, 3, 6) if rng.random() < MALFORMED_SHARE else maybe_spoil(rng, kernel_word(rng))
         yield ["rewrite", word]
     for _ in range(500):
         flags = ["--canonical"] if rng.random() < 0.5 else []
@@ -176,7 +175,7 @@ def calls(rng: random.Random):
 def transcript_digests() -> tuple[dict[str, str], int, int]:
     """One sha256 per subcommand over the JSON record of each call, the
     number of calls and the number of calls that exited 2."""
-    digests: dict[str, hashlib._Hash] = {}
+    digests = {}
     count = malformed = 0
     for argv in calls(random.Random(1601)):
         out, err = io.StringIO(), io.StringIO()
