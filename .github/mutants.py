@@ -42,6 +42,13 @@ MUTANTS = (
         ("tests/test_normal_form.py::test_exponent_sums_refute_before_reduction",),
     ),
     Mutant(
+        "six-sums-drop-the-count",
+        "src/singbraid/normal_form.py",
+        "        sums[name] += exponent * count\n",
+        "        sums[name] += exponent\n",
+        ("tests/test_normal_form.py::test_six_sums_count_each_distinct_letter_once",),
+    ),
+    Mutant(
         "sg3-sum-exit-never-fires",
         "src/singbraid/normal_form.py",
         "    if exponent_sums(word) != (0, 0):\n",
@@ -96,6 +103,13 @@ MUTANTS = (
         "                stack.pop()\n                top = stack[-1] if stack else None\n                break\n",
         "                stack.pop()\n                top = None\n                break\n",
         ("tests/test_words.py",),
+    ),
+    Mutant(
+        "parse-bound-comparison-flipped",
+        "src/singbraid/words.py",
+        "    if bound > MAX_UNIT_LETTERS and ",
+        "    if bound < MAX_UNIT_LETTERS and ",
+        ("tests/test_words.py::test_parse_over_the_limit_after_reduction",),
     ),
     Mutant(
         "walk-odd-keeps-coset",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import normal_form, oracles, rewriting, sp3, verify
 from .permutations import pi
@@ -24,6 +25,9 @@ _VERIFY_FLAGS = {
 }
 
 
+# Built once per process: a parser takes about 2 ms to build, more than most
+# decisions, and parsing leaves it unchanged.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singbraid",

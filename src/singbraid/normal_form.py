@@ -48,7 +48,7 @@ with a nonzero sum before it projects or rewrites it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, NamedTuple, Sequence
 
 from .permutations import pi
@@ -62,7 +62,6 @@ from .sp3 import (
     SP_NAMES,
     SPLetter,
     SPWord,
-    _reduced_sp_word,
     rewrite_to_sp3,
 )
 from .words import BraidWord, Value, exponent_sums
@@ -235,7 +234,7 @@ class FreeProductWord(Value):
         return letters
 
     def sp_word(self) -> SPWord:
-        return _reduced_sp_word(self._letters())
+        return SPWord._reduced(self._letters())
 
     def __str__(self) -> str:
         return str(self.sp_word())
@@ -312,7 +311,7 @@ class HNNForm(Value):
         for power, base in zip(self.powers, self.bases[1:]):
             letters.append(SPLetter(B12, power))
             letters += base._letters()
-        return _reduced_sp_word(letters)
+        return SPWord._reduced(letters)
 
     def __str__(self) -> str:
         return str(self.sp_word())
@@ -441,6 +440,16 @@ def center_split(word: SPWord) -> CenterSplitForm:
     return CenterSplitForm(delta_exp, britton_reduce(word))
 
 
+def _six_sums(word: SPWord) -> dict[str, int]:
+    """The exponent sum of each of the six generators, by name: ``Counter``
+    counts the letters in C, so Python adds exponent times count once per
+    distinct letter, not once per letter."""
+    sums = dict.fromkeys(SP_NAMES, 0)
+    for (name, exponent), count in Counter(word.letters).items():
+        sums[name] += exponent * count
+    return sums
+
+
 def is_trivial_sp3(word: SPWord) -> bool:
     """Decide triviality in SP_3: first by the six exponent sums, then by
     ``center_split``.
@@ -449,9 +458,7 @@ def is_trivial_sp3(word: SPWord) -> bool:
     sums are a homomorphism SP_3 -> Z^6, and a word with a nonzero sum is
     nontrivial.  Only a word whose six sums vanish is reduced.
     """
-    sums = dict.fromkeys(SP_NAMES, 0)
-    for name, exponent in word.letters:
-        sums[name] += exponent
+    sums = _six_sums(word)
     if any(sums.values()):
         return False
     return center_split(word).is_trivial

@@ -20,7 +20,7 @@ letters of the row and of its inverse, and ``_express`` reads that list:
 with one coset-table walk of ``rewriting.rewrite_tau``, one list lookup per
 factor and one merge of the letters, and ``verify --rs`` expresses the
 rewritten relators the same way.  The merge builds the word through
-``_reduced_sp_word``, which skips the check of each letter's name: the
+``SPWord._reduced``, which skips the check of each letter's name: the
 rows are checked once, by ``verify --table``, and ``parse_sp_word`` builds
 its word the same way, since its token pattern admits only the six names.
 Conjugation by the four ambient generators restricts to automorphisms of
@@ -86,18 +86,6 @@ class SPWord(FreeWord):
         object.__setattr__(self, "letters", free_reduce(letters))
 
 
-def _reduced_sp_word(letters: Iterable[SPLetter]) -> SPWord:
-    """``SPWord(letters)`` without the check of each letter's name, for
-    letters known to name SP_3 generators: the letters of ``parse_sp_word``,
-    whose token pattern admits only the six names, the rows of
-    ``_FACTOR_ROWS``, which ``verify --table`` checks, and the letters of
-    the reduced forms that the ``normal_form`` printers read from their
-    entries."""
-    word = object.__new__(SPWord)
-    object.__setattr__(word, "letters", free_reduce(letters))
-    return word
-
-
 def parse_sp_word(text: str) -> SPWord:
     """Parse the SP_3 word grammar (tokens a12 .. b23 with optional ``^<k>``,
     ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters;
@@ -107,7 +95,8 @@ def parse_sp_word(text: str) -> SPWord:
         name, exponent = match.groups()
         return SPLetter(name, 1 if exponent is None else parse_number(exponent))
 
-    return check_unit_length(_reduced_sp_word(parse_tokens(text, _SP_TOKEN_RE, "SP", letter)))
+    letters, bound = parse_tokens(text, _SP_TOKEN_RE, "SP", letter)
+    return check_unit_length(SPWord._reduced(letters), bound)
 
 
 # The defining SG_3 words of the six generators, parsed once.
@@ -190,7 +179,7 @@ def _express(factors: Iterable[tuple[rewriting.SchreierGenerator, int]]) -> SPWo
     inverse of the row, and freely reduce the whole word once."""
     # A list, not a generator: the comprehension fills it faster than
     # free_reduce would resume a generator for each letter.
-    return _reduced_sp_word([letter for g, e in factors for letter in _FACTOR_ROWS[g.id][e]])
+    return SPWord._reduced([letter for g, e in factors for letter in _FACTOR_ROWS[g.id][e]])
 
 
 def rewrite_to_sp3(word: BraidWord) -> SPWord:

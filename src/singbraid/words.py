@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 SIGMA = "s"
 TAU = "t"
@@ -162,11 +162,26 @@ class FreeWord(Value):
     ``letters`` is the last field of every subclass, whose constructor
     validates the letters and stores them through ``free_reduce``; every
     result here is built by that constructor, from the other fields and
-    new letters, so it is reduced again.
+    new letters, so it is reduced again.  ``_reduced`` is the one
+    constructor that reduces without validating.
     """
 
     __slots__ = ()
     letters: tuple
+
+    @classmethod
+    def _reduced(cls: type[_W], *fields: object) -> _W:
+        """``cls(*fields)`` without the checks of the fields: the letters,
+        the last field, are only freely reduced.  For letters whose
+        generators are known to be valid: a parser's, built from tokens it
+        checked one distinct token at a time, the expression rows, which
+        ``verify --table`` checks, and the letters that the ``normal_form``
+        printers read from their entries."""
+        word = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields[:-1]):
+            object.__setattr__(word, name, value)
+        object.__setattr__(word, "letters", free_reduce(fields[-1]))
+        return word
 
     def _with(self: _W, letters: tuple) -> _W:
         return self.__class__(*self._key(self)[:-1], letters)
@@ -255,18 +270,26 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
             raise ValueError(f"token {match.string!r} out of range for {strands} strands")
         return Letter(kind, index, 1 if exponent is None else parse_number(exponent))
 
-    return check_unit_length(BraidWord(strands, parse_tokens(text, _TOKEN_RE, "braid", letter)))
+    letters, bound = parse_tokens(text, _TOKEN_RE, "braid", letter)
+    # Every distinct token was checked above, so the letters are only
+    # reduced.  Below two strands every token is out of range, so only the
+    # empty word gets here, and BraidWord refuses its strand count.
+    word = BraidWord._reduced(strands, letters) if strands > 1 else BraidWord(strands)
+    return check_unit_length(word, bound)
 
 
-def parse_tokens(text: str, pattern: re.Pattern, what: str, letter: Callable[[re.Match], _L]) -> tuple[_L, ...]:
+def parse_tokens(text: str, pattern: re.Pattern, what: str, letter: Callable[[re.Match], _L]) -> tuple[Iterator[_L], int]:
     """The letters of the whitespace-separated tokens of ``text``, skipping
-    the token ``1`` of the empty word: ``letter`` builds each from the
-    token's match against ``pattern``.  A token that does not match raises
-    ``bad token ... in <what> word``.
+    the token ``1`` of the empty word, and a bound on their unit letters:
+    the number of tokens times the largest ``|exponent|`` among them.
+    ``letter`` builds each letter from the token's match against
+    ``pattern``; a token that does not match raises ``bad token ... in
+    <what> word``.
 
     Each distinct token is matched and converted once, in the order of its
     first occurrence, so the first bad token in reading order is the one
-    that raises, as it would be in a plain left-to-right loop.
+    that raises, as it would be in a plain left-to-right loop.  The letters
+    come as an iterator, for ``free_reduce`` to read once.
     """
     tokens = text.split()
     distinct = dict.fromkeys(tokens)
@@ -279,11 +302,8 @@ def parse_tokens(text: str, pattern: re.Pattern, what: str, letter: Callable[[re
         if match is None:
             raise ValueError(f"bad token {token!r} in {what} word")
         known[token] = letter(match)
-    # Not tuple(map(...)): tuple() grows a tuple of unknown length by resizes
-    # and shrinks it at the end.  Parsing and dropping 60,000 short-mixed
-    # words raised peak RSS by 3.9 MB that way and by 0.4 MB with the
-    # unpacking, which fills a list and copies it into an exact tuple.
-    return (*map(known.__getitem__, tokens),)
+    bound = len(tokens) * max(map(abs, map(itemgetter(-1), known.values())), default=0)
+    return map(known.__getitem__, tokens), bound
 
 
 def parse_number(digits: str) -> int:
@@ -295,14 +315,13 @@ def parse_number(digits: str) -> int:
     return int(digits)
 
 
-def check_unit_length(word: _W) -> _W:
+def check_unit_length(word: _W, bound: int) -> _W:
     """Return a parsed braid or SP_3 word, refusing one of more than
-    ``MAX_UNIT_LETTERS`` unit letters."""
-    length = word.unit_length()
-    if length > MAX_UNIT_LETTERS:
-        raise ValueError(
-            f"word has {length} unit letters, more than the limit of {MAX_UNIT_LETTERS}"
-        )
+    ``MAX_UNIT_LETTERS`` unit letters.  ``bound`` is at least the unit
+    letters of the word before reduction, as ``parse_tokens`` returns it,
+    so the exact count is read only past the limit."""
+    if bound > MAX_UNIT_LETTERS and word.unit_length() > MAX_UNIT_LETTERS:
+        raise ValueError(f"word has {word.unit_length()} unit letters, more than the limit of {MAX_UNIT_LETTERS}")
     return word
 
 

@@ -218,6 +218,21 @@ def test_exponent_sums_refute_before_reduction(monkeypatch):
     assert not is_trivial_sg3(kernel)
 
 
+def test_six_sums_count_each_distinct_letter_once():
+    # The sums add exponent times count once per distinct letter; a
+    # per-letter loop must agree on words whose letters repeat, with |e| > 1.
+    rng = random.Random(43)
+    for _ in range(300):
+        word = random_sp_word(rng, 12)
+        word = SPWord(tuple(letter._replace(exponent=letter.exponent * rng.randint(1, 5)) for letter in word.letters))
+        word = word ** rng.randint(1, 4) * random_sp_word(rng, 8)
+        assert normal_form._six_sums(word) == exponent_sums(word)
+    # Trivial words whose repeated letters cancel only when counted.
+    for text in ("a13 b13 a13 b13^-1 a13^-2", "b23^2 a23 b23^2 a23^-1 b23^-4", "a12^3 b12 a12^3 b12^-1 a12^-6"):
+        assert normal_form._six_sums(parse_sp_word(text)) == dict.fromkeys(sp3.SP_NAMES, 0)
+        assert is_trivial_sp3(parse_sp_word(text))
+
+
 def test_zero_sum_words_reach_the_reducer(monkeypatch):
     seen = []
 

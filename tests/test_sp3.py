@@ -106,6 +106,8 @@ def test_sp_word_parsing_limits_unit_letters():
     assert parse_sp_word(f"a12^{limit}").letters == (SPLetter("a12", limit),)
     assert len(parse_sp_word(f"b13^{limit - 1} a23^-1").letters) == 2
     assert parse_sp_word(f"a12^{limit} b12 b12^-1").letters == (SPLetter("a12", limit),)
+    assert str(parse_sp_word("a12^200000 a12^-200000 b13^5")) == "b13^5"
+    assert parse_sp_word("a13^131072 b23 b23^131071").unit_length() == limit
     with pytest.raises(ValueError, match="limit"):
         parse_sp_word(f"a12^{limit} b12")
     with pytest.raises(ValueError, match="limit"):

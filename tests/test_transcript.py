@@ -11,13 +11,12 @@ README.
 The inputs are built here from literal text, not from the package, so
 that a change to the package cannot move the inputs with the outputs.
 Malformed calls stay inside the package's own ``ValueError`` handling:
-argparse's usage messages differ between Python versions.  The parser is
-built once for the whole transcript, since building it takes most of the
-time of a call.
+argparse's usage messages differ between Python versions.  ``cli`` builds
+its parser once per process, so the calls share one parser, as the calls
+of a batch would.
 """
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -202,8 +201,7 @@ PINNED = {
 }
 
 
-def test_cli_transcript_is_pinned(monkeypatch):
-    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+def test_cli_transcript_is_pinned():
     digests, count, malformed = transcript_digests()
     assert 2900 <= count <= 3200
     assert 0.03 <= malformed / count <= 0.08

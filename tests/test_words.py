@@ -6,6 +6,7 @@ from singbraid import (
     BraidWord,
     Letter,
     SPLetter,
+    SPWord,
     concat,
     conjugate,
     exponent_sums,
@@ -15,7 +16,7 @@ from singbraid import (
 )
 from singbraid.sp3 import SP_NAMES
 from singbraid.words import MAX_UNIT_LETTERS, free_reduce
-from helpers import random_word, unit_letters
+from helpers import random_run_letters, random_word, unit_letters
 
 
 def test_parse_basic():
@@ -75,6 +76,12 @@ def test_parse_rejects_out_of_range_index():
         ("1 s1 1 x 1 s1", 3, "bad token 'x' in braid word"),
         ("1 11 1", 3, "bad token '11' in braid word"),
         ("s1 s1", MAX_UNIT_LETTERS + 1, "strand count 262145 is more than the limit of 262144"),
+        # Below two strands every token is out of range, and only the empty
+        # word meets the strand count check.
+        ("s1", 1, "token 's1' out of range for 1 strands"),
+        ("1", 1, "strand count must be at least 2, got 1"),
+        ("", 0, "strand count must be at least 2, got 0"),
+        ("1 1", -3, "strand count must be at least 2, got -3"),
     ],
 )
 def test_parse_errors_name_the_first_bad_token(text, strands, message):
@@ -109,8 +116,12 @@ def test_parse_limits_unit_letters():
     limit = MAX_UNIT_LETTERS
     assert parse_braid_word(f"s1^{limit}", 3).unit_length() == limit
     assert parse_braid_word(f"t2^-{limit - 1} s1", 3).unit_length() == limit
-    # The limit applies after free reduction.
+    # The limit applies after free reduction, which the parser counts only
+    # when the tokens times the largest |exponent| pass the limit: here
+    # 600,000 raw unit letters reduce to 5.
     assert parse_braid_word(f"s1^{limit} t2 t2^-1", 3).unit_length() == limit
+    assert str(parse_braid_word("s1^200000 s1^-200000 s2^5", 3)) == "s2^5"
+    assert parse_braid_word("s1^131072 s2 s2^131071", 3).unit_length() == limit
     with pytest.raises(ValueError, match="limit"):
         parse_braid_word(f"s1^{limit} t2", 3)
     with pytest.raises(ValueError, match="limit"):
@@ -119,6 +130,39 @@ def test_parse_limits_unit_letters():
     assert parse_braid_word("s1", limit).strands == limit
     with pytest.raises(ValueError, match="limit"):
         parse_braid_word("1", limit + 1)
+
+
+@pytest.mark.parametrize(
+    "parse,text,length",
+    [
+        (lambda text: parse_braid_word(text, 3), "s1^200000 s1^-1 s2^70000", 269999),
+        (lambda text: parse_braid_word(text, 3), "s1^200000 t1 t1^-1 s2^62145", MAX_UNIT_LETTERS + 1),
+        (lambda text: parse_braid_word(text, 3), f"1 s1^{MAX_UNIT_LETTERS + 1} 1", MAX_UNIT_LETTERS + 1),
+        (parse_sp_word, "a12^200000 a13 a13^-1 b12^70000", 270000),
+        (parse_sp_word, "b13^-131072 b13^-131072 a23", MAX_UNIT_LETTERS + 1),
+    ],
+)
+def test_parse_over_the_limit_after_reduction(parse, text, length):
+    with pytest.raises(ValueError) as error:
+        parse(text)
+    assert str(error.value) == f"word has {length} unit letters, more than the limit of {MAX_UNIT_LETTERS}"
+
+
+def test_reduce_only_constructor_equals_the_public_ones():
+    rng = random.Random(37)
+    for _ in range(300):
+        strands = rng.randrange(2, 6)
+        letters = tuple(random_run_letters(rng, strands, max_exp=rng.choice((1, 4, 40))))
+        built = BraidWord._reduced(strands, letters)
+        assert type(built) is BraidWord and built == BraidWord(strands, letters)
+        assert built.strands == strands and built.letters == free_reduce(letters)
+        sp_letters = tuple(
+            SPLetter(rng.choice(SP_NAMES), rng.choice((-1, 1)) * rng.randint(1, 9))
+            for _ in range(rng.randrange(30))
+        )
+        sp_built = SPWord._reduced(iter(sp_letters))
+        assert type(sp_built) is SPWord and sp_built == SPWord(sp_letters)
+        assert hash(sp_built) == hash(SPWord(sp_letters))
 
 
 def test_parse_refuses_long_numbers():
