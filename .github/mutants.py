@@ -126,6 +126,13 @@ MUTANTS = (
         ("tests/test_rewriting.py",),
     ),
     Mutant(
+        "verify-rs-skips-a-coset",
+        "src/singbraid/verify.py",
+        "coset_table(3).elements:\n",
+        "coset_table(3).elements[1:]:\n",
+        ("tests/test_cli.py::test_verify_subsets",),
+    ),
+    Mutant(
         "a12-run-sign",
         "src/singbraid/normal_form.py",
         "            bases[-1].push_run(-letter.exponent)\n",

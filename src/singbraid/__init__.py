@@ -23,7 +23,6 @@ from .normal_form import (
     FreeProductWord,
     HNNForm,
     britton_reduce,
-    center_generator,
     center_split,
     cyclic_power_of_c,
     eliminate_a12,
@@ -39,9 +38,7 @@ from .rewriting import (
     SchreierGenerator,
     SchreierWord,
     coset_table,
-    relator_rewrites,
     rewrite_tau,
-    s_generator_word,
 )
 from .sp3 import (
     SP2Form,
@@ -81,7 +78,6 @@ __all__ = [
     "SchreierWord",
     "b3_is_trivial",
     "britton_reduce",
-    "center_generator",
     "center_split",
     "concat",
     "conjugate",
@@ -99,10 +95,8 @@ __all__ = [
     "pi",
     "presentation_relators",
     "quotient_to_b3",
-    "relator_rewrites",
     "rewrite_tau",
     "rewrite_to_sp3",
-    "s_generator_word",
     "sg3_necessary_trivial",
     "sg3_relators",
     "sp2_normal_form",

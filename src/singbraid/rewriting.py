@@ -33,9 +33,9 @@ images that the table composes itself, so this module imports nothing of
 ``walk`` reads a word through the moves, and ``rewrite_tau`` is that walk
 alone.  Each unit letter projects to an involution, so its moves have
 period 2 and the walk reads a syllable a^e of any exponent with two
-lookups and one tuple product.  ``s_generator_word``, ``expand``,
-``relator_rewrites``, ``sp3``, ``verify`` and the ``gens`` command read the
-same table, and nothing else holds the transversal or the generators.
+lookups and one tuple product.  ``sp3``, ``verify`` and the ``gens``
+command read the same table, and nothing else holds the transversal or the
+generators.
 
 The walk of a freely reduced word emits a freely reduced Schreier word
 (Magnus, Karrass and Solitar, *Combinatorial Group Theory*, ch. 2), so no
@@ -50,9 +50,8 @@ somewhere, which puts x x^-1 in the input; an empty one puts a a^-1 there.
 A freely reduced ``BraidWord`` has neither.
 
 A Schreier word is not a ``words.FreeWord``: it is only printed and
-expanded, never multiplied or reduced, and equal factors stay apart, so
-s1^4 rewrites to S[s1,s1] S[s1,s1].  ``expand`` substitutes ambient words
-with ``words.substitute``.
+expressed in ``sp3``, never multiplied or reduced, and equal factors stay
+apart, so s1^4 rewrites to S[s1,s1] S[s1,s1].
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ import math
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .words import SIGMA, TAU, BraidWord, Letter, Value, conjugate, sg3_relators, substitute
+from .words import SIGMA, TAU, BraidWord, Letter, Value
 
 
 class SchreierGenerator(Value):
@@ -128,7 +127,7 @@ class CosetTable:
     - ``elements``: the Schreier transversal, ordered by unit length, ties
       broken by the index sequence (1, s1, s2, s1 s2, s2 s1, s1 s2 s1 on
       three strands).  A coset's index is its position, so 0 is the
-      trivial coset; ``index`` maps a representative to it.
+      trivial coset.
     - ``letters``: the positive ambient generators, crossings first.
     - ``moves[u][i]``: for a unit letter u and a coset i, the next coset
       and the factors u emits.  A generator ``a`` leads coset i to the
@@ -153,7 +152,6 @@ class CosetTable:
         images = [reduce(_then_swap, (l.index for l in w.letters), tuple(range(1, strands + 1))) for w in words]
         self.strands = strands
         self.elements = tuple(words)
-        self.index = {rep: i for i, rep in enumerate(words)}
         by_images = {image: i for i, image in enumerate(images)}
         if len(by_images) != math.factorial(strands):
             raise RuntimeError(f"transversal for n={strands} does not hit every permutation")
@@ -177,19 +175,6 @@ class CosetTable:
 def coset_table(strands: int) -> CosetTable:
     """The coset table on ``strands`` strands, built once."""
     return CosetTable(strands)
-
-
-def s_generator_word(generator: SchreierGenerator) -> BraidWord:
-    """The ambient word l a (rep(l a))^-1, freely reduced."""
-    rep, letter = generator.rep, generator.letter
-    table = coset_table(rep.strands)
-    coset = table.index.get(rep)
-    if coset is None:
-        raise ValueError(f"{rep} is not a transversal representative")
-    if letter not in table.letters:
-        # A letter the table lacks is one a word refuses: raise its message.
-        BraidWord(rep.strands, (letter,))
-    return table.generators[coset * len(table.letters) + table.letters.index(letter)].ambient
 
 
 def walk(word: BraidWord, table: CosetTable) -> tuple:
@@ -231,39 +216,3 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     generators with freely empty ambient words are skipped.  The walk's
     output is freely reduced already (see the module docstring)."""
     return SchreierWord(walk(word, coset_table(word.strands)))
-
-
-def expand(word: SchreierWord, strands: int | None = None) -> BraidWord:
-    """Substitute each Schreier generator by its ambient word.
-
-    The strand count is the one of the factors' representatives; a
-    ``strands`` that disagrees with it raises ``ValueError``.  ``strands``
-    sets the strand count of the empty word, 3 by default.
-    """
-    counts = {generator.rep.strands for generator, _ in word.factors}
-    if strands is None:
-        strands = min(counts, default=3)
-    if counts - {strands}:
-        raise ValueError(f"cannot expand factors on {sorted(counts)} strands to {strands} strands")
-    ambient = {generator: s_generator_word(generator) for generator, _ in word.factors}
-    return BraidWord(strands, substitute(word.factors, ambient))
-
-
-class RelatorRewrite(Value):
-    __slots__ = ("relator_index", "rep", "word")
-
-    def __init__(self, relator_index: int, rep: BraidWord, word: SchreierWord) -> None:
-        object.__setattr__(self, "relator_index", relator_index)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "word", word)
-
-
-def relator_rewrites() -> tuple[RelatorRewrite, ...]:
-    """The 30 rewrites of the SG_3 relators conjugated by each transversal
-    element; these words present SP_3 over the Schreier generators."""
-    rewrites = []
-    for index, relator in enumerate(sg3_relators(), start=1):
-        for rep in coset_table(3).elements:
-            rewritten = rewrite_tau(conjugate(relator, rep))
-            rewrites.append(RelatorRewrite(index, rep, rewritten))
-    return tuple(rewrites)

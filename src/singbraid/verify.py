@@ -5,7 +5,11 @@ Machine checks of the SP_3 presentation data against the decision engine.
 decisions of ``normal_form``: the 30 rewritten relators and the 8
 presentation relators must be trivial, the 24 conjugation rules of
 ``sp3.ACTION_TABLES`` must hold, and the 19 nontrivial rows of
-``sp3.EXPRESSION_TABLE`` must agree with the ambient generator words.  This
+``sp3.EXPRESSION_TABLE`` must agree with the ambient generator words.  The
+rewritten relators are made here: each of the five SG_3 relators,
+conjugated by each of the six transversal elements, goes through
+``sp3.rewrite_to_sp3``, so these 30 words over the six letters present
+SP_3 by Reidemeister-Schreier rewriting.  This
 is the one module that needs both the data and the decisions, so the data
 modules never import the engine they feed.  Each suite is written once, as a
 generator of (label, passed, witness) triples; one table maps each
@@ -19,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import rewriting, sp3
 from .normal_form import equal_sp3, is_trivial_sg3, is_trivial_sp3
-from .words import concat, parse_braid_word
+from .words import concat, conjugate, parse_braid_word, sg3_relators
 
 GROUP_REWRITTEN = "rewritten-relators"
 GROUP_PRESENTATION = "presentation-relators"
@@ -35,9 +39,10 @@ class Check(NamedTuple):
 
 
 def _check_rewritten_relators() -> Iterator[tuple[str, bool, str]]:
-    for rewrite in rewriting.relator_rewrites():
-        expressed = sp3._express(rewrite.word.factors)
-        yield f"r{rewrite.relator_index} @ {rewrite.rep}", is_trivial_sp3(expressed), str(expressed)
+    for index, relator in enumerate(sg3_relators(), start=1):
+        for rep in rewriting.coset_table(3).elements:
+            expressed = sp3.rewrite_to_sp3(conjugate(relator, rep))
+            yield f"r{index} @ {rep}", is_trivial_sp3(expressed), str(expressed)
 
 
 def _check_presentation_relators() -> Iterator[tuple[str, bool, str]]:

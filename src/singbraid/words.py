@@ -10,7 +10,8 @@ reduced with run-length exponents: adjacent letters of the same generator
 are merged and letters whose exponent cancels to zero are removed.  This
 module holds that free-group core once: ``free_reduce`` is the one
 reduction, ``FreeWord`` the one set of word operations (inverse, product,
-power, printing) and ``substitute`` the one letter-by-word substitution.
+power, printing) and ``substitute`` the one letter-by-word substitution,
+which ``sp3.sp3_to_sg3`` uses.
 Equality of stored words is therefore equality in the free group on the
 letters; equality in SG_n itself is decided elsewhere (see normal_form).
 
@@ -212,8 +213,8 @@ class FreeWord(Value):
 
 def substitute(pairs: Iterable[tuple], images: Mapping) -> tuple:
     """The letters of ``images[key] ** e`` for each ``(key, e)`` of
-    ``pairs``, in order: words substituted for letters, or for Schreier
-    factors, for the caller to reduce once."""
+    ``pairs``, in order: words substituted for letters, for the caller to
+    reduce once."""
     return tuple([letter for key, e in pairs for letter in (images[key] ** e).letters])
 
 

@@ -15,11 +15,16 @@ from singbraid import (
     concat,
     conjugate,
     coset_table,
+    parse_sp_word,
     pi,
     sg3_relators,
 )
 from singbraid.sp3 import SP_NAMES
 from singbraid.words import SIGMA, TAU
+
+
+# The generator d = a12 a13 a23 of the center of SP_3.
+CENTER = parse_sp_word("a12 a13 a23")
 
 
 def unit_letters(word: BraidWord) -> list[Letter]:
@@ -74,6 +79,17 @@ def random_kernel_word(rng: random.Random, strands: int = 3, max_len: int = 20, 
     )
     base = BraidWord(strands, letters)
     return concat(base, coset_rep(base).inverse())
+
+
+def conjugated_relators() -> list[tuple[int, BraidWord, BraidWord]]:
+    """Each SG_3 relator, numbered from 1, conjugated by each of the six
+    transversal elements: the 30 words whose rewrites present SP_3
+    (Reidemeister-Schreier), as (relator number, element, word)."""
+    return [
+        (index, rep, conjugate(relator, rep))
+        for index, relator in enumerate(sg3_relators(), start=1)
+        for rep in coset_table(3).elements
+    ]
 
 
 def random_relator_product(rng: random.Random, max_factors: int = 6, conj_len: int = 8) -> BraidWord:

@@ -20,7 +20,9 @@ decides whether to drop a generator from the generator's ambient word
 ``rep a rep(pi(rep a))^-1``, composed here too, so it reads nothing else of
 the engine's coset table.
 ``rewrite_to_sp3`` is the left fold over it that merged the whole word
-again for every Schreier factor.
+again for every Schreier factor.  ``expand`` substitutes each Schreier
+factor by the ambient word that ``_ambient`` composes, so the telescoping
+check reads none of the engine's ambient words.
 ``schreier_word`` cancels adjacent inverse factors, which the engine's
 walk never emits; the tests multiply Schreier words with it.
 ``pi`` is the projection that the list swap replaced: it composes the
@@ -268,6 +270,13 @@ def _ambient(generator: SchreierGenerator) -> BraidWord:
     rep = generator.rep
     stepped = concat(rep, BraidWord(rep.strands, (generator.letter,)))
     return concat(stepped, _reps(rep.strands)[pi(stepped)].inverse())
+
+
+def expand(word: SchreierWord, strands: int) -> BraidWord:
+    """Substitute each Schreier generator by its ambient word, freely
+    reduced: the inverse of ``rewrite_tau`` on kernel words."""
+    letters = [letter for g, e in word.factors for letter in (_ambient(g) ** e).letters]
+    return BraidWord(strands, tuple(letters))
 
 
 def walk(word: BraidWord, start: BraidWord | None = None) -> tuple[list[tuple[SchreierGenerator, int]], BraidWord]:

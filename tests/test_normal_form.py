@@ -11,7 +11,6 @@ from singbraid import (
     SPLetter,
     SPWord,
     britton_reduce,
-    center_generator,
     center_split,
     cyclic_power_of_c,
     eliminate_a12,
@@ -26,9 +25,9 @@ from singbraid import (
     rewrite_to_sp3,
     sg3_relators,
 )
-from singbraid import normal_form, rewriting, sp3
+from singbraid import normal_form, sp3
 from singbraid.normal_form import F13, F23, _best_slide, canonical_display
-from helpers import braid_exponent_sums, exponent_sums, random_run_letters, random_sp_word
+from helpers import CENTER, braid_exponent_sums, conjugated_relators, exponent_sums, random_run_letters, random_sp_word
 from reference_reduction import base_word, c_power_syllables, syllables
 
 
@@ -186,8 +185,7 @@ def test_is_trivial_sp3_on_relators():
 
 
 def test_center_commutes():
-    delta = center_generator()
-    assert str(delta) == "a12 a13 a23"
+    delta = CENTER
     for name in ("a12", "a13", "a23", "b12", "b13", "b23"):
         x = parse_sp_word(name)
         commutator = delta * x * delta.inverse() * x.inverse()
@@ -196,7 +194,7 @@ def test_center_commutes():
 
 def test_center_equals_full_twist():
     twist = rewrite_to_sp3(parse_braid_word("s1 s2 s1 s1 s2 s1", 3))
-    assert equal_sp3(twist, center_generator())
+    assert equal_sp3(twist, CENTER)
 
 
 def test_is_trivial_sp3_detects_nontrivial():
@@ -252,7 +250,7 @@ def test_relators_have_zero_exponent_sums():
     # presentations of SP_3 balances each of the six generators.
     relators = presentation_relators()
     assert len(relators) == 8
-    rewritten = [sp3._express(rewrite.word.factors) for rewrite in rewriting.relator_rewrites()]
+    rewritten = [rewrite_to_sp3(word) for _, _, word in conjugated_relators()]
     assert len(rewritten) == 30
     for relator in relators + rewritten:
         assert not any(exponent_sums(relator).values()), str(relator)
@@ -328,7 +326,7 @@ def test_hard_word_powers_stay_nontrivial():
 
 
 def test_delta_powers_split_cleanly():
-    delta = center_generator()
+    delta = CENTER
     for k in (-3, -1, 1, 2, 5):
         form = center_split(delta**k)
         assert form.delta_exp == k and form.v.is_trivial

@@ -10,17 +10,13 @@ from singbraid import (
     SchreierGenerator,
     SchreierWord,
     concat,
-    conjugate,
     parse_braid_word,
-    relator_rewrites,
     rewrite_tau,
-    s_generator_word,
-    sg3_relators,
 )
 from singbraid import permutations
-from singbraid.rewriting import coset_table, expand
+from singbraid.rewriting import coset_table
 from singbraid.sp3 import EXPRESSION_TABLE, parse_sp_word
-from helpers import random_pi_trivial
+from helpers import conjugated_relators, random_pi_trivial
 import reference_reduction as reference
 
 
@@ -29,10 +25,18 @@ def gen(rep_text: str, letter_token: str) -> SchreierGenerator:
     return SchreierGenerator(rep, Letter(letter_token[0], int(letter_token[1:]), 1))
 
 
+def ambient(generator: SchreierGenerator) -> BraidWord:
+    """The ambient word of a generator, read off its row of the coset table."""
+    return next(e.ambient for e in coset_table(generator.rep.strands).generators if e.generator == generator)
+
+
 def test_generator_word_examples():
-    assert s_generator_word(gen("1", "s1")).is_empty
-    assert str(s_generator_word(gen("s2 s1", "s1"))) == "s2 s1^2 s2^-1"
-    assert str(s_generator_word(gen("s1 s2 s1", "t2"))) == "s1 s2 s1 t2 s1^-1 s2^-1"
+    assert ambient(gen("1", "s1")).is_empty
+    assert str(ambient(gen("s2 s1", "s1"))) == "s2 s1^2 s2^-1"
+    assert str(ambient(gen("s1 s2 s1", "t2"))) == "s1 s2 s1 t2 s1^-1 s2^-1"
+    # The reference composes the same words from the projection.
+    for entry in coset_table(3).generators:
+        assert reference._ambient(entry.generator) == entry.ambient
 
 
 def test_generator_word_has_trivial_projection():
@@ -60,15 +64,6 @@ def test_schreier_generator_requires_bare_letter():
         SchreierGenerator(parse_braid_word("s1", 3), Letter("s", 1, -1))
 
 
-def test_generator_word_requires_transversal_rep():
-    with pytest.raises(ValueError, match="s1\\^2 is not a transversal representative"):
-        s_generator_word(gen("s1^2", "t1"))
-    with pytest.raises(ValueError, match="s2 s1 s2 is not a transversal representative"):
-        s_generator_word(gen("s2 s1 s2", "t1"))
-    with pytest.raises(ValueError, match="letter t3 out of range for 3 strands"):
-        s_generator_word(gen("1", "t3"))
-
-
 def test_table_readers_call_no_pi(monkeypatch):
     # The coset table tells cosets apart by their image tuples, and every
     # reader of the generators goes through it, so none of them projects.
@@ -82,9 +77,9 @@ def test_table_readers_call_no_pi(monkeypatch):
     coset_table.cache_clear()
     for n in range(2, 7):
         assert len(coset_table(n).generators) == math.factorial(n) * 2 * (n - 1)
-    assert str(s_generator_word(gen("s1 s2 s1", "t2"))) == "s1 s2 s1 t2 s1^-1 s2^-1"
+    assert str(ambient(gen("s1 s2 s1", "t2"))) == "s1 s2 s1 t2 s1^-1 s2^-1"
     word = parse_braid_word("s1^2 t1 s1^-2 t1^-1", 3)
-    assert expand(rewrite_tau(word)) == word
+    assert str(rewrite_tau(word)) == "S[s1,s1] S[1,t1] S[s1,s1]^-1 S[1,t1]^-1"
 
 
 def test_coset_table_is_built_once():
@@ -207,7 +202,7 @@ def test_rewrite_substitutes_back_exactly():
     rng = random.Random(101)
     for _ in range(300):
         word = random_pi_trivial(rng)
-        assert expand(rewrite_tau(word)) == word
+        assert reference.expand(rewrite_tau(word), 3) == word
 
 
 def test_rewrite_works_on_two_strands():
@@ -216,31 +211,26 @@ def test_rewrite_works_on_two_strands():
     assert str(rewrite_tau(parse_braid_word("s1^4", 2))) == "S[s1,s1] S[s1,s1]"
     for _ in range(100):
         word = random_pi_trivial(rng, strands=2, max_len=20)
-        assert expand(rewrite_tau(word), strands=2) == word
+        assert reference.expand(rewrite_tau(word), 2) == word
 
 
 def test_expand_reads_the_strand_count_off_the_factors():
+    # Every factor of a rewrite carries a representative on the word's
+    # strands, so the count read off the factors expands it back.
     rng = random.Random(109)
     word = parse_braid_word("s1^2 t1 s1^-2 t1^-1", 2)
-    assert expand(rewrite_tau(word)) == word
+    assert reference.expand(rewrite_tau(word), 2) == word
     seen = 0
     while seen < 100:
         word = random_pi_trivial(rng, strands=2, max_len=20)
         # The empty word has no factors to read the count off; see below.
         if word.letters:
-            assert expand(rewrite_tau(word)) == word
+            factors = rewrite_tau(word).factors
+            (strands,) = {generator.rep.strands for generator, _ in factors}
+            assert reference.expand(SchreierWord(factors), strands) == word
             seen += 1
-    # ``strands`` only sets the strand count of the empty word.
-    assert expand(SchreierWord()) == BraidWord(3, ())
-    assert expand(SchreierWord(), strands=2) == BraidWord(2, ())
-
-
-def test_expand_rejects_a_mismatched_strand_count():
-    two_strand = rewrite_tau(parse_braid_word("s1^2 t1 s1^-2 t1^-1", 2))
-    with pytest.raises(ValueError):
-        expand(two_strand, strands=3)
-    with pytest.raises(ValueError):
-        expand(rewrite_tau(parse_braid_word("s1^2", 3)), strands=4)
+    assert reference.expand(SchreierWord(), 3) == BraidWord(3, ())
+    assert reference.expand(SchreierWord(), 2) == BraidWord(2, ())
 
 
 def test_rewrite_of_concat_is_concat_of_rewrites():
@@ -252,16 +242,22 @@ def test_rewrite_of_concat_is_concat_of_rewrites():
         assert rewrite_tau(concat(u, v)) == product
 
 
+def relator_rewrites():
+    """The 30 Reidemeister-Schreier relators of SP_3 over the Schreier
+    generators, as (relator number, transversal element, rewrite)."""
+    return [(index, rep, rewrite_tau(word)) for index, rep, word in conjugated_relators()]
+
+
 def test_relator_rewrites_count_and_labels():
     rewrites = relator_rewrites()
     assert len(rewrites) == 30
-    assert sorted({r.relator_index for r in rewrites}) == [1, 2, 3, 4, 5]
+    assert sorted({index for index, _, _ in rewrites}) == [1, 2, 3, 4, 5]
 
 
 def lookup(rewrites, index, rep_text):
-    for rewrite in rewrites:
-        if rewrite.relator_index == index and str(rewrite.rep) == rep_text:
-            return rewrite.word
+    for relator_index, rep, word in rewrites:
+        if relator_index == index and str(rep) == rep_text:
+            return word
     raise AssertionError(f"no rewrite for r{index} @ {rep_text}")
 
 
@@ -276,8 +272,5 @@ def test_relator_rewrite_examples():
 
 
 def test_relator_rewrites_substitute_to_conjugates():
-    rewrites = relator_rewrites()
-    relators = sg3_relators()
-    for rewrite in rewrites:
-        expected = conjugate(relators[rewrite.relator_index - 1], rewrite.rep)
-        assert expand(rewrite.word) == expected
+    for _, _, conjugated in conjugated_relators():
+        assert reference.expand(rewrite_tau(conjugated), 3) == conjugated

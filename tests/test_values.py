@@ -21,7 +21,6 @@ from singbraid import (
     SPLetter,
     SPWord,
 )
-from singbraid.rewriting import RelatorRewrite
 
 S1, T1 = Letter("s", 1, 1), Letter("t", 1, 1)
 EMPTY3 = BraidWord(3)
@@ -37,7 +36,6 @@ CASES = [
     (Permutation, ("images",), ((2, 1, 3),), ((1, 2, 3),)),
     (SchreierGenerator, ("rep", "letter"), (EMPTY3, T1, 3), (BraidWord(3, (S1,)), Letter("t", 2, 1))),
     (SchreierWord, ("factors",), (((GEN, 1),),), (((GEN, -1),),)),
-    (RelatorRewrite, ("relator_index", "rep", "word"), (1, EMPTY3, SchreierWord()), (2, BraidWord(4), SchreierWord(((GEN, 1),)))),
     (FreeProductWord, ("entries",), ((FactorSyllable("13", 1, 0), 2),), ((-1,),)),
     (HNNForm, ("bases", "powers"), ((BASE, FreeProductWord()), (1,)), ((FreeProductWord(), FreeProductWord()), (-1,))),
     (CenterSplitForm, ("delta_exp", "v"), (2, FORM), (0, HNNForm((BASE,), ()))),
@@ -87,9 +85,6 @@ def test_repr_names_each_compared_field():
     assert repr(GEN) == (
         "SchreierGenerator(rep=BraidWord(strands=3, letters=()), "
         "letter=Letter(kind='t', index=1, exponent=1))"
-    )
-    assert repr(RelatorRewrite(1, EMPTY3, SchreierWord())) == (
-        "RelatorRewrite(relator_index=1, rep=BraidWord(strands=3, letters=()), word=SchreierWord(factors=()))"
     )
     assert repr(CenterSplitForm(0, HNNForm((FreeProductWord(),), ()))) == (
         "CenterSplitForm(delta_exp=0, v=HNNForm(bases=(FreeProductWord(entries=()),), powers=()))"
