@@ -140,6 +140,13 @@ MUTANTS = (
         ("tests/test_normal_form.py::test_britton_reads_a12_as_a_c_run",),
     ),
     Mutant(
+        "reduced-form-trivial-ignores-base",
+        "src/singbraid/normal_form.py",
+        "        return not self.powers and not self.bases[0]\n",
+        "        return not self.powers\n",
+        ("tests/test_normal_form.py",),
+    ),
+    Mutant(
         "best-slide-ignores-what-follows",
         "src/singbraid/normal_form.py",
         "    if len(entries) > i + 1:\n",

@@ -20,14 +20,12 @@ Cheap matrix-quotient invariants cross-check the engine (``oracles``).
 from .normal_form import (
     CenterSplitForm,
     FactorSyllable,
-    FreeProductWord,
     HNNForm,
     britton_reduce,
     center_split,
     cyclic_power_of_c,
     eliminate_a12,
     equal_sp3,
-    free_product_nf,
     is_trivial_sg3,
     is_trivial_sp3,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "CenterSplitForm",
     "CosetTable",
     "FactorSyllable",
-    "FreeProductWord",
     "HNNForm",
     "Letter",
     "Permutation",
@@ -87,7 +84,6 @@ __all__ = [
     "eliminate_a12",
     "equal_sp3",
     "exponent_sums",
-    "free_product_nf",
     "is_trivial_sg3",
     "is_trivial_sp3",
     "parse_braid_word",

@@ -22,13 +22,13 @@ cancellation can only expose another at the top of the stack.  A base
 stack holds each run c^n as one entry, an int, next to its plain
 syllables, so a base is a power of c exactly when it is empty or one run:
 the pinch test and the slide each cost O(1), and the reduction takes time
-amortised linear in the letters.  The stack's entries are the stored form
-of a word of V, runs included, from the reducer to the printer.
-``FreeProductWord(entries)`` takes a normal form as given, so a word is
-built with ``free_product_nf``, which goes through a stack.  A reduced
-form prints through ``HNNForm.sp_word``: the letters of its bases and
-stable powers in one freely reduced SP word, each run c^n written as one
-product of the letters of c^+-1, the only place a run is written out.
+amortised linear in the letters.  A reduced form keeps each base as the
+tuple of its stack's entries, runs included: that tuple is the stored form
+of a word of V from the reducer to the printer, and nothing wraps it.  A
+reduced form prints through ``HNNForm.sp_word``: the letters of its bases
+and stable powers in one freely reduced SP word, each run c^n written by
+``_letters`` as one product of the letters of c^+-1, the only place a run
+is written out.
 ``canonical_display`` slides runs as stored too: it reads a base's leading
 run and the entry after it, and pushes the slid run onto base stacks on
 both sides.
@@ -69,8 +69,6 @@ from .words import BraidWord, Value, exponent_sums
 
 F13 = "13"
 F23 = "23"
-
-_FACTOR_OF = {A13: F13, B13: F13, A23: F23, B23: F23}
 
 
 class FactorSyllable(NamedTuple):
@@ -203,45 +201,25 @@ class _BaseStack:
             else:
                 self.push(entry)
 
-    def word(self) -> FreeProductWord:
-        return FreeProductWord(tuple(self.entries))
 
-
-class FreeProductWord(Value):
-    """Normal form in V: the entries of a ``_BaseStack``, plain syllables and
-    an int n for each run c^n.  The constructor takes a normal form as given
-    and does not check it; build one with ``free_product_nf``, which goes
-    through a stack.  The runs stay stored until ``_letters`` writes them
-    out for printing."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[FactorSyllable | int, ...] = ()) -> None:
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def _letters(self) -> list[SPLetter]:
-        """The letters of the entries, each run c^n as one product of the
-        letters of c^+-1: the one place that writes a run out."""
-        letters: list[SPLetter] = []
-        for entry in self.entries:
-            if entry.__class__ is int:
-                letters += _C_LETTERS[1 if entry > 0 else -1] * abs(entry)
-            else:
-                letters += entry.letters()
-        return letters
+def _letters(entries: Sequence[FactorSyllable | int]) -> list[SPLetter]:
+    """The letters of a base's entries, each run c^n as one product of the
+    letters of c^+-1: the one place that writes a run out."""
+    letters: list[SPLetter] = []
+    for entry in entries:
+        if entry.__class__ is int:
+            letters += _C_LETTERS[1 if entry > 0 else -1] * abs(entry)
+        else:
+            letters += entry.letters()
+    return letters
 
 
 def _syllable(letter: SPLetter) -> FactorSyllable:
-    factor = _FACTOR_OF.get(letter.name)
-    if factor is None:
-        raise ValueError(f"{letter.name} is not a generator of the base group")
+    """The syllable of a letter a13, a23, b13 or b23; the factor is the
+    index in its name."""
     if letter.name in (A13, A23):
-        return FactorSyllable(factor, letter.exponent, 0)
-    return FactorSyllable(factor, 0, letter.exponent)
+        return FactorSyllable(letter.name[1:], letter.exponent, 0)
+    return FactorSyllable(letter.name[1:], 0, letter.exponent)
 
 
 # What the first pass of ``britton_reduce`` reads for each of the eight unit
@@ -257,21 +235,13 @@ _UNITS = {
 }
 
 
-def free_product_nf(word: SPWord) -> FreeProductWord:
-    """Normal form of a word over a13, b13, a23, b23 in V."""
-    stack = _BaseStack()
-    for letter in word.letters:
-        stack.push(_syllable(letter))
-    return stack.word()
+def cyclic_power_of_c(entries: Sequence[FactorSyllable | int]) -> int | None:
+    """The k with (a13 a23)^k equal in V to the word that the entries of a
+    base or a stack spell, or None when no such k exists.
 
-
-def cyclic_power_of_c(word: FreeProductWord | _BaseStack) -> int | None:
-    """The k with word = (a13 a23)^k in V, or None when no such k exists.
-
-    Read in O(1) from the entries of a word or a stack: a normal form is a
-    power of c exactly when it is empty or one run.
+    Read in O(1): a normal form is a power of c exactly when it is empty or
+    one run.
     """
-    entries = word.entries
     if not entries:
         return 0
     if len(entries) == 1 and entries[0].__class__ is int:
@@ -281,11 +251,12 @@ def cyclic_power_of_c(word: FreeProductWord | _BaseStack) -> int | None:
 
 class HNNForm(Value):
     """Alternating stable-letter powers and base words:
-    bases[0] b12^powers[0] bases[1] ... b12^powers[m-1] bases[m]."""
+    bases[0] b12^powers[0] bases[1] ... b12^powers[m-1] bases[m], each base
+    the tuple of a base stack's entries."""
 
     __slots__ = ("bases", "powers")
 
-    def __init__(self, bases: tuple[FreeProductWord, ...], powers: tuple[int, ...]) -> None:
+    def __init__(self, bases: tuple[tuple[FactorSyllable | int, ...], ...], powers: tuple[int, ...]) -> None:
         if len(bases) != len(powers) + 1:
             raise ValueError("segment counts out of step")
         if any(power == 0 for power in powers):
@@ -295,17 +266,17 @@ class HNNForm(Value):
 
     @property
     def is_trivial(self) -> bool:
-        return not self.powers and self.bases[0].is_empty
+        return not self.powers and not self.bases[0]
 
     def stable_letter_count(self) -> int:
         return sum(abs(power) for power in self.powers)
 
     def sp_word(self) -> SPWord:
         """The letters of every base and stable power, freely reduced once."""
-        letters = self.bases[0]._letters()
+        letters = _letters(self.bases[0])
         for power, base in zip(self.powers, self.bases[1:]):
             letters.append(SPLetter(B12, power))
-            letters += base._letters()
+            letters += _letters(base)
         return SPWord._reduced(letters)
 
     def __str__(self) -> str:
@@ -411,7 +382,7 @@ def britton_reduce(word: SPWord) -> HNNForm:
             if top.entries:
                 if (reduced_powers[-1] > 0) == (exponent > 0):
                     break
-                k = cyclic_power_of_c(top)
+                k = cyclic_power_of_c(top.entries)
                 if k is None:
                     break
                 reduced[-2].push_run(k)
@@ -422,7 +393,7 @@ def britton_reduce(word: SPWord) -> HNNForm:
             reduced.append(base)
         else:
             reduced[-1].extend(base)
-    return HNNForm(tuple(base.word() for base in reduced), tuple(reduced_powers))
+    return HNNForm(tuple(tuple(base.entries) for base in reduced), tuple(reduced_powers))
 
 
 def center_split(word: SPWord) -> CenterSplitForm:
@@ -511,7 +482,7 @@ def canonical_display(form: CenterSplitForm) -> str:
     may still print differently; only the decision procedures are
     contractual.  The cost is linear in the entries.
     """
-    stacks = [_BaseStack(base.entries) for base in form.v.bases]
+    stacks = [_BaseStack(base) for base in form.v.bases]
     for i in range(1, len(stacks)):
         best = _best_slide(stacks[i].entries)
         if best:
@@ -519,12 +490,12 @@ def canonical_display(form: CenterSplitForm) -> str:
             right = _BaseStack((-best,))
             right.extend(stacks[i])
             stacks[i] = right
-    bases = [stack.word() for stack in stacks]
+    bases = [tuple(stack.entries) for stack in stacks]
     # Sliding can empty an interior base between same-sign stable letters;
     # merge those powers so the display stays compact.
     kept_bases, kept_powers = bases[:1], []
     for power, base in zip(form.v.powers, bases[1:]):
-        if kept_powers and kept_bases[-1].is_empty:
+        if kept_powers and not kept_bases[-1]:
             kept_powers[-1] += power
             kept_bases[-1] = base
         else:

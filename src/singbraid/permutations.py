@@ -37,30 +37,23 @@ class Permutation(Value):
         object.__setattr__(self, "images", images)
 
     @property
-    def size(self) -> int:
-        return len(self.images)
-
-    @property
     def is_identity(self) -> bool:
         return all(image == point for point, image in enumerate(self.images, start=1))
-
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
 
     def cycle_string(self) -> str:
         """Cycle notation with fixed points shown, e.g. ``(1 2)(3)``."""
         seen: set[int] = set()
         parts: list[str] = []
-        for start in range(1, self.size + 1):
+        for start in range(1, len(self.images) + 1):
             if start in seen:
                 continue
             cycle = [start]
             seen.add(start)
-            point = self(start)
+            point = self.images[start - 1]
             while point != start:
                 cycle.append(point)
                 seen.add(point)
-                point = self(point)
+                point = self.images[point - 1]
             parts.append("(" + " ".join(str(p) for p in cycle) + ")")
         return "".join(parts)
 

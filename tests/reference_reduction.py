@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from singbraid.normal_form import FactorSyllable, FreeProductWord, HNNForm
+from singbraid.normal_form import FactorSyllable, HNNForm
 from singbraid.rewriting import SchreierGenerator, SchreierWord, coset_table
 from singbraid.sp3 import A12, B12, EXPRESSION_TABLE, SPLetter, SPWord
 from singbraid.words import BraidWord, Letter, concat
@@ -94,11 +94,12 @@ class FlagStack:
         return self.signs[-1] * (len(self.syllables) // 2)
 
 
-def base_word(syllables) -> FreeProductWord:
+def base_word(syllables) -> tuple:
     """The normal form of a syllable sequence, built by ``FlagStack``, stored
-    as the engine stores it: each maximal sequence of c^+-1 pairs becomes
-    one run, an int.  Pairs of one sign cannot overlap, and pairs of
-    opposite signs would cancel, so the grouping is unique."""
+    as the engine stores a base, a tuple of entries: each maximal sequence
+    of c^+-1 pairs becomes one run, an int.  Pairs of one sign cannot
+    overlap, and pairs of opposite signs would cancel, so the grouping is
+    unique."""
     normal = FlagStack(syllables).syllables
     entries: list = []
     i = 0
@@ -114,29 +115,29 @@ def base_word(syllables) -> FreeProductWord:
         else:
             entries.append(sign)
         i += 2
-    return FreeProductWord(tuple(entries))
+    return tuple(entries)
 
 
 def c_power_syllables(k: int) -> tuple[FactorSyllable, ...]:
     return C_SYLLABLES[1 if k > 0 else -1] * abs(k)
 
 
-def syllables(word: FreeProductWord) -> tuple[FactorSyllable, ...]:
+def syllables(word: tuple) -> tuple[FactorSyllable, ...]:
     """The alternating syllables of a stored form, every run c^n written
     out by ``c_power_syllables``."""
     return tuple(
         syllable
-        for entry in word.entries
+        for entry in word
         for syllable in (c_power_syllables(entry) if isinstance(entry, int) else (entry,))
     )
 
 
-def cyclic_power_of_c(word: FreeProductWord) -> int | None:
+def cyclic_power_of_c(word: tuple) -> int | None:
     """The k with word = (a13 a23)^k in V, or None when no such k exists."""
     return FlagStack(syllables(word)).c_power()
 
 
-def free_product_nf(letters) -> FreeProductWord:
+def free_product_nf(letters) -> tuple:
     """Normal form of base letters a13, b13, a23, b23 in V."""
     return base_word(
         FactorSyllable(letter.name[1:], letter.exponent, 0)
@@ -202,7 +203,7 @@ def britton_reduce(word: SPWord) -> HNNForm:
         # Merge through interior bases that are trivial in V.
         merged = False
         for i in range(1, len(bases) - 1):
-            if bases[i].is_empty:
+            if not bases[i]:
                 combined = powers[i - 1] + powers[i]
                 if combined == 0:
                     joined = syllables(bases[i - 1]) + syllables(bases[i + 1])

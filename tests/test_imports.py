@@ -66,18 +66,27 @@ def test_public_names():
     for module in modules:
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    # The canonical display slides runs as stored: no second run expander,
-    # no product of frozen words, no c-power builder.
-    assert not hasattr(singbraid.FreeProductWord, "syllables")
-    assert not hasattr(singbraid.FreeProductWord, "__mul__")
+    # The canonical display slides runs as stored: no c-power builder.
     assert not hasattr(singbraid.normal_form, "_c_power")
 
 
 def test_no_member_that_only_the_tests_read():
-    # Only the reducer's forms print, so a base word has no printer of its
-    # own, and nothing looks a coset up by its representative.
-    assert not {"sp_word", "__str__"} & set(singbraid.FreeProductWord.__dict__)
+    # Nothing looks a coset up by its representative, and a permutation is
+    # neither applied to a point nor asked its size outside its printer.
     assert not hasattr(singbraid.coset_table(3), "index")
+    assert not {"__call__", "size"} & set(singbraid.Permutation.__dict__)
+
+
+def test_reduced_forms_hold_the_stack_entries():
+    # A base of a reduced form is the tuple of its stack's entries: no class
+    # wraps it, no stack method freezes it, no base word is built outside
+    # the reducer, and no table maps a letter to its factor.
+    for name in ("FreeProductWord", "free_product_nf", "_FACTOR_OF"):
+        assert not hasattr(singbraid, name) and not hasattr(singbraid.normal_form, name), name
+    assert not hasattr(singbraid.normal_form._BaseStack, "word")
+    form = singbraid.britton_reduce(singbraid.parse_sp_word("a13 b12 a12^2 b23 b12^-1 b13"))
+    assert form.bases.__class__ is tuple and len(form.bases) == 3
+    assert all(base.__class__ is tuple for base in form.bases)
 
 
 # What the rewriter takes from the words: the letters, the word and letter

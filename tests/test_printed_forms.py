@@ -6,7 +6,7 @@ import hashlib
 import random
 
 from singbraid import HNNForm, SPLetter, SPWord, center_split, parse_sp_word, rewrite_tau, rewrite_to_sp3
-from singbraid.normal_form import canonical_display, free_product_nf
+from singbraid.normal_form import F13, FactorSyllable, canonical_display
 from singbraid.sp3 import SP_NAMES
 from helpers import random_kernel_word
 
@@ -55,7 +55,7 @@ def test_rewritten_kernel_words_print_as_pinned():
 def test_hand_built_forms_print_freely_reduced():
     # britton_reduce never returns these: an empty interior base between two
     # stable powers, and a b12 b12^-1 pair around an empty base.
-    empty, a13 = free_product_nf(SPWord()), free_product_nf(parse_sp_word("a13"))
+    empty, a13 = (), (FactorSyllable(F13, 1, 0),)
     for form, text in [
         (HNNForm((empty, empty, empty), (1, 1)), "b12^2"),
         (HNNForm((a13, empty, a13), (1, -1)), "a13^2"),

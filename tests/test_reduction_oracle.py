@@ -207,9 +207,9 @@ def assert_same_stack(operations) -> None:
         else:
             syllables.append(operation)
     expected = reference.FlagStack(syllables)
-    word = stack.word()
+    word = tuple(stack.entries)
     assert reference.syllables(word) == tuple(expected.syllables), operations
-    assert cyclic_power_of_c(stack) == expected.c_power(), operations
+    assert cyclic_power_of_c(stack.entries) == expected.c_power(), operations
     assert cyclic_power_of_c(word) == reference.cyclic_power_of_c(word), operations
     # Every c^+-1 pair of the expanded word lies in a run and no two runs
     # touch, so the runs are the same whichever way the word was pushed.

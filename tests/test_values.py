@@ -12,7 +12,6 @@ from singbraid import (
     BraidWord,
     CenterSplitForm,
     FactorSyllable,
-    FreeProductWord,
     HNNForm,
     Letter,
     Permutation,
@@ -25,8 +24,8 @@ from singbraid import (
 S1, T1 = Letter("s", 1, 1), Letter("t", 1, 1)
 EMPTY3 = BraidWord(3)
 GEN = SchreierGenerator(EMPTY3, T1, 3)
-BASE = FreeProductWord((FactorSyllable("13", 1, 0), 2))
-FORM = HNNForm((BASE, FreeProductWord()), (1,))
+BASE = (FactorSyllable("13", 1, 0), 2)
+FORM = HNNForm((BASE, ()), (1,))
 
 # For each class: its compared fields, the arguments of one value, and for
 # each compared field another argument that changes only that field.
@@ -36,8 +35,7 @@ CASES = [
     (Permutation, ("images",), ((2, 1, 3),), ((1, 2, 3),)),
     (SchreierGenerator, ("rep", "letter"), (EMPTY3, T1, 3), (BraidWord(3, (S1,)), Letter("t", 2, 1))),
     (SchreierWord, ("factors",), (((GEN, 1),),), (((GEN, -1),),)),
-    (FreeProductWord, ("entries",), ((FactorSyllable("13", 1, 0), 2),), ((-1,),)),
-    (HNNForm, ("bases", "powers"), ((BASE, FreeProductWord()), (1,)), ((FreeProductWord(), FreeProductWord()), (-1,))),
+    (HNNForm, ("bases", "powers"), ((BASE, ()), (1,)), (((), ()), (-1,))),
     (CenterSplitForm, ("delta_exp", "v"), (2, FORM), (0, HNNForm((BASE,), ()))),
 ]
 IDS = [case[0].__name__ for case in CASES]
@@ -58,7 +56,7 @@ def test_equal_and_hashed_by_the_field_tuple(cls, fields, args, others):
 
 def test_values_of_different_classes_are_unequal():
     # Each of these has one field holding the empty tuple.
-    empties = [SPWord(), SchreierWord(), FreeProductWord()]
+    empties = [SPWord(), SchreierWord(), Permutation(())]
     assert len(set(empties)) == 3
     for i, first in enumerate(empties):
         for second in empties[i + 1:]:
@@ -86,8 +84,8 @@ def test_repr_names_each_compared_field():
         "SchreierGenerator(rep=BraidWord(strands=3, letters=()), "
         "letter=Letter(kind='t', index=1, exponent=1))"
     )
-    assert repr(CenterSplitForm(0, HNNForm((FreeProductWord(),), ()))) == (
-        "CenterSplitForm(delta_exp=0, v=HNNForm(bases=(FreeProductWord(entries=()),), powers=()))"
+    assert repr(CenterSplitForm(0, HNNForm(((),), ()))) == (
+        "CenterSplitForm(delta_exp=0, v=HNNForm(bases=((),), powers=()))"
     )
 
 
