@@ -161,6 +161,13 @@ MUTANTS = (
         ("tests/test_normal_form.py",),
     ),
     Mutant(
+        "token-cache-ignores-strands",
+        "src/singbraid/words.py",
+        "lambda token: _braid_letter(token, strands)",
+        "lambda token: _braid_letter(token, 3)",
+        ("tests/test_words.py::test_token_cache_key_holds_the_strand_count",),
+    ),
+    Mutant(
         "value-eq-across-classes",
         "src/singbraid/words.py",
         "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",

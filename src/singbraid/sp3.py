@@ -36,10 +36,12 @@ data above against ``normal_form``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import rewriting
 from .words import (
+    _TOKEN_CACHE_SIZE,
     BraidWord,
     FreeWord,
     Letter,
@@ -79,7 +81,8 @@ class SPWord(FreeWord):
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[SPLetter, ...] = ()) -> None:
+    def __init__(self, letters: Iterable[SPLetter] = ()) -> None:
+        letters = tuple(letters)
         for letter in letters:
             if letter.name not in SP_NAMES:
                 raise ValueError(f"unknown SP_3 generator {letter.name!r}")
@@ -90,13 +93,20 @@ def parse_sp_word(text: str) -> SPWord:
     """Parse the SP_3 word grammar (tokens a12 .. b23 with optional ``^<k>``,
     ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters;
     exponents of more than ``words.MAX_DIGITS`` digits are refused unread."""
-
-    def letter(match: re.Match) -> SPLetter:
-        name, exponent = match.groups()
-        return SPLetter(name, 1 if exponent is None else parse_number(exponent))
-
-    letters, bound = parse_tokens(text, _SP_TOKEN_RE, "SP", letter)
+    letters, bound = parse_tokens(text, _sp_letter)
     return check_unit_length(SPWord._reduced(letters), bound)
+
+
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
+def _sp_letter(token: str) -> SPLetter:
+    """The letter of one SP_3 token, or ``ValueError`` for a token that does
+    not match or an exponent of too many digits.  Cached per token; an
+    error is not."""
+    match = _SP_TOKEN_RE.match(token)
+    if match is None:
+        raise ValueError(f"bad token {token!r} in SP word")
+    name, exponent = match.groups()
+    return SPLetter(name, 1 if exponent is None else parse_number(exponent))
 
 
 # The defining SG_3 words of the six generators, parsed once.

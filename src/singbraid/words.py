@@ -16,14 +16,17 @@ Equality of stored words is therefore equality in the free group on the
 letters; equality in SG_n itself is decided elsewhere (see normal_form).
 
 All values are immutable and all functions are pure, so words can be
-shared freely between threads.  ``Value`` is the one base of the package's
-immutable classes: slotted, compared and hashed by their fields, printed
-in ``repr`` as ``Name(field=value, ...)``, and refusing assignment.
+shared freely between threads.  The parsers' token caches only memoise:
+a token gives the same letter on every call, and a bad token raises anew.
+``Value`` is the one base of the package's immutable classes: slotted,
+compared and hashed by their fields, printed in ``repr`` as
+``Name(field=value, ...)``, and refusing assignment.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
@@ -38,6 +41,9 @@ MAX_UNIT_LETTERS = 2**18
 MAX_DIGITS = len(str(MAX_UNIT_LETTERS))
 
 _TOKEN_RE = re.compile(r"([st])([1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?\Z")
+# Each parser keeps the letters of at most this many distinct tokens, so
+# that a process converts a recurring token once and hostile input evicts.
+_TOKEN_CACHE_SIZE = 1024
 
 
 class Letter(NamedTuple):
@@ -231,7 +237,8 @@ class BraidWord(FreeWord):
 
     __slots__ = ("strands", "letters")
 
-    def __init__(self, strands: int, letters: tuple[Letter, ...] = ()) -> None:
+    def __init__(self, strands: int, letters: Iterable[Letter] = ()) -> None:
+        letters = tuple(letters)
         if strands < 2:
             raise ValueError(f"strand count must be at least 2, got {strands}")
         # Each distinct letter is checked once, read off a set that is built
@@ -264,14 +271,7 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     """
     if strands > MAX_UNIT_LETTERS:
         raise ValueError(f"strand count {strands} is more than the limit of {MAX_UNIT_LETTERS}")
-
-    def letter(match: re.Match) -> Letter:
-        kind, index, exponent = match.group(1), parse_number(match.group(2)), match.group(3)
-        if not 1 <= index <= strands - 1:
-            raise ValueError(f"token {match.string!r} out of range for {strands} strands")
-        return Letter(kind, index, 1 if exponent is None else parse_number(exponent))
-
-    letters, bound = parse_tokens(text, _TOKEN_RE, "braid", letter)
+    letters, bound = parse_tokens(text, lambda token: _braid_letter(token, strands))
     # Every distinct token was checked above, so the letters are only
     # reduced.  Below two strands every token is out of range, so only the
     # empty word gets here, and BraidWord refuses its strand count.
@@ -279,30 +279,40 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     return check_unit_length(word, bound)
 
 
-def parse_tokens(text: str, pattern: re.Pattern, what: str, letter: Callable[[re.Match], _L]) -> tuple[Iterator[_L], int]:
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
+def _braid_letter(token: str, strands: int) -> Letter:
+    """The letter of one braid token on ``strands`` strands, or
+    ``ValueError`` for a token that does not match, an index of too many
+    digits, an index out of range, or an exponent of too many digits, in
+    that order.  Cached per token and strand count; an error is not."""
+    match = _TOKEN_RE.match(token)
+    if match is None:
+        raise ValueError(f"bad token {token!r} in braid word")
+    kind, index, exponent = match.group(1), parse_number(match.group(2)), match.group(3)
+    if not 1 <= index <= strands - 1:
+        raise ValueError(f"token {token!r} out of range for {strands} strands")
+    return Letter(kind, index, 1 if exponent is None else parse_number(exponent))
+
+
+def parse_tokens(text: str, letter: Callable[[str], _L]) -> tuple[Iterator[_L], int]:
     """The letters of the whitespace-separated tokens of ``text``, skipping
     the token ``1`` of the empty word, and a bound on their unit letters:
     the number of tokens times the largest ``|exponent|`` among them.
-    ``letter`` builds each letter from the token's match against
-    ``pattern``; a token that does not match raises ``bad token ... in
-    <what> word``.
+    ``letter`` makes the letter of a token, or raises for a bad one.
 
-    Each distinct token is matched and converted once, in the order of its
-    first occurrence, so the first bad token in reading order is the one
-    that raises, as it would be in a plain left-to-right loop.  The letters
-    come as an iterator, for ``free_reduce`` to read once.
+    ``letter`` is called once per distinct token, in the order of its first
+    occurrence, so the first bad token in reading order is the one that
+    raises, as it would be in a plain left-to-right loop; both parsers pass
+    a cached function, so a token recurring across words is converted once
+    per process.  The letters come as an iterator, for ``free_reduce`` to
+    read once.
     """
     tokens = text.split()
     distinct = dict.fromkeys(tokens)
     if "1" in distinct:
         del distinct["1"]
         tokens = [token for token in tokens if token != "1"]
-    known: dict[str, _L] = {}
-    for token in distinct:
-        match = pattern.match(token)
-        if match is None:
-            raise ValueError(f"bad token {token!r} in {what} word")
-        known[token] = letter(match)
+    known = dict(zip(distinct, map(letter, distinct)))
     bound = len(tokens) * max(map(abs, map(itemgetter(-1), known.values())), default=0)
     return map(known.__getitem__, tokens), bound
 

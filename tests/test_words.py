@@ -14,9 +14,9 @@ from singbraid import (
     parse_sp_word,
     sg3_relators,
 )
-from singbraid.sp3 import SP_NAMES
-from singbraid.words import MAX_UNIT_LETTERS, free_reduce
-from helpers import random_run_letters, random_word, unit_letters
+from singbraid.sp3 import SP_NAMES, _sp_letter
+from singbraid.words import MAX_UNIT_LETTERS, _braid_letter, free_reduce
+from helpers import random_run_letters, random_sp_word, random_word, unit_letters
 
 
 def test_parse_basic():
@@ -180,6 +180,85 @@ def test_parse_refuses_long_numbers():
         with pytest.raises(ValueError, match="limit") as error:
             parse()
         assert "999" not in str(error.value) and "1000000" not in str(error.value)
+
+
+def test_constructors_read_letters_from_any_iterable():
+    letters = (Letter("s", 1, 1), Letter("t", 2, -1), Letter("s", 1, 2))
+    sp_letters = (SPLetter("a13", 1), SPLetter("b12", -2), SPLetter("a13", 3))
+    for make in (tuple, list, iter, lambda letters: (letter for letter in letters)):
+        assert BraidWord(3, make(letters)) == BraidWord(3, letters)
+        assert str(BraidWord(3, make(letters))) == "s1 t2^-1 s1^2"
+        assert SPWord(make(sp_letters)) == SPWord(sp_letters)
+        assert str(SPWord(make(sp_letters))) == "a13 b12^-2 a13^3"
+    with pytest.raises(ValueError) as error:
+        BraidWord(3, (letter for letter in (Letter("s", 1, 1), Letter("s", 5, 1))))
+    assert str(error.value) == "letter s5 out of range for 3 strands"
+    with pytest.raises(ValueError) as error:
+        BraidWord(3, iter([Letter("s", 5, 1)]))
+    assert str(error.value) == "letter s5 out of range for 3 strands"
+    with pytest.raises(ValueError) as error:
+        SPWord(letter for letter in (SPLetter("a12", 1), SPLetter("c12", 1)))
+    assert str(error.value) == "unknown SP_3 generator 'c12'"
+
+
+def test_token_cache_key_holds_the_strand_count():
+    # A token valid on more strands is cached for that strand count only.
+    assert str(parse_braid_word("s3", 4)) == "s3"
+    with pytest.raises(ValueError) as error:
+        parse_braid_word("s3", 3)
+    assert str(error.value) == "token 's3' out of range for 3 strands"
+    assert str(parse_braid_word("t2", 3)) == "t2"
+    with pytest.raises(ValueError) as error:
+        parse_braid_word("t2", 2)
+    assert str(error.value) == "token 't2' out of range for 2 strands"
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (lambda text: parse_braid_word(text, 3), "s1 x1", "bad token 'x1' in braid word"),
+        (lambda text: parse_braid_word(text, 3), "s1 s3", "token 's3' out of range for 3 strands"),
+        (lambda text: parse_braid_word(text, 3), "s1^1234567", "a number has more than 6 digits, past the limit of 262144"),
+        (parse_sp_word, "a12 a14", "bad token 'a14' in SP word"),
+        (parse_sp_word, "b23^-1234567", "a number has more than 6 digits, past the limit of 262144"),
+    ],
+)
+def test_token_cache_never_stores_an_error(parse, text, message):
+    for _ in range(3):
+        with pytest.raises(ValueError) as error:
+            parse(text)
+        assert str(error.value) == message
+
+
+def test_parses_agree_with_an_empty_token_cache():
+    rng = random.Random(41)
+    braid_words = [random_word(rng, strands=rng.randrange(2, 6), max_len=30) for _ in range(200)]
+    braid_texts = [(str(word), word.strands) for word in braid_words]
+    sp_texts = [str(random_sp_word(rng, max_len=30)) for _ in range(200)]
+
+    def parse_all():
+        return [parse_braid_word(*args) for args in braid_texts], [parse_sp_word(text) for text in sp_texts]
+
+    parse_all()
+    cached = parse_all()
+    _braid_letter.cache_clear()
+    _sp_letter.cache_clear()
+    assert _braid_letter.cache_info().currsize == _sp_letter.cache_info().currsize == 0
+    fresh = parse_all()
+    assert fresh[0] == braid_words
+    assert fresh == cached
+    assert [list(map(str, words)) for words in fresh] == [list(map(str, words)) for words in cached]
+
+
+def test_token_cache_stays_bounded_on_hostile_input():
+    # 12,000 distinct tokens in one word, which cancels to the empty word.
+    braid_text = " ".join(f"s1^{k} t2^{k} t2^-{k} s1^-{k}" for k in range(1, 3001))
+    sp_text = " ".join(f"a12^{k} b23^{k} b23^-{k} a12^-{k}" for k in range(1, 3001))
+    for _ in range(2):
+        assert parse_braid_word(braid_text, 3).is_empty
+        assert parse_sp_word(sp_text).is_empty
+    assert _braid_letter.cache_info().currsize <= 1024
+    assert _sp_letter.cache_info().currsize <= 1024
 
 
 def test_concat_cancels_inverse():
