@@ -65,8 +65,8 @@ MUTANTS = (
     Mutant(
         "push-run-sign",
         "src/singbraid/normal_form.py",
-        "            first, second = _C_SYLLABLES[sign]\n",
-        "            first, second = _C_SYLLABLES[-sign]\n",
+        "        first, second = _C_SYLLABLES[sign]\n",
+        "        first, second = _C_SYLLABLES[-sign]\n",
         ("tests/test_normal_form.py",),
     ),
     Mutant(
@@ -135,9 +135,16 @@ MUTANTS = (
     Mutant(
         "a12-run-sign",
         "src/singbraid/normal_form.py",
-        "            bases[-1].push_run(-letter.exponent)\n",
-        "            bases[-1].push_run(letter.exponent)\n",
+        "            _push_run(entries, -letter.exponent)\n",
+        "            _push_run(entries, letter.exponent)\n",
         ("tests/test_normal_form.py::test_britton_reads_a12_as_a_c_run",),
+    ),
+    Mutant(
+        "extend-appends-runs-raw",
+        "src/singbraid/normal_form.py",
+        "            _push_run(entries, entry)\n",
+        "            entries.append(entry)\n",
+        ("tests/test_normal_form.py",),
     ),
     Mutant(
         "reduced-form-trivial-ignores-base",

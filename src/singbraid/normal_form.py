@@ -19,19 +19,19 @@ gives the normal form in the free product V * <b12>.
 The second reads the bases and powers of that form once and cancels every
 pinch b12^-e c^k b12^e by sliding c^k into the base to its left; a
 cancellation can only expose another at the top of the stack.  A base
-stack holds each run c^n as one entry, an int, next to its plain
-syllables, so a base is a power of c exactly when it is empty or one run:
-the pinch test and the slide each cost O(1), and the reduction takes time
-amortised linear in the letters.  A reduced form keeps each base as the
-tuple of its stack's entries, runs included: that tuple is the stored form
-of a word of V from the reducer to the printer, and nothing wraps it.  A
-reduced form prints through ``HNNForm.sp_word``: the letters of its bases
-and stable powers in one freely reduced SP word, each run c^n written by
-``_letters`` as one product of the letters of c^+-1, the only place a run
-is written out.
+is a plain list of entries that ``_push`` and ``_push_run`` grow; it holds
+each run c^n as one entry, an int, next to its plain syllables, so a base
+is a power of c exactly when it is empty or one run: the pinch test and
+the slide each cost O(1), and the reduction takes time amortised linear in
+the letters.  A reduced form keeps each base as the tuple of its list's
+entries, runs included: that tuple is the stored form of a word of V from
+the reducer to the printer, and nothing wraps it.  A reduced form prints
+through ``HNNForm.sp_word``: the letters of its bases and stable powers in
+one freely reduced SP word, each run c^n written by ``_letters`` as one
+product of the letters of c^+-1, the only place a run is written out.
 ``canonical_display`` slides runs as stored too: it reads a base's leading
-run and the entry after it, and pushes the slid run onto base stacks on
-both sides.
+run and the entry after it, and pushes the slid run onto the entry lists
+on both sides.
 
 By Britton's lemma a reduced word that still contains stable letters is
 never trivial, so a V~ word is trivial exactly when its reduced form is an
@@ -49,7 +49,7 @@ with a nonzero sum before it projects or rewrites it.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .permutations import pi
@@ -104,102 +104,93 @@ _C_LETTERS = {
 }
 
 
-class _BaseStack:
-    """A word of V held in normal form while it grows at the right end.
+def _push(entries: list[FactorSyllable | int], syllable: FactorSyllable) -> None:
+    """Append a syllable to the entries of a base, merging it into a
+    same-factor top and dropping what cancels.
 
-    Each entry is a ``FactorSyllable`` or a nonzero int n that stands for
-    the run c^n.  Expanded, the entries alternate factors and hold no
+    The entries hold a word of V in normal form while it grows at the right
+    end.  Each entry is a ``FactorSyllable`` or a nonzero int n that stands
+    for the run c^n.  Expanded, the entries alternate factors and hold no
     trivial syllable.  Two plain syllables at the top that spell c^+-1
     coalesce into a run, and that run merges into a same-sign run below
     it, so no two runs are adjacent and no two adjacent plain syllables
     spell c^+-1.  The word is then a power of c exactly when it is empty or
-    one run: ``cyclic_power_of_c`` costs O(1), and so does ``push_run``.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[FactorSyllable | int] = ()) -> None:
-        # The entries of a normal form, taken as given.
-        self.entries: list[FactorSyllable | int] = list(entries)
-
-    def push(self, syllable: FactorSyllable) -> None:
-        """Append a syllable, merging it into a same-factor top and dropping
-        what cancels.  The stack never holds two adjacent same-factor
-        entries, so one merge restores alternation.  A run whose last
-        syllable has the factor of ``syllable`` first splits off one c^+-1,
-        whose second syllable takes part in the merge."""
-        entries = self.entries
-        top = entries[-1] if entries else None
-        if top.__class__ is int:
-            sign = 1 if top > 0 else -1
-            first, last = _C_SYLLABLES[sign]
-            if last.factor == syllable.factor:
-                if top == sign:
-                    entries[-1] = first
-                else:
-                    entries[-1] = top - sign
-                    entries.append(first)
-                top = last
+    one run: ``cyclic_power_of_c`` costs O(1), and so does ``_push_run``.
+    The entries never hold two adjacent same-factor entries, so one merge
+    restores alternation.  A run whose last syllable has the factor of
+    ``syllable`` first splits off one c^+-1, whose second syllable takes
+    part in the merge."""
+    top = entries[-1] if entries else None
+    if top.__class__ is int:
+        sign = 1 if top > 0 else -1
+        first, last = _C_SYLLABLES[sign]
+        if last.factor == syllable.factor:
+            if top == sign:
+                entries[-1] = first
             else:
-                top = None
-        elif top is not None and top.factor == syllable.factor:
-            entries.pop()
+                entries[-1] = top - sign
+                entries.append(first)
+            top = last
         else:
             top = None
-        if top is not None:
-            a_exp = top.a_exp + syllable.a_exp
-            b_exp = top.b_exp + syllable.b_exp
-            if not (a_exp or b_exp):
-                return
-            syllable = FactorSyllable(syllable.factor, a_exp, b_exp)
-        elif not (syllable.a_exp or syllable.b_exp):
+    elif top is not None and top.factor == syllable.factor:
+        entries.pop()
+    else:
+        top = None
+    if top is not None:
+        a_exp = top.a_exp + syllable.a_exp
+        b_exp = top.b_exp + syllable.b_exp
+        if not (a_exp or b_exp):
             return
-        pair = _C_PAIRS.get(syllable)
-        if pair is not None and entries and entries[-1] == pair[0]:
+        syllable = FactorSyllable(syllable.factor, a_exp, b_exp)
+    elif not (syllable.a_exp or syllable.b_exp):
+        return
+    pair = _C_PAIRS.get(syllable)
+    if pair is not None and entries and entries[-1] == pair[0]:
+        entries.pop()
+        # By alternation a run below the new one has its sign.
+        if entries and entries[-1].__class__ is int:
+            entries[-1] += pair[1]
+        else:
+            entries.append(pair[1])
+        return
+    entries.append(syllable)
+
+
+def _push_run(entries: list[FactorSyllable | int], k: int) -> None:
+    """Append c^k for k != 0.  A run at the top absorbs it, or cancels
+    against it and passes any remainder to the plain entry below; a plain
+    top of the run's first factor takes one c^+-1 syllable by syllable."""
+    while k:
+        if not entries:
+            entries.append(k)
+            return
+        top = entries[-1]
+        if top.__class__ is int:
+            total = top + k
+            if total and (total > 0) == (top > 0):
+                entries[-1] = total
+                return
             entries.pop()
-            # By alternation a run below the new one has its sign.
-            if entries and entries[-1].__class__ is int:
-                entries[-1] += pair[1]
-            else:
-                entries.append(pair[1])
+            k = total
+            continue
+        sign = 1 if k > 0 else -1
+        first, second = _C_SYLLABLES[sign]
+        if top.factor != first.factor:
+            entries.append(k)
             return
-        entries.append(syllable)
+        _push(entries, first)
+        _push(entries, second)
+        k -= sign
 
-    def push_run(self, k: int) -> None:
-        """Append c^k for k != 0.  A run at the top absorbs it, or cancels
-        against it and passes any remainder to the plain entry below; a
-        plain top of the run's first factor takes one c^+-1 syllable by
-        syllable."""
-        entries = self.entries
-        while k:
-            if not entries:
-                entries.append(k)
-                return
-            top = entries[-1]
-            if top.__class__ is int:
-                total = top + k
-                if total and (total > 0) == (top > 0):
-                    entries[-1] = total
-                    return
-                entries.pop()
-                k = total
-                continue
-            sign = 1 if k > 0 else -1
-            first, second = _C_SYLLABLES[sign]
-            if top.factor != first.factor:
-                entries.append(k)
-                return
-            self.push(first)
-            self.push(second)
-            k -= sign
 
-    def extend(self, other: _BaseStack) -> None:
-        """Append the entries of another stack, run by run."""
-        for entry in other.entries:
-            if entry.__class__ is int:
-                self.push_run(entry)
-            else:
-                self.push(entry)
+def _extend(entries: list[FactorSyllable | int], other: Iterable[FactorSyllable | int]) -> None:
+    """Append the entries of another base word, run by run."""
+    for entry in other:
+        if entry.__class__ is int:
+            _push_run(entries, entry)
+        else:
+            _push(entries, entry)
 
 
 def _letters(entries: Sequence[FactorSyllable | int]) -> list[SPLetter]:
@@ -237,7 +228,8 @@ _UNITS = {
 
 def cyclic_power_of_c(entries: Sequence[FactorSyllable | int]) -> int | None:
     """The k with (a13 a23)^k equal in V to the word that the entries of a
-    base or a stack spell, or None when no such k exists.
+    base spell, held in a tuple or in a growing list, or None when no such
+    k exists.
 
     Read in O(1): a normal form is a power of c exactly when it is empty or
     one run.
@@ -252,7 +244,7 @@ def cyclic_power_of_c(entries: Sequence[FactorSyllable | int]) -> int | None:
 class HNNForm(Value):
     """Alternating stable-letter powers and base words:
     bases[0] b12^powers[0] bases[1] ... b12^powers[m-1] bases[m], each base
-    the tuple of a base stack's entries."""
+    the tuple of the entries that ``_push`` and ``_push_run`` keep."""
 
     __slots__ = ("bases", "powers")
 
@@ -336,17 +328,15 @@ def britton_reduce(word: SPWord) -> HNNForm:
     resulting form is trivial only if it is an empty base with no stable
     letters.
     """
-    # Deques, so that the second pass can consume them from the left and
-    # free each base it slides away.
-    bases = deque([_BaseStack()])
-    powers: deque[int] = deque()
-    push, entries = bases[-1].push, bases[-1].entries
+    bases: list[list[FactorSyllable | int]] = [[]]
+    powers: list[int] = []
+    entries = bases[-1]
     for letter in word.letters:
         unit = _UNITS.get(letter)
         if unit is not None:
             syllable, first, sign = unit
             if first is not None and entries and entries[-1] is first:
-                # What push does with the second syllable of c^sign on the
+                # What _push does with the second syllable of c^sign on the
                 # first, without the call: SP words that spell c letter by
                 # letter, such as pinch towers, meet it once per letter.
                 # Without it, sp3-pinch words reduce 1.2x slower (paired rounds).
@@ -356,44 +346,44 @@ def britton_reduce(word: SPWord) -> HNNForm:
                 else:
                     entries.append(sign)
             else:
-                push(syllable)
+                _push(entries, syllable)
             continue
         if letter.name == A12:
             # a12^e = d^e c^-e, and d is central: its V~ part is c^-e.
-            bases[-1].push_run(-letter.exponent)
+            _push_run(entries, -letter.exponent)
             continue
         if letter.name != B12:
-            push(_syllable(letter))
+            _push(entries, _syllable(letter))
             continue
         exponent = letter.exponent
-        if powers and not bases[-1].entries:
+        if powers and not entries:
             bases.pop()
             exponent += powers.pop()
         if exponent:
             powers.append(exponent)
-            bases.append(_BaseStack())
-        push, entries = bases[-1].push, bases[-1].entries
-    reduced = [bases.popleft()]
+            bases.append([])
+        entries = bases[-1]
+    reduced = [bases[0]]
     reduced_powers: list[int] = []
-    while powers:
-        exponent, base = powers.popleft(), bases.popleft()
+    for exponent, base in zip(powers, bases[1:]):
         while exponent and reduced_powers:
             top = reduced[-1]
-            if top.entries:
+            if top:
                 if (reduced_powers[-1] > 0) == (exponent > 0):
                     break
-                k = cyclic_power_of_c(top.entries)
-                if k is None:
+                if cyclic_power_of_c(top) is None:
                     break
-                reduced[-2].push_run(k)
+                # Top is one run c^k.  Pop it rather than read it: ``bases``
+                # keeps the slid-away list until the return, and its k with it.
+                _push_run(reduced[-2], top.pop())
             exponent += reduced_powers.pop()
             reduced.pop()
         if exponent:
             reduced_powers.append(exponent)
             reduced.append(base)
         else:
-            reduced[-1].extend(base)
-    return HNNForm(tuple(tuple(base.entries) for base in reduced), tuple(reduced_powers))
+            _extend(reduced[-1], base)
+    return HNNForm(tuple(map(tuple, reduced)), tuple(reduced_powers))
 
 
 def center_split(word: SPWord) -> CenterSplitForm:
@@ -477,20 +467,20 @@ def canonical_display(form: CenterSplitForm) -> str:
 
     Each interior base is replaced by its minimal-syllable representative
     modulo sliding powers of c = a13 a23 across the stable letter to its
-    left (see ``_best_slide``).  The slide goes through base stacks, one run
-    pushed onto each side, so no run is written out.  Equal group elements
+    left (see ``_best_slide``).  The slide pushes one run onto the entry
+    list on each side, so no run is written out.  Equal group elements
     may still print differently; only the decision procedures are
     contractual.  The cost is linear in the entries.
     """
-    stacks = [_BaseStack(base) for base in form.v.bases]
+    stacks = [list(base) for base in form.v.bases]
     for i in range(1, len(stacks)):
-        best = _best_slide(stacks[i].entries)
+        best = _best_slide(stacks[i])
         if best:
-            stacks[i - 1].push_run(best)
-            right = _BaseStack((-best,))
-            right.extend(stacks[i])
+            _push_run(stacks[i - 1], best)
+            right = [-best]
+            _extend(right, stacks[i])
             stacks[i] = right
-    bases = [tuple(stack.entries) for stack in stacks]
+    bases = [tuple(stack) for stack in stacks]
     # Sliding can empty an interior base between same-sign stable letters;
     # merge those powers so the display stays compact.
     kept_bases, kept_powers = bases[:1], []

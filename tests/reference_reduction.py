@@ -3,10 +3,10 @@ differential oracle: split at the stable letters, take the free-product
 normal form of each segment, then merge and cancel pinches with a scan that
 restarts from the left after every step.  The segment normal forms and the
 c-power test use ``FlagStack``, the stack of plain syllables with one
-c-power flag per syllable that the run-based ``_BaseStack`` replaced, so
-the oracle shares no reduction code with the engine; ``base_word`` groups
-the c^+-1 pairs of a ``FlagStack`` form into runs with its own scan, and
-``syllables`` writes a stored form's runs out again.
+c-power flag per syllable that the engine's run-based entry lists
+replaced, so the oracle shares no reduction code with the engine;
+``base_word`` groups the c^+-1 pairs of a ``FlagStack`` form into runs
+with its own scan, and ``syllables`` writes a stored form's runs out again.
 ``eliminate_a12`` is the substitution that the engine's reducer replaced
 by reading a12^e as one run c^-e: it writes a12^e out as |e| copies of the
 letters of c^-+1 and collects the d-exponent, so the reference

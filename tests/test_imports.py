@@ -83,7 +83,7 @@ def test_reduced_forms_hold_the_stack_entries():
     # the reducer, and no table maps a letter to its factor.
     for name in ("FreeProductWord", "free_product_nf", "_FACTOR_OF"):
         assert not hasattr(singbraid, name) and not hasattr(singbraid.normal_form, name), name
-    assert not hasattr(singbraid.normal_form._BaseStack, "word")
+    assert not hasattr(singbraid.normal_form, "_BaseStack")
     form = singbraid.britton_reduce(singbraid.parse_sp_word("a13 b12 a12^2 b23 b12^-1 b13"))
     assert form.bases.__class__ is tuple and len(form.bases) == 3
     assert all(base.__class__ is tuple for base in form.bases)

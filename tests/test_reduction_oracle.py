@@ -1,4 +1,4 @@
-"""Differential tests: the stack-based reducer, its run-based base stack,
+"""Differential tests: the stack-based reducer, its run-based base lists,
 the coset-table ``rewrite_tau`` and the single-merge ``rewrite_to_sp3``
 against the composed reduction, the flag-based stack, the
 ``Permutation``-based rewriter and the left fold they replaced
@@ -20,7 +20,7 @@ from singbraid import (
     rewrite_tau,
     rewrite_to_sp3,
 )
-from singbraid.normal_form import FactorSyllable, _BaseStack
+from singbraid.normal_form import FactorSyllable, _push, _push_run
 import reference_reduction as reference
 from helpers import random_kernel_word, random_pi_trivial, random_relator_product, random_sp_word
 
@@ -187,15 +187,16 @@ UNIT_SYLLABLES = [
 ]
 
 
-def run_stack(operations) -> _BaseStack:
-    """Apply syllable pushes and, for int operations, runs c^k."""
-    stack = _BaseStack()
+def run_stack(operations) -> list:
+    """Apply syllable pushes and, for int operations, runs c^k, to an empty
+    entry list."""
+    entries = []
     for operation in operations:
         if isinstance(operation, int):
-            stack.push_run(operation)
+            _push_run(entries, operation)
         else:
-            stack.push(operation)
-    return stack
+            _push(entries, operation)
+    return entries
 
 
 def assert_same_stack(operations) -> None:
@@ -207,14 +208,14 @@ def assert_same_stack(operations) -> None:
         else:
             syllables.append(operation)
     expected = reference.FlagStack(syllables)
-    word = tuple(stack.entries)
+    word = tuple(stack)
     assert reference.syllables(word) == tuple(expected.syllables), operations
-    assert cyclic_power_of_c(stack.entries) == expected.c_power(), operations
+    assert cyclic_power_of_c(stack) == expected.c_power(), operations
     assert cyclic_power_of_c(word) == reference.cyclic_power_of_c(word), operations
     # Every c^+-1 pair of the expanded word lies in a run and no two runs
     # touch, so the runs are the same whichever way the word was pushed.
-    assert [entry for entry in stack.entries if isinstance(entry, int)] == [
-        entry for entry in run_stack(reference.syllables(word)).entries if isinstance(entry, int)
+    assert [entry for entry in stack if isinstance(entry, int)] == [
+        entry for entry in run_stack(reference.syllables(word)) if isinstance(entry, int)
     ], operations
 
 
@@ -268,7 +269,7 @@ def test_run_stack_reforms_runs_after_cancelled_letters():
     b13_inverse = FactorSyllable("13", 0, -1)
     operations = [a13, a23, b13, b13_inverse, a13, a23]
     assert_same_stack(operations)
-    assert run_stack(operations).entries == [2]
+    assert run_stack(operations) == [2]
     rng = random.Random(461)
     for _ in range(3000):
         operations = []
