@@ -126,6 +126,13 @@ MUTANTS = (
         ("tests/test_rewriting.py",),
     ),
     Mutant(
+        "expression-row-corrupt",
+        "src/singbraid/sp3.py",
+        '    ("s2", "t1"): "b13 a13^-1",\n',
+        '    ("s2", "t1"): "b13 a13",\n',
+        ("tests/test_sp3.py::test_verify_presentation_all_pass",),
+    ),
+    Mutant(
         "verify-rs-skips-a-coset",
         "src/singbraid/verify.py",
         "coset_table(3).elements:\n",

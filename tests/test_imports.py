@@ -41,10 +41,11 @@ def test_import_graph_is_acyclic():
     assert set(order) == set(graph)
 
 
-# Names that were second names for the coset table or its rows, or lookups
-# and builders only the tests called; the package defines none of them.
-# The tests keep their own: ``expand`` in reference_reduction, the center
-# generator and the conjugated relators in helpers.
+# Names that were second names for the coset table or its rows, lookups
+# and builders only the tests called, or steps with one caller that now
+# holds their body; the package defines none of them.  The tests keep their
+# own: ``expand`` and ``walk`` in reference_reduction, the center generator
+# and the conjugated relators in helpers.
 REMOVED = (
     "schreier_transversal",
     "enumerate_generators",
@@ -55,6 +56,10 @@ REMOVED = (
     "relator_rewrites",
     "RelatorRewrite",
     "center_generator",
+    "EXPRESSION_TABLE",
+    "_expression_table",
+    "_express",
+    "walk",
 )
 
 

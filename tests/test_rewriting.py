@@ -15,7 +15,7 @@ from singbraid import (
 )
 from singbraid import permutations
 from singbraid.rewriting import coset_table
-from singbraid.sp3 import EXPRESSION_TABLE, parse_sp_word
+from singbraid.sp3 import parse_sp_word, rewrite_to_sp3
 from helpers import conjugated_relators, random_pi_trivial
 import reference_reduction as reference
 
@@ -48,15 +48,27 @@ def test_generator_word_has_trivial_projection():
 
 def test_fresh_schreier_generator_finds_table_entries():
     # Hash and equality are by value: a generator built anew is found in
-    # the coset table and in the expression table, which hold other objects.
+    # the coset table, which holds other objects, and so is its ambient
+    # word, whose rewrite reads the generator's row.
     fresh = gen("s2 s1", "t1")
     emitted = [g for row in coset_table(3).moves.values() for _, out in row for g, _ in out]
     entry = next(g for g in emitted if g == fresh)
     assert entry is not fresh
     assert hash(entry) == hash(fresh)
-    assert EXPRESSION_TABLE[fresh] == EXPRESSION_TABLE[entry] == parse_sp_word("b13")
+    assert rewrite_to_sp3(ambient(fresh)) == parse_sp_word("b13")
     assert {fresh: 1}[entry] == 1
     assert fresh != gen("s2 s1", "t2") and fresh != gen("s1 s2", "t1") and fresh != "S[s2 s1,t1]"
+
+
+def test_walk_of_an_ambient_word_emits_its_generator_alone():
+    # verify --table reads each row as the rewrite of its generator's
+    # ambient word, which is the row itself only because of this.
+    entries = coset_table(3).generators
+    assert len(entries) == 24
+    for entry in entries:
+        expected = () if entry.ambient.is_empty else ((entry.generator, 1),)
+        assert rewrite_tau(entry.ambient).factors == expected, entry.generator
+    assert sum(entry.ambient.is_empty for entry in entries) == 5
 
 
 def test_schreier_generator_requires_bare_letter():

@@ -32,6 +32,18 @@ def gen(rep_text: str, letter_token: str) -> SchreierGenerator:
     return SchreierGenerator(rep, Letter(letter_token[0], int(letter_token[1:]), 1))
 
 
+def row(rep_text: str, letter_token: str) -> SPWord:
+    """The row of a Schreier generator as the rewrite reads it: the rewrite
+    of the generator's ambient word."""
+    generator = gen(rep_text, letter_token)
+    return rewrite_to_sp3(next(e.ambient for e in coset_table(3).generators if e.generator == generator))
+
+
+def literal_row(generator: SchreierGenerator) -> SPWord:
+    """A generator's row parsed from the literal rows, found by name."""
+    return parse_sp_word(sp3_module._EXPRESSION_ROWS[str(generator.rep), generator.letter.token()])
+
+
 def test_sp_word_parsing_and_reduction():
     word = parse_sp_word("a12 a12^-1 b13^2")
     assert str(word) == "b13^2"
@@ -43,18 +55,11 @@ def test_sp_word_parsing_and_reduction():
 
 
 def test_expression_examples():
-    table = sp3_module.EXPRESSION_TABLE
-    assert str(table[gen("s2", "t1")]) == "b13 a13^-1"
-    assert str(table[gen("s1", "t2")]) == "a23^-1 b13 a13^-1 a23"
-    assert str(table[gen("s1 s2 s1", "t2")]) == "b12"
-    assert table[gen("1", "s1")].is_empty
-    assert table[gen("s2 s1", "s2")].is_empty
-
-
-def test_expression_rejects_unknown_generator():
-    # The table holds the 24 generators of the coset table and nothing else.
-    with pytest.raises(KeyError):
-        sp3_module.EXPRESSION_TABLE[gen("s1^2", "t1")]
+    assert str(row("s2", "t1")) == "b13 a13^-1"
+    assert str(row("s1", "t2")) == "a23^-1 b13 a13^-1 a23"
+    assert str(row("s1 s2 s1", "t2")) == "b12"
+    assert row("1", "s1").is_empty
+    assert row("s2 s1", "s2").is_empty
 
 
 def test_rewrite_to_sp3_examples():
@@ -282,10 +287,10 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
     # asymmetrically detect it.  The expression check detects it as well:
     # ``b13 a13`` moves the crossing exponent sum of the SG_3 word by 4, and
     # is_trivial_sg3 reads the sums before any row is looked up.
-    # The rows the decisions read are rebuilt from the corrupt table, as if
-    # the row were wrong in the source.
-    key = gen("s2", "t1")
-    monkeypatch.setitem(sp3_module.EXPRESSION_TABLE, key, parse_sp_word("b13 a13"))
+    # The one table is rebuilt from the corrupt literal rows, as if the row
+    # were wrong in the source.
+    corrupt = {**sp3_module._EXPRESSION_ROWS, ("s2", "t1"): "b13 a13"}
+    monkeypatch.setattr(sp3_module, "_EXPRESSION_ROWS", corrupt)
     monkeypatch.setattr(sp3_module, "_FACTOR_ROWS", sp3_module._factor_rows())
     checks = verify_presentation()
     failed_groups = {check.group for check in checks if not check.passed}
@@ -294,7 +299,7 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
 
 
 def test_expression_rows_must_name_each_generator_once(monkeypatch):
-    assert sp3_module._expression_table() == sp3_module.EXPRESSION_TABLE
+    assert sp3_module._factor_rows() == sp3_module._FACTOR_ROWS
     rows = sp3_module._EXPRESSION_ROWS
     dropped = {key: text for key, text in rows.items() if key != ("s2", "t1")}
     not_a_rep = {
@@ -304,30 +309,32 @@ def test_expression_rows_must_name_each_generator_once(monkeypatch):
     for corrupt in (dropped, not_a_rep, extra):
         monkeypatch.setattr(sp3_module, "_EXPRESSION_ROWS", corrupt)
         with pytest.raises(RuntimeError):
-            sp3_module._expression_table()
+            sp3_module._factor_rows()
 
 
 def test_walk_factors_find_their_rows_by_id():
     # The rows are one list indexed by the id of each generator of the coset
-    # table, so the lookup of a factor the walk emits never compares words.
+    # table, so the lookup of a factor the walk emits never compares words;
+    # each id holds the literal row named by the generator's
+    # representative and letter.
     table = coset_table(3)
     emitted = [factor for row in table.moves.values() for _, out in row for factor in out]
     assert len(emitted) == 2 * 19
     for factor in emitted:
         generator, exponent = factor
         assert table.generators[generator.id].generator is generator
-        row = sp3_module.EXPRESSION_TABLE[generator]
-        assert sp3_module._FACTOR_ROWS[generator.id][exponent] == (row**exponent).letters
+        assert sp3_module._FACTOR_ROWS[generator.id][exponent] == (literal_row(generator) ** exponent).letters
 
 
 def test_reduce_only_builds_equal_the_checked_constructor():
-    # _express skips the name check of SPWord, since its letters come from
-    # the checked rows; eliminate_a12 builds no word at all.
+    # rewrite_to_sp3 skips the name check of SPWord, since its letters come
+    # from the checked rows; eliminate_a12 builds no word at all.
     rng = random.Random(29)
     for _ in range(300):
-        factors = rewrite_tau(random_kernel_word(rng, 3, max_exp=rng.choice((1, 4, 40)))).factors
-        letters = tuple(letter for g, e in factors for letter in (sp3_module.EXPRESSION_TABLE[g] ** e).letters)
-        built = sp3_module._express(factors)
+        kernel = random_kernel_word(rng, 3, max_exp=rng.choice((1, 4, 40)))
+        factors = rewrite_tau(kernel).factors
+        letters = tuple(letter for g, e in factors for letter in (literal_row(g) ** e).letters)
+        built = rewrite_to_sp3(kernel)
         assert type(built) is SPWord and built == SPWord(letters)
         assert all(type(letter) is SPLetter for letter in built.letters)
 
