@@ -175,6 +175,13 @@ MUTANTS = (
         ("tests/test_normal_form.py",),
     ),
     Mutant(
+        "first-read-keeps-the-parsed-letters",
+        "src/singbraid/words.py",
+        "        return self._store(free_reduce(self._stored))\n",
+        "        return self._store(tuple(self._stored))\n",
+        ("tests/test_words.py::test_parsed_word_reduces_on_first_read_and_keeps_the_letters",),
+    ),
+    Mutant(
         "token-cache-ignores-strands",
         "src/singbraid/words.py",
         "lambda token: _braid_letter(token, strands)",

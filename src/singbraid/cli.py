@@ -4,12 +4,15 @@ Command-line front end.
 Every subcommand is a thin wrapper over the library; no algebra lives
 here.  Exit codes: 0 for success (and for "trivial"/"equal" verdicts),
 1 for a false verdict, 2 for usage errors, 3 when a verification check
-fails.  Output is line oriented and deterministic.
+fails, and 141 when stdout is closed before the output is written, as by
+``singbraid gens -n 6 | head -1``.  Output is line oriented and
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -176,14 +179,26 @@ _COMMANDS = {
 }
 
 
+# The status a shell reports for a process that SIGPIPE ends, 128 + 13.
+EXIT_CLOSED_STDOUT = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        status = _COMMANDS[args.subcommand](args)
+        # Flushed here, not at exit, so that a closed pipe raises below.
+        sys.stdout.flush()
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit,
+        # so it writes what is left in its buffer to /dev/null instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return status
 
 
 if __name__ == "__main__":

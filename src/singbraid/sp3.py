@@ -22,9 +22,11 @@ letters.  ``verify --rs`` expresses the rewritten relators through it, and
 ``verify --table`` reads each row through it too, as the rewrite of its
 generator's ambient word, whose walk emits that generator alone.  The merge
 builds the word through ``SPWord._reduced``, which skips the check of each
-letter's name: the rows are checked once, by ``verify --table``, and
-``parse_sp_word`` builds its word the same way, since its token pattern
-admits only the six names.
+letter's name: the rows are checked once, by ``verify --table``.
+``parse_sp_word`` skips the check too, since its token pattern admits only
+the six names, and builds its word through ``SPWord._parsed``, which puts
+off the free reduction until the first read of ``letters``: the six sums
+of ``normal_form`` read the letters unreduced.
 Conjugation by the four ambient generators restricts to automorphisms of
 SP_3: ``ACTION_TABLES`` holds the paper's rules for x -> g^-1 x g, and
 ``conjugate_by_sg3_generator`` computes any power of the action by
@@ -88,15 +90,16 @@ class SPWord(FreeWord):
         for letter in letters:
             if letter.name not in SP_NAMES:
                 raise ValueError(f"unknown SP_3 generator {letter.name!r}")
-        object.__setattr__(self, "letters", free_reduce(letters))
+        self._store(free_reduce(letters))
 
 
 def parse_sp_word(text: str) -> SPWord:
     """Parse the SP_3 word grammar (tokens a12 .. b23 with optional ``^<k>``,
-    ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters;
+    ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters,
+    freely reduced on the first read of ``letters``;
     exponents of more than ``words.MAX_DIGITS`` digits are refused unread."""
     letters, bound = parse_tokens(text, _sp_letter)
-    return check_unit_length(SPWord._reduced(letters), bound)
+    return check_unit_length(SPWord._parsed(letters), bound)
 
 
 @lru_cache(maxsize=_TOKEN_CACHE_SIZE)

@@ -5,19 +5,30 @@ group.
 The group SG_n is generated by the crossings s1, ..., s(n-1) and the
 singular crossings t1, ..., t(n-1); a word is a finite product of these
 letters and their inverses.  Every word of the package, braid words here
-and SP_3 words in ``sp3``, is an element of a free group stored freely
-reduced with run-length exponents: adjacent letters of the same generator
-are merged and letters whose exponent cancels to zero are removed.  This
-module holds that free-group core once: ``free_reduce`` is the one
+and SP_3 words in ``sp3``, is an element of a free group whose ``letters``
+are freely reduced with run-length exponents: adjacent letters of the same
+generator are merged and letters whose exponent cancels to zero are
+removed.  A word built by a constructor is reduced at once; a parsed word
+keeps the parser's letters and is reduced on the first read of its
+``letters``.  The crossing and singular sums here and the six generator
+sums of ``normal_form`` read a word's letters as stored, through
+``FreeWord._stored``: every defining relation balances each generator, so
+the sums are homomorphisms that free reduction does not change, and a word
+that they refute is never reduced.  On the benchmark's main-class words
+they refute 399 of 600 long-kernel, 390 of 600 short-mixed and 400 of 600
+sp3-pinch words, and none of 600 big-exponent words at the braid sums.
+This module holds that free-group core once: ``free_reduce`` is the one
 reduction, ``FreeWord`` the one set of word operations (inverse, product,
 power, printing) and ``substitute`` the one letter-by-word substitution,
 which ``sp3.sp3_to_sg3`` uses.
-Equality of stored words is therefore equality in the free group on the
-letters; equality in SG_n itself is decided elsewhere (see normal_form).
+Equality of words is therefore equality in the free group on the letters;
+equality in SG_n itself is decided elsewhere (see normal_form).
 
 All values are immutable and all functions are pure, so words can be
-shared freely between threads.  The parsers' token caches only memoise:
-a token gives the same letter on every call, and a bad token raises anew.
+shared freely between threads: two threads that read the ``letters`` of
+one parsed word at once each reduce it, to equal letters.  The parsers'
+token caches only memoise: a token gives the same letter on every call,
+and a bad token raises anew.
 ``Value`` is the one base of the package's immutable classes: slotted,
 compared and hashed by their fields, printed in ``repr`` as
 ``Name(field=value, ...)``, and refusing assignment.
@@ -28,7 +39,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 SIGMA = "s"
 TAU = "t"
@@ -171,24 +182,61 @@ class FreeWord(Value):
     result here is built by that constructor, from the other fields and
     new letters, so it is reduced again.  ``_reduced`` is the one
     constructor that reduces without validating.
+
+    ``_parsed`` is the parsers' constructor: it keeps their list of
+    letters unreduced in ``_stored`` and leaves the ``letters`` slot
+    unset.  ``__getattr__``, which Python calls only for an attribute that
+    it does not find, reduces the list on the first read of ``letters``
+    and stores the result in both slots, dropping the list.  Every other
+    constructor stores the reduced letters in both slots at once, so
+    ``_stored`` always holds the word's letters, reduced or not, and the
+    exponent sums read it with no test: free reduction changes no sum, and
+    a word that they refute is never reduced.  ``_stored`` is not a field:
+    it is not compared, hashed, printed or pickled, and a pickled or
+    copied word is rebuilt from its reduced letters.
     """
 
-    __slots__ = ()
+    __slots__ = ("_stored",)
+    _fields = ()
     letters: tuple
+    _stored: Sequence
 
     @classmethod
     def _reduced(cls: type[_W], *fields: object) -> _W:
         """``cls(*fields)`` without the checks of the fields: the letters,
         the last field, are only freely reduced.  For letters whose
-        generators are known to be valid: a parser's, built from tokens it
-        checked one distinct token at a time, the expression rows, which
+        generators are known to be valid: the expression rows, which
         ``verify --table`` checks, and the letters that the ``normal_form``
         printers read from their entries."""
         word = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields[:-1]):
             object.__setattr__(word, name, value)
-        object.__setattr__(word, "letters", free_reduce(fields[-1]))
+        word._store(free_reduce(fields[-1]))
         return word
+
+    @classmethod
+    def _parsed(cls: type[_W], *fields: object) -> _W:
+        """``_reduced(*fields)`` with the reduction put off until the first
+        read of ``letters``, for a parser's list of letters, built from
+        tokens it checked one distinct token at a time."""
+        word = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields[:-1]):
+            object.__setattr__(word, name, value)
+        object.__setattr__(word, "_stored", fields[-1])
+        return word
+
+    def __getattr__(self, name: str) -> tuple:
+        if name != "letters":
+            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
+        # Drops the parser's list.  A thread that read ``_stored`` before
+        # the list was dropped reduces it again, to equal letters.
+        return self._store(free_reduce(self._stored))
+
+    def _store(self, letters: tuple) -> tuple:
+        """Store reduced letters as ``letters`` and as ``_stored``."""
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_stored", letters)
+        return letters
 
     def _with(self: _W, letters: tuple) -> _W:
         return self.__class__(*self._key(self)[:-1], letters)
@@ -253,13 +301,14 @@ class BraidWord(FreeWord):
                         f"letter {letter.token()} out of range for {strands} strands"
                     )
         object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", free_reduce(letters))
+        self._store(free_reduce(letters))
 
     __mul__ = concat
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
-    """Parse the whitespace-separated ASCII grammar into a freely reduced word.
+    """Parse the whitespace-separated ASCII grammar into a word whose
+    ``letters`` are freely reduced on first read (see ``FreeWord``).
 
     Tokens are ``s<i>`` and ``t<i>`` with an optional nonzero integer
     exponent suffix ``^<k>``; the standalone token ``1`` denotes the empty
@@ -273,9 +322,9 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         raise ValueError(f"strand count {strands} is more than the limit of {MAX_UNIT_LETTERS}")
     letters, bound = parse_tokens(text, lambda token: _braid_letter(token, strands))
     # Every distinct token was checked above, so the letters are only
-    # reduced.  Below two strands every token is out of range, so only the
+    # stored.  Below two strands every token is out of range, so only the
     # empty word gets here, and BraidWord refuses its strand count.
-    word = BraidWord._reduced(strands, letters) if strands > 1 else BraidWord(strands)
+    word = BraidWord._parsed(strands, letters) if strands > 1 else BraidWord(strands)
     return check_unit_length(word, bound)
 
 
@@ -294,7 +343,7 @@ def _braid_letter(token: str, strands: int) -> Letter:
     return Letter(kind, index, 1 if exponent is None else parse_number(exponent))
 
 
-def parse_tokens(text: str, letter: Callable[[str], _L]) -> tuple[Iterator[_L], int]:
+def parse_tokens(text: str, letter: Callable[[str], _L]) -> tuple[list[_L], int]:
     """The letters of the whitespace-separated tokens of ``text``, skipping
     the token ``1`` of the empty word, and a bound on their unit letters:
     the number of tokens times the largest ``|exponent|`` among them.
@@ -304,8 +353,7 @@ def parse_tokens(text: str, letter: Callable[[str], _L]) -> tuple[Iterator[_L], 
     occurrence, so the first bad token in reading order is the one that
     raises, as it would be in a plain left-to-right loop; both parsers pass
     a cached function, so a token recurring across words is converted once
-    per process.  The letters come as an iterator, for ``free_reduce`` to
-    read once.
+    per process.  The letters come as a list, which a parsed word stores.
     """
     tokens = text.split()
     distinct = dict.fromkeys(tokens)
@@ -314,7 +362,7 @@ def parse_tokens(text: str, letter: Callable[[str], _L]) -> tuple[Iterator[_L], 
         tokens = [token for token in tokens if token != "1"]
     known = dict(zip(distinct, map(letter, distinct)))
     bound = len(tokens) * max(map(abs, map(itemgetter(-1), known.values())), default=0)
-    return map(known.__getitem__, tokens), bound
+    return list(map(known.__getitem__, tokens)), bound
 
 
 def parse_number(digits: str) -> int:
@@ -359,11 +407,13 @@ def exponent_sums(word: BraidWord) -> tuple[int, int]:
 
     Every defining relator of SG_n balances the two counts separately, so
     the pair is a homomorphism SG_n -> Z^2 and a nonzero sum proves a word
-    nontrivial; ``is_trivial_sg3`` reads it first.  One pass over the
-    letters, the kind of each already checked by ``BraidWord``.
+    nontrivial; ``is_trivial_sg3`` reads it first.  Free reduction keeps
+    both sums, so this is one pass over the letters as stored, unreduced
+    in a parsed word whose ``letters`` were never read, the kind of each
+    letter already checked by the parser or by ``BraidWord``.
     """
     sigma_sum = tau_sum = 0
-    for kind, _, exponent in word.letters:
+    for kind, _, exponent in word._stored:
         if kind == SIGMA:
             sigma_sum += exponent
         else:

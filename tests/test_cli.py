@@ -1,9 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from singbraid.cli import main
+from singbraid.cli import EXIT_CLOSED_STDOUT, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -38,6 +44,25 @@ def test_gens_table(capsys):
     assert "1\tt1\tt1 s1^-1\tno" in lines
     assert "1\ts1\t1\tyes" in lines
     assert "s2 s1\ts1\ts2 s1^2 s2^-1\tno" in lines
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # gens -n 6 prints 7,201 lines (650 KiB), more than a pipe buffers: the
+    # reader takes one line and closes the pipe, and a later write finds it
+    # closed.
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "singbraid.cli", "gens", "-n", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    try:
+        assert proc.stdout.readline() == b"rep\tletter\tambient\ttrivial\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert EXIT_CLOSED_STDOUT not in range(4)
 
 
 @pytest.mark.parametrize("strands", ["0", "1", "7"])

@@ -61,6 +61,10 @@ def peak_bytes(call, argument) -> int:
         tracemalloc.stop()
 
 
+def decide_text(text: str) -> bool:
+    return is_trivial_sg3(parse_braid_word(text, 3))
+
+
 # name: (call, input of size n, the smallest n, whether the input is
 # trivial).  The verdict is asserted, so that a family cannot stop at an
 # earlier stage than the one it is meant to count.
@@ -73,6 +77,15 @@ FAMILIES = {
         False,
     ),
     "relator-product": (is_trivial_sg3, lambda k: RELATORS_1_4**k, 250, True),
+    # A crossing power conjugating t2: the walk emits about e factors and
+    # the rewrite merges their rows into 6 letters, so the cost grows with e.
+    "crossing-power": (is_trivial_sg3, lambda e: parse_braid_word(f"s1^{e} t2 s1^-{e} t2^-1", 3), 500, False),
+    # A singular power conjugated by s2: zero sums and a trivial projection,
+    # so it reaches the rewrite and the reducer.
+    "singular-power": (is_trivial_sg3, lambda e: parse_braid_word(f"s2 t1^{e} s2^-1 t1^-{e}", 3), 500, False),
+    # 4n + 1 letters of exponent +-1 with crossing sum 1, parsed inside the
+    # counted call: the sums refute the word before anything reduces it.
+    "parse-and-refute": (decide_text, lambda n: "s1 t2 s2^-1 t1^-1 " * n + "s1", 250, False),
 }
 
 

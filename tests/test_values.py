@@ -19,6 +19,8 @@ from singbraid import (
     SchreierWord,
     SPLetter,
     SPWord,
+    parse_braid_word,
+    parse_sp_word,
 )
 
 S1, T1 = Letter("s", 1, 1), Letter("t", 1, 1)
@@ -122,6 +124,25 @@ def test_pickle_and_copy_round_trips(cls, fields, args, others):
         assert twin.__class__ is cls and twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
     assert pickle.loads(pickle.dumps(GEN)).id == copy.copy(GEN).id == 3
+
+
+@pytest.mark.parametrize(
+    "parse, built",
+    [
+        (lambda: parse_braid_word("s1 t2 t2^-1 s1^2", 3), BraidWord(3, (Letter("s", 1, 3),))),
+        (lambda: parse_sp_word("a12 b13 b13^-1 b12"), SPWord((SPLetter("a12", 1), SPLetter("b12", 1)))),
+    ],
+    ids=["BraidWord", "SPWord"],
+)
+def test_parsed_words_round_trip_before_their_letters_are_read(parse, built):
+    # Each copy starts from a fresh parse, whose letters are still stored
+    # unreduced; the copy holds the reduced letters, as a built word does.
+    for round_trip in (lambda w: pickle.loads(pickle.dumps(w)), copy.copy, copy.deepcopy):
+        twin = round_trip(parse())
+        assert twin.__class__ is built.__class__ and twin == built and hash(twin) == hash(built)
+        assert repr(twin) == repr(built) and twin.letters is twin._stored
+    word = parse()
+    assert pickle.dumps(word) == pickle.dumps(built)
 
 
 def test_word_operations_keep_the_class_and_strands():

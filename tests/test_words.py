@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -10,10 +12,13 @@ from singbraid import (
     concat,
     conjugate,
     exponent_sums,
+    is_trivial_sg3,
+    is_trivial_sp3,
     parse_braid_word,
     parse_sp_word,
     sg3_relators,
 )
+from singbraid import words
 from singbraid.sp3 import SP_NAMES, _sp_letter
 from singbraid.words import MAX_UNIT_LETTERS, _braid_letter, free_reduce
 from helpers import random_run_letters, random_sp_word, random_word, unit_letters
@@ -163,6 +168,76 @@ def test_reduce_only_constructor_equals_the_public_ones():
         sp_built = SPWord._reduced(iter(sp_letters))
         assert type(sp_built) is SPWord and sp_built == SPWord(sp_letters)
         assert hash(sp_built) == hash(SPWord(sp_letters))
+
+
+def test_parsed_word_reduces_on_first_read_and_keeps_the_letters():
+    # The parser stores its letters unreduced; the first read of
+    # ``letters`` reduces them, keeps the result and drops the raw list.
+    rng = random.Random(53)
+    for _ in range(200):
+        letters = random_run_letters(rng, 3, max_exp=rng.choice((1, 3)))
+        text = " ".join(letter.token() for letter in letters) or "1"
+        word = parse_braid_word(text, 3)
+        assert list(word._stored) == letters
+        reduced = word.letters
+        assert reduced == free_reduce(letters) == BraidWord(3, letters).letters
+        assert word.letters is reduced and word._stored is reduced
+        assert word == BraidWord(3, letters) and hash(word) == hash(BraidWord(3, letters))
+    sp_word = parse_sp_word("a12 b12 b12^-1 a12^2 a13")
+    assert sp_word.letters == (SPLetter("a12", 3), SPLetter("a13", 1)) == sp_word._stored
+    assert str(parse_braid_word("s1 t2 t2^-1 s1^-1 s2", 3)) == "s2"
+
+
+def test_sum_stages_reduce_no_word_they_refute(monkeypatch):
+    calls = []
+
+    def counting_free_reduce(letters):
+        letters = list(letters)
+        calls.append(letters)
+        return free_reduce(letters)
+
+    monkeypatch.setattr(words, "free_reduce", counting_free_reduce)
+    assert not is_trivial_sg3(parse_braid_word("s1 s2 s1", 3))
+    assert not is_trivial_sp3(parse_sp_word("a13 b12"))
+    assert calls == []
+    # A trivial word goes through pi, the walk and the reducer: its braid
+    # letters are reduced once, and the rewrite reduces its SP_3 word.
+    assert is_trivial_sg3(parse_braid_word("s1 t1 s1^-1 t1^-1", 3))
+    braid_calls = [letters for letters in calls if all(type(letter) is Letter for letter in letters)]
+    assert len(braid_calls) == 1 and len(braid_calls[0]) == 4
+
+
+def test_threads_reading_one_parsed_word_see_equal_letters():
+    # More threads than cores read the letters and the sums of the same
+    # fresh parsed words while the interpreter switches threads as often as
+    # it can, so that several threads reduce one word at once.
+    rng = random.Random(59)
+    texts = [" ".join(letter.token() for letter in random_run_letters(rng, 3, max_exp=2)) or "1" for _ in range(1000)]
+    built = [BraidWord(3, parse_braid_word(text, 3).letters) for text in texts]
+    expected = [(word.letters, exponent_sums(word), hash(word)) for word in built]
+    shared = [parse_braid_word(text, 3) for text in texts]
+    seen = [[] for _ in range(8)]
+
+    def read(out):
+        for word in shared:
+            out.append((word.letters, exponent_sums(word), hash(word)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == expected for out in seen)
+    # Two threads that reduce one word at once each store their own tuple,
+    # so the two slots may hold equal tuples that are not the same object.
+    assert shared == built
+    assert all(type(word._stored) is tuple and word._stored == word.letters for word in shared)
 
 
 def test_parse_refuses_long_numbers():
