@@ -130,7 +130,10 @@ MUTANTS = (
         "src/singbraid/sp3.py",
         '    ("s2", "t1"): "b13 a13^-1",\n',
         '    ("s2", "t1"): "b13 a13",\n',
-        ("tests/test_sp3.py::test_verify_presentation_all_pass",),
+        (
+            "tests/test_sp3.py::test_verify_presentation_all_pass",
+            "tests/test_derivations.py::test_expression_rows_derive_from_the_sg3_relators",
+        ),
     ),
     Mutant(
         "verify-rs-skips-a-coset",
@@ -201,6 +204,13 @@ MUTANTS = (
         "        return hash(self._key(self))\n",
         "        return hash(self._key(self)[1:])\n",
         ("tests/test_values.py",),
+    ),
+    Mutant(
+        "verdict-exit-status-reversed",
+        "src/singbraid/cli.py",
+        "    return 0 if holds else 1\n",
+        "    return 1 if holds else 0\n",
+        ("tests/test_cli.py::test_trivial", "tests/test_cli.py::test_equal"),
     ),
     Mutant(
         "b3-matrix-sign",

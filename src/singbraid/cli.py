@@ -37,42 +37,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="word problem tools for the 3-strand singular braid group",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # The strand option of the four subcommands that read a braid word on
+    # any number of strands.
+    strands = argparse.ArgumentParser(add_help=False)
+    strands.add_argument("-n", type=int, default=3, dest="strands")
 
-    p = sub.add_parser("parse", help="parse and freely reduce a braid word")
-    p.add_argument("-n", type=int, default=3, dest="strands")
+    def command(name: str, run, help: str, *parents) -> argparse.ArgumentParser:
+        """A subcommand whose parsed arguments ``main`` passes to ``run``."""
+        subparser = sub.add_parser(name, help=help, parents=parents)
+        subparser.set_defaults(run=run)
+        return subparser
+
+    p = command("parse", _cmd_parse, "parse and freely reduce a braid word", strands)
     p.add_argument("word")
 
-    p = sub.add_parser("pi", help="project a braid word to the symmetric group")
-    p.add_argument("-n", type=int, default=3, dest="strands")
+    p = command("pi", _cmd_pi, "project a braid word to the symmetric group", strands)
     p.add_argument("--one-line", action="store_true", help="print one-line notation")
     p.add_argument("word")
 
-    p = sub.add_parser("gens", help="print the Schreier generator table as TSV")
-    p.add_argument("-n", type=int, default=3, dest="strands")
+    command("gens", _cmd_gens, "print the Schreier generator table as TSV", strands)
 
-    p = sub.add_parser("rewrite", help="rewrite a kernel word into the SP_3 generators")
+    p = command("rewrite", _cmd_rewrite, "rewrite a kernel word into the SP_3 generators")
     p.add_argument("word")
 
-    p = sub.add_parser("nf", help="normal form of an SP_3 word")
+    p = command("nf", _cmd_nf, "normal form of an SP_3 word")
     p.add_argument("--canonical", action="store_true", help="compact display form")
     p.add_argument("word")
 
-    p = sub.add_parser("trivial", help="decide triviality of a 3-strand word in SG_3")
-    p.add_argument("-n", type=int, default=3, dest="strands")
+    p = command("trivial", _cmd_trivial, "decide triviality of a 3-strand word in SG_3", strands)
     p.add_argument("word")
 
-    p = sub.add_parser("equal", help="decide equality of two SP_3 words")
+    p = command("equal", _cmd_equal, "decide equality of two SP_3 words")
     p.add_argument("first")
     p.add_argument("second")
 
-    p = sub.add_parser("conj", help="conjugate an SP_3 word by an ambient generator")
+    p = command("conj", _cmd_conj, "conjugate an SP_3 word by an ambient generator")
     p.add_argument("-g", required=True, dest="generator", help="e.g. s1 or t2^-1")
     p.add_argument("word")
 
-    p = sub.add_parser("oracle", help="print the cheap invariant verdicts")
+    p = command("oracle", _cmd_oracle, "print the cheap invariant verdicts")
     p.add_argument("word")
 
-    p = sub.add_parser("verify", help="run the presentation verification checks")
+    p = command("verify", _cmd_verify, "run the presentation verification checks")
     group = p.add_mutually_exclusive_group()
     for flag in ("all", *_VERIFY_FLAGS):
         group.add_argument(f"--{flag}", action="store_true")
@@ -116,24 +122,24 @@ def _cmd_nf(args) -> int:
     return 0
 
 
+def _verdict(holds: bool, yes: str, no: str) -> int:
+    """Print a decision's verdict, ``yes`` when it holds and ``no`` when it
+    does not, and return its exit status: 0 when it holds, 1 when not."""
+    print(yes if holds else no)
+    return 0 if holds else 1
+
+
 def _cmd_trivial(args) -> int:
     if args.strands != 3:
         raise ValueError("the triviality decision is implemented for n = 3")
-    if normal_form.is_trivial_sg3(parse_braid_word(args.word, 3)):
-        print("trivial")
-        return 0
-    print("nontrivial")
-    return 1
+    trivial = normal_form.is_trivial_sg3(parse_braid_word(args.word, 3))
+    return _verdict(trivial, "trivial", "nontrivial")
 
 
 def _cmd_equal(args) -> int:
     first = sp3.parse_sp_word(args.first)
     second = sp3.parse_sp_word(args.second)
-    if normal_form.equal_sp3(first, second):
-        print("equal")
-        return 0
-    print("not equal")
-    return 1
+    return _verdict(normal_form.equal_sp3(first, second), "equal", "not equal")
 
 
 def _cmd_conj(args) -> int:
@@ -165,20 +171,6 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(checks) else 3
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "pi": _cmd_pi,
-    "gens": _cmd_gens,
-    "rewrite": _cmd_rewrite,
-    "nf": _cmd_nf,
-    "trivial": _cmd_trivial,
-    "equal": _cmd_equal,
-    "conj": _cmd_conj,
-    "oracle": _cmd_oracle,
-    "verify": _cmd_verify,
-}
-
-
 # The status a shell reports for a process that SIGPIPE ends, 128 + 13.
 EXIT_CLOSED_STDOUT = 141
 
@@ -187,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        status = _COMMANDS[args.subcommand](args)
+        status = args.run(args)
         # Flushed here, not at exit, so that a closed pipe raises below.
         sys.stdout.flush()
     except ValueError as error:

@@ -99,11 +99,6 @@ _C_SYLLABLES = {
 }
 # The second syllable of c^sign mapped to the first one and the sign.
 _C_PAIRS = {second: (first, sign) for sign, (first, second) in _C_SYLLABLES.items()}
-# The letters of c^sign, which the printers write for a run c^n.
-_C_LETTERS = {
-    sign: tuple(letter for syllable in pair for letter in syllable.letters())
-    for sign, pair in _C_SYLLABLES.items()
-}
 
 
 def _push(entries: list[FactorSyllable | int], syllable: FactorSyllable) -> None:
@@ -201,7 +196,8 @@ def _letters(entries: Sequence[FactorSyllable | int]) -> list[SPLetter]:
     letters: list[SPLetter] = []
     for entry in entries:
         if entry.__class__ is int:
-            letters += _C_LETTERS[1 if entry > 0 else -1] * abs(entry)
+            first, second = _C_SYLLABLES[1 if entry > 0 else -1]
+            letters += (first.letters() + second.letters()) * abs(entry)
         else:
             letters += entry.letters()
     return letters
@@ -415,8 +411,8 @@ def is_trivial_sp3(word: SPWord) -> bool:
     sums are a homomorphism SP_3 -> Z^6, and a word with a nonzero sum is
     nontrivial.  Free reduction keeps the sums too, so they read the
     letters as stored: a parsed word is freely reduced only on the first
-    read of its ``letters``, and a word that the sums refute, 400 of 600
-    main-class sp3-pinch words of the benchmark, is never reduced at all.
+    read of its ``letters``, and a word that the sums refute is never
+    reduced at all.
     Only a word whose six sums vanish is reduced, and then Britton-reduced.
     """
     sums = _six_sums(word)
@@ -439,9 +435,7 @@ def is_trivial_sg3(word: BraidWord) -> bool:
     SG_3 -> Z^2, and a word with a nonzero sum is nontrivial before it is
     projected or rewritten.  Free reduction keeps both sums, so they read
     a parsed word's letters as stored, unreduced until the first read of
-    its ``letters``: a word that they refute is never freely reduced.  On
-    the benchmark's main-class words they refute 399 of 600 long-kernel
-    and 390 of 600 short-mixed words, and none of 600 big-exponent words.
+    its ``letters``: a word that they refute is never freely reduced.
     """
     if word.strands != 3:
         raise ValueError("the SG_3 decision needs a 3-strand word")

@@ -62,7 +62,7 @@ A12, A13, A23 = "a12", "a13", "a23"
 B12, B13, B23 = "b12", "b13", "b23"
 SP_NAMES = (A12, A13, A23, B12, B13, B23)
 
-_SP_TOKEN_RE = re.compile(r"([ab](?:12|13|23))(?:\^(-?[1-9][0-9]*))?\Z")
+_SP_TOKEN_RE = re.compile(rf"({'|'.join(SP_NAMES)})(?:\^(-?[1-9][0-9]*))?\Z")
 
 
 class SPLetter(NamedTuple):

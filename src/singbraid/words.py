@@ -14,9 +14,7 @@ keeps the parser's letters and is reduced on the first read of its
 sums of ``normal_form`` read a word's letters as stored, through
 ``FreeWord._stored``: every defining relation balances each generator, so
 the sums are homomorphisms that free reduction does not change, and a word
-that they refute is never reduced.  On the benchmark's main-class words
-they refute 399 of 600 long-kernel, 390 of 600 short-mixed and 400 of 600
-sp3-pinch words, and none of 600 big-exponent words at the braid sums.
+that they refute is never reduced.
 This module holds that free-group core once: ``free_reduce`` is the one
 reduction, ``FreeWord`` the one set of word operations (inverse, product,
 power, printing) and ``substitute`` the one letter-by-word substitution,
@@ -203,22 +201,20 @@ class FreeWord(Value):
 
     @classmethod
     def _reduced(cls: type[_W], *fields: object) -> _W:
-        """``cls(*fields)`` without the checks of the fields: the letters,
-        the last field, are only freely reduced.  For letters whose
-        generators are known to be valid: the expression rows, which
-        ``verify --table`` checks, and the letters that the ``normal_form``
-        printers read from their entries."""
-        word = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields[:-1]):
-            object.__setattr__(word, name, value)
+        """``_parsed(*fields)`` with the letters freely reduced at once.  For
+        letters whose generators are known to be valid: the expression rows,
+        which ``verify --table`` checks, and the letters that the
+        ``normal_form`` printers read from their entries."""
+        word = cls._parsed(*fields)
         word._store(free_reduce(fields[-1]))
         return word
 
     @classmethod
     def _parsed(cls: type[_W], *fields: object) -> _W:
-        """``_reduced(*fields)`` with the reduction put off until the first
-        read of ``letters``, for a parser's list of letters, built from
-        tokens it checked one distinct token at a time."""
+        """``cls(*fields)`` without the checks of the fields, the letters,
+        the last field, kept as given until the first read of ``letters``:
+        for a parser's list of letters, built from tokens it checked one
+        distinct token at a time."""
         word = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields[:-1]):
             object.__setattr__(word, name, value)

@@ -22,7 +22,7 @@ from singbraid import center_split, is_trivial_sg3, parse_braid_word, parse_sp_w
 MAX_RATIO_PER_DOUBLING = 2.1
 
 C = parse_sp_word("a13 a23")
-B12 = parse_sp_word("b12")
+A13, A23, B12 = parse_sp_word("a13"), parse_sp_word("a23"), parse_sp_word("b12")
 # Relator 1 (t1 commutes with s1) times relator 4 (s1 s2 t1 s2^-1 s1^-1 =
 # t2): a trivial word whose projection is trivial, so each power of it goes
 # through the rewrite and the reducer.
@@ -86,6 +86,24 @@ FAMILIES = {
     # 4n + 1 letters of exponent +-1 with crossing sum 1, parsed inside the
     # counted call: the sums refute the word before anything reduces it.
     "parse-and-refute": (decide_text, lambda n: "s1 t2 s2^-1 t1^-1 " * n + "s1", 250, False),
+    # Stable powers of alternating sign around bases that are no power of c:
+    # no pinch cancels, so every stable letter stays in the form.
+    "alternating-stable-powers": (
+        center_split,
+        lambda m: (B12 * A13 * B12.inverse() * A13.inverse()) ** m,
+        500,
+        False,
+    ),
+    # m stable letters nested around a23, which no pinch can slide out.
+    "nested-stable-powers": (
+        center_split,
+        lambda m: (B12 * A13) ** m * A23 * (A13.inverse() * B12.inverse()) ** m * A23.inverse(),
+        500,
+        False,
+    ),
+    # c^m spelled letter by letter on both sides of b12: one pinch slides
+    # the whole run.
+    "long-c-run": (center_split, lambda m: C**m * B12 * C ** (-m) * B12.inverse(), 500, True),
 }
 
 

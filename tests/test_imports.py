@@ -42,10 +42,12 @@ def test_import_graph_is_acyclic():
 
 
 # Names that were second names for the coset table or its rows, lookups
-# and builders only the tests called, or steps with one caller that now
-# holds their body; the package defines none of them.  The tests keep their
-# own: ``expand`` and ``walk`` in reference_reduction, the center generator
-# and the conjugated relators in helpers.
+# and builders only the tests called, steps with one caller that now holds
+# their body, or tables that restated another: the subcommands dispatch
+# through their parsers, and the printers write c from its syllables.  The
+# package defines none of them.  The tests keep their own: ``expand`` and
+# ``walk`` in reference_reduction, the center generator and the conjugated
+# relators in helpers.
 REMOVED = (
     "schreier_transversal",
     "enumerate_generators",
@@ -60,6 +62,8 @@ REMOVED = (
     "_expression_table",
     "_express",
     "walk",
+    "_COMMANDS",
+    "_C_LETTERS",
 )
 
 

@@ -115,6 +115,34 @@ def test_homomorphy_audit():
             assert b3_is_trivial(quotient_to_b3(relator, rule))
 
 
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        (lambda word: quotient_to_b3(word, TAU_TO_SIGMA), "the braid-group quotients are set up for 3 strands"),
+        (b3_is_trivial, "the braid-group test is set up for 3 strands"),
+        (sg3_necessary_trivial, "the oracle is set up for 3 strands"),
+    ],
+)
+def test_oracles_refuse_a_four_strand_word(oracle, message):
+    with pytest.raises(ValueError) as refusal:
+        oracle(parse_braid_word("s1 t3", 4))
+    assert str(refusal.value) == message
+
+
+def test_homomorphy_audit_refuses_a_substitution_that_breaks_a_relator(monkeypatch):
+    # s1 t1 is no relator: t1 -> s1 sends it to s1^2, which is nontrivial.
+    monkeypatch.setattr(oracles, "sg3_relators", lambda: [parse_braid_word("s1 t1", 3)])
+    _homomorphy_audit.cache_clear()
+    try:
+        with pytest.raises(RuntimeError) as refusal:
+            quotient_to_b3(parse_braid_word("t1", 3), TAU_TO_SIGMA)
+        assert str(refusal.value) == f"tau substitution {TAU_TO_SIGMA} breaks relator s1 t1"
+    finally:
+        # Should the audit pass on the patched relators, its cached result
+        # must not reach later tests.
+        _homomorphy_audit.cache_clear()
+
+
 def test_oracle_on_relator_conjugates():
     rng = random.Random(419)
     for relator in sg3_relators():
