@@ -213,6 +213,16 @@ MUTANTS = (
         ("tests/test_cli.py::test_trivial", "tests/test_cli.py::test_equal"),
     ),
     Mutant(
+        "printer-skips-free-reduction",
+        "src/singbraid/normal_form.py",
+        "        return SPWord._reduced(letters)\n",
+        "        word = SPWord._parsed(letters)\n        word._store(tuple(letters))\n        return word\n",
+        (
+            "tests/test_printed_forms.py::test_hand_built_forms_print_freely_reduced",
+            "tests/test_normal_form.py::test_canonical_display_compacts_c_powers",
+        ),
+    ),
+    Mutant(
         "b3-matrix-sign",
         "src/singbraid/oracles.py",
         "            a, c = a - b * e, c - d * e\n",

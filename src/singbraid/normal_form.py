@@ -475,9 +475,12 @@ def canonical_display(form: CenterSplitForm) -> str:
     Each interior base is replaced by its minimal-syllable representative
     modulo sliding powers of c = a13 a23 across the stable letter to its
     left (see ``_best_slide``).  The slide pushes one run onto the entry
-    list on each side, so no run is written out.  Equal group elements
-    may still print differently; only the decision procedures are
-    contractual.  The cost is linear in the entries.
+    list on each side, so no run is written out.  An interior base that
+    the slide empties lies between two stable powers of the same sign:
+    between opposite signs it was a power of c, a pinch that the reducer
+    has cancelled.  The printer's one free reduction merges those two
+    powers.  Equal group elements may still print differently; only the
+    decision procedures are contractual.  The cost is linear in the entries.
     """
     stacks = [list(base) for base in form.v.bases]
     for i in range(1, len(stacks)):
@@ -487,16 +490,4 @@ def canonical_display(form: CenterSplitForm) -> str:
             right = [-best]
             _extend(right, stacks[i])
             stacks[i] = right
-    bases = [tuple(stack) for stack in stacks]
-    # Sliding can empty an interior base between same-sign stable letters;
-    # merge those powers so the display stays compact.
-    kept_bases, kept_powers = bases[:1], []
-    for power, base in zip(form.v.powers, bases[1:]):
-        if kept_powers and not kept_bases[-1]:
-            kept_powers[-1] += power
-            kept_bases[-1] = base
-        else:
-            kept_powers.append(power)
-            kept_bases.append(base)
-    compacted = CenterSplitForm(form.delta_exp, HNNForm(tuple(kept_bases), tuple(kept_powers)))
-    return str(compacted)
+    return str(CenterSplitForm(form.delta_exp, HNNForm(tuple(map(tuple, stacks)), form.v.powers)))

@@ -5,10 +5,12 @@ its input, read as counts rather than seconds.
 ``peak_bytes`` reads the ``tracemalloc`` peak of one call.  Each runs the
 call once first, so that the token caches and the tables built on first use
 are warm.  Both counts are exact for one Python version but differ between
-versions, so the tests assert only ratios: at most 2.1x per doubling of the
-input, and an equal line count where the input grows inside one run.  The
-clock-bounded tests elsewhere stay; these add a gate that a shared
-machine's noise cannot move.
+versions, so the tests assert ratios: at most 2.1x per doubling of the
+input, and an equal line count where the input grows inside one run.  One
+test also bounds each family's line events per unit letter of input by a
+constant, today's reading plus a margin wide enough for the versions that
+CI runs.  The clock-bounded tests elsewhere stay; these add a gate that a
+shared machine's noise cannot move.
 """
 
 import gc
@@ -105,6 +107,42 @@ FAMILIES = {
     # the whole run.
     "long-c-run": (center_split, lambda m: C**m * B12 * C ** (-m) * B12.inverse(), 500, True),
 }
+
+
+# Line events per unit letter of input, the highest of the readings at n, 2n
+# and 4n (Python 3.11 and 3.13 read the same to 0.01).  Exponents count by
+# magnitude, as the parser counts them: the exponent families have 4
+# syllables at every size, so a count per syllable would grow with e.
+LINE_EVENTS_PER_UNIT_LETTER = {
+    "pinch-tower": 16.0,
+    "singular-commutator": 34.6,
+    "relator-product": 19.0,
+    "crossing-power": 2.67,
+    "singular-power": 15.1,
+    "parse-and-refute": 3.03,
+    "alternating-stable-powers": 21.5,
+    "nested-stable-powers": 19.5,
+    "long-c-run": 14.5,
+}
+# Room for the other Python versions' line events, and for small changes
+# to the code; a step that doubles the constant still fails.
+PER_UNIT_LETTER_MARGIN = 1.5
+
+
+def unit_letter_count(argument) -> int:
+    if isinstance(argument, str):
+        argument = parse_braid_word(argument, 3)
+    return sum(abs(letter.exponent) for letter in argument.letters)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_line_events_per_unit_letter_stay_under_a_constant(family):
+    call, make, n, _ = FAMILIES[family]
+    bound = PER_UNIT_LETTER_MARGIN * LINE_EVENTS_PER_UNIT_LETTER[family]
+    for size in (n, 2 * n, 4 * n):
+        word = make(size)
+        per_letter = line_events(call, word) / unit_letter_count(word)
+        assert per_letter <= bound, (size, per_letter)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

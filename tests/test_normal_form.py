@@ -457,3 +457,8 @@ def test_canonical_display_compacts_c_powers():
     word = parse_sp_word("a13 a23 b12 a23^-1 a13^-1")
     shown = canonical_display(center_split(word))
     assert shown == "d^0 | b12"
+    # The run c between two b12 slides left and empties the interior base;
+    # the printer merges the two stable powers around it.
+    form = center_split(parse_sp_word("b12 a12^-1 b12 a13"))
+    assert str(form) == "d^-1 | b12 a13 a23 b12 a13"
+    assert canonical_display(form) == "d^-1 | a13 a23 b12^2 a13"
