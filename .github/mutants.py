@@ -180,9 +180,30 @@ MUTANTS = (
     Mutant(
         "first-read-keeps-the-parsed-letters",
         "src/singbraid/words.py",
-        "        return self._store(free_reduce(self._stored))\n",
-        "        return self._store(tuple(self._stored))\n",
+        "        return self._store(free_reduce(map(stored.letter_of.__getitem__, stored.tokens)))\n",
+        "        return self._store(tuple(map(stored.letter_of.__getitem__, stored.tokens)))\n",
         ("tests/test_words.py::test_parsed_word_reduces_on_first_read_and_keeps_the_letters",),
+    ),
+    Mutant(
+        "late-first-read-ignores-the-stored-letters",
+        "src/singbraid/words.py",
+        "        if stored.__class__ is not _Tokens:\n",
+        "        if False:\n",
+        ("tests/test_words.py::test_a_late_first_read_returns_the_letters_another_read_stored",),
+    ),
+    Mutant(
+        "letter-counts-read-the-letters",
+        "src/singbraid/words.py",
+        "            return zip(stored.letter_of.values(), stored.counts.values())\n",
+        "            return Counter(self.letters).items()\n",
+        ("tests/test_words.py::test_sum_stages_reduce_no_word_they_refute",),
+    ),
+    Mutant(
+        "braid-sums-drop-the-count",
+        "src/singbraid/words.py",
+        "            sigma_sum += exponent * n\n",
+        "            sigma_sum += exponent\n",
+        ("tests/test_words.py::test_exponent_sums",),
     ),
     Mutant(
         "token-cache-ignores-strands",

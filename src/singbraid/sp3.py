@@ -24,9 +24,9 @@ generator's ambient word, whose walk emits that generator alone.  The merge
 builds the word through ``SPWord._reduced``, which skips the check of each
 letter's name: the rows are checked once, by ``verify --table``.
 ``parse_sp_word`` skips the check too, since its token pattern admits only
-the six names, and builds its word through ``SPWord._parsed``, which puts
-off the free reduction until the first read of ``letters``: the six sums
-of ``normal_form`` read the letters unreduced.
+the six names, and builds its word through ``SPWord._parsed``, which keeps
+the counted tokens and builds the letters only on the first read of
+``letters``: the six sums of ``normal_form`` read the token counts.
 Conjugation by the four ambient generators restricts to automorphisms of
 SP_3: ``ACTION_TABLES`` holds the paper's rules for x -> g^-1 x g, and
 ``conjugate_by_sg3_generator`` computes any power of the action by
@@ -95,11 +95,12 @@ class SPWord(FreeWord):
 
 def parse_sp_word(text: str) -> SPWord:
     """Parse the SP_3 word grammar (tokens a12 .. b23 with optional ``^<k>``,
-    ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters,
-    freely reduced on the first read of ``letters``;
+    ``1`` for the empty word) into at most ``words.MAX_UNIT_LETTERS`` unit letters.
+    The word keeps its counted tokens, and builds and freely reduces its
+    letters on the first read of ``letters`` (see ``words.FreeWord``);
     exponents of more than ``words.MAX_DIGITS`` digits are refused unread."""
-    letters, bound = parse_tokens(text, _sp_letter)
-    return check_unit_length(SPWord._parsed(letters), bound)
+    tokens, bound = parse_tokens(text, _sp_letter)
+    return check_unit_length(SPWord._parsed(tokens), bound)
 
 
 @lru_cache(maxsize=_TOKEN_CACHE_SIZE)

@@ -9,12 +9,13 @@ and SP_3 words in ``sp3``, is an element of a free group whose ``letters``
 are freely reduced with run-length exponents: adjacent letters of the same
 generator are merged and letters whose exponent cancels to zero are
 removed.  A word built by a constructor is reduced at once; a parsed word
-keeps the parser's letters and is reduced on the first read of its
-``letters``.  The crossing and singular sums here and the six generator
-sums of ``normal_form`` read a word's letters as stored, through
-``FreeWord._stored``: every defining relation balances each generator, so
-the sums are homomorphisms that free reduction does not change, and a word
-that they refute is never reduced.
+keeps the parser's tokens, counted once, and builds and reduces its
+letters on the first read of ``letters``.  The crossing and singular sums
+here and the six generator sums of ``normal_form`` read each distinct
+letter with its count, through ``FreeWord._letter_counts``: every defining
+relation balances each generator, so the sums are homomorphisms that
+depend only on how often each letter occurs, and a parsed word that they
+refute never builds its letters and is never reduced.
 This module holds that free-group core once: ``free_reduce`` is the one
 reduction, ``FreeWord`` the one set of word operations (inverse, product,
 power, printing) and ``substitute`` the one letter-by-word substitution,
@@ -24,9 +25,9 @@ equality in SG_n itself is decided elsewhere (see normal_form).
 
 All values are immutable and all functions are pure, so words can be
 shared freely between threads: two threads that read the ``letters`` of
-one parsed word at once each reduce it, to equal letters.  The parsers'
-token caches only memoise: a token gives the same letter on every call,
-and a bad token raises anew.
+one parsed word at once each build and reduce them, to equal letters.
+The parsers' token caches only memoise: a token gives the same letter on
+every call, and a bad token raises anew.
 ``Value`` is the one base of the package's immutable classes: slotted,
 compared and hashed by their fields, printed in ``repr`` as
 ``Name(field=value, ...)``, and refusing assignment.
@@ -35,9 +36,10 @@ compared and hashed by their fields, printed in ``repr`` as
 from __future__ import annotations
 
 import re
+from collections import Counter, _count_elements
 from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 SIGMA = "s"
 TAU = "t"
@@ -124,7 +126,6 @@ def free_reduce(letters: Iterable) -> tuple:
 
 
 _W = TypeVar("_W", bound="FreeWord")
-_L = TypeVar("_L", bound=tuple)
 
 
 class Value:
@@ -172,6 +173,16 @@ class Value:
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
+class _Tokens(NamedTuple):
+    """A parsed word as ``parse_tokens`` leaves it: its tokens in order, the
+    letter of each distinct token and the number of its occurrences, both
+    keyed in the order of first occurrence."""
+
+    tokens: list[str]
+    letter_of: dict
+    counts: dict[str, int]
+
+
 class FreeWord(Value):
     """The operations of a freely reduced word with a ``letters`` field.
 
@@ -181,23 +192,26 @@ class FreeWord(Value):
     new letters, so it is reduced again.  ``_reduced`` is the one
     constructor that reduces without validating.
 
-    ``_parsed`` is the parsers' constructor: it keeps their list of
-    letters unreduced in ``_stored`` and leaves the ``letters`` slot
-    unset.  ``__getattr__``, which Python calls only for an attribute that
-    it does not find, reduces the list on the first read of ``letters``
-    and stores the result in both slots, dropping the list.  Every other
-    constructor stores the reduced letters in both slots at once, so
-    ``_stored`` always holds the word's letters, reduced or not, and the
-    exponent sums read it with no test: free reduction changes no sum, and
-    a word that they refute is never reduced.  ``_stored`` is not a field:
-    it is not compared, hashed, printed or pickled, and a pickled or
-    copied word is rebuilt from its reduced letters.
+    ``_parsed`` is the parsers' constructor: it keeps their ``_Tokens`` in
+    ``_stored`` and leaves the ``letters`` slot unset.  ``__getattr__``,
+    which Python calls only for an attribute that it does not find, builds
+    the letters from the tokens on the first read of ``letters``, reduces
+    them and stores the result in both slots, dropping the tokens.  Every
+    other constructor stores the reduced letters in both slots at once.
+    ``_stored`` is one slot, read once by each reader, so a reader sees
+    either the tokens or the reduced letters, never half of each.
+    ``_letter_counts`` reads each distinct letter with its count from
+    either form, and the exponent sums read only that: free reduction
+    changes no sum, so a parsed word that they refute never builds a
+    letter list and is never reduced.  ``_stored`` is not a field: it is
+    not compared, hashed, printed or pickled, and a pickled or copied word
+    is rebuilt from its reduced letters.
     """
 
     __slots__ = ("_stored",)
     _fields = ()
     letters: tuple
-    _stored: Sequence
+    _stored: _Tokens | tuple
 
     @classmethod
     def _reduced(cls: type[_W], *fields: object) -> _W:
@@ -211,10 +225,10 @@ class FreeWord(Value):
 
     @classmethod
     def _parsed(cls: type[_W], *fields: object) -> _W:
-        """``cls(*fields)`` without the checks of the fields, the letters,
-        the last field, kept as given until the first read of ``letters``:
-        for a parser's list of letters, built from tokens it checked one
-        distinct token at a time."""
+        """``cls(*fields)`` without the checks of the fields, the last one
+        kept as given in ``_stored`` until the first read of ``letters``:
+        for a parser's ``_Tokens``, whose distinct tokens it checked one at
+        a time."""
         word = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields[:-1]):
             object.__setattr__(word, name, value)
@@ -224,15 +238,28 @@ class FreeWord(Value):
     def __getattr__(self, name: str) -> tuple:
         if name != "letters":
             raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
-        # Drops the parser's list.  A thread that read ``_stored`` before
-        # the list was dropped reduces it again, to equal letters.
-        return self._store(free_reduce(self._stored))
+        stored = self._stored
+        if stored.__class__ is not _Tokens:
+            # Another thread stored the letters after this read missed them.
+            return stored
+        # Two threads that both read the tokens each reduce them, to equal letters.
+        return self._store(free_reduce(map(stored.letter_of.__getitem__, stored.tokens)))
 
     def _store(self, letters: tuple) -> tuple:
         """Store reduced letters as ``letters`` and as ``_stored``."""
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_stored", letters)
         return letters
+
+    def _letter_counts(self) -> Iterable[tuple[tuple, int]]:
+        """``(letter, count)`` pairs whose counts add up to the word's letters
+        as stored: from the token counts of a parsed word whose ``letters``
+        were never read, else ``Counter`` over the reduced letters.  A letter
+        may come in more than one pair, as ``s1`` and ``s1^1`` do."""
+        stored = self._stored
+        if stored.__class__ is _Tokens:
+            return zip(stored.letter_of.values(), stored.counts.values())
+        return Counter(stored).items()
 
     def _with(self: _W, letters: tuple) -> _W:
         return self.__class__(*self._key(self)[:-1], letters)
@@ -316,11 +343,11 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     """
     if strands > MAX_UNIT_LETTERS:
         raise ValueError(f"strand count {strands} is more than the limit of {MAX_UNIT_LETTERS}")
-    letters, bound = parse_tokens(text, lambda token: _braid_letter(token, strands))
-    # Every distinct token was checked above, so the letters are only
+    tokens, bound = parse_tokens(text, lambda token: _braid_letter(token, strands))
+    # Every distinct token was checked above, so the tokens are only
     # stored.  Below two strands every token is out of range, so only the
     # empty word gets here, and BraidWord refuses its strand count.
-    word = BraidWord._parsed(strands, letters) if strands > 1 else BraidWord(strands)
+    word = BraidWord._parsed(strands, tokens) if strands > 1 else BraidWord(strands)
     return check_unit_length(word, bound)
 
 
@@ -339,26 +366,31 @@ def _braid_letter(token: str, strands: int) -> Letter:
     return Letter(kind, index, 1 if exponent is None else parse_number(exponent))
 
 
-def parse_tokens(text: str, letter: Callable[[str], _L]) -> tuple[list[_L], int]:
-    """The letters of the whitespace-separated tokens of ``text``, skipping
-    the token ``1`` of the empty word, and a bound on their unit letters:
-    the number of tokens times the largest ``|exponent|`` among them.
-    ``letter`` makes the letter of a token, or raises for a bad one.
+def parse_tokens(text: str, letter: Callable[[str], tuple]) -> tuple[_Tokens, int]:
+    """The whitespace-separated tokens of ``text``, skipping the token ``1``
+    of the empty word, as a parsed word stores them, and a bound on their
+    unit letters: the number of tokens times the largest ``|exponent|``
+    among them.  ``letter`` makes the letter of a token, or raises for a bad
+    one.
 
-    ``letter`` is called once per distinct token, in the order of its first
-    occurrence, so the first bad token in reading order is the one that
-    raises, as it would be in a plain left-to-right loop; both parsers pass
-    a cached function, so a token recurring across words is converted once
-    per process.  The letters come as a list, which a parsed word stores.
+    The tokens are counted once, in C, into a dict whose keys come in the
+    order of their first occurrence; ``letter`` is called once per distinct
+    token in that order, so the first bad token in reading order is the one
+    that raises, as it would be in a plain left-to-right loop.  Both parsers
+    pass a cached function, so a token recurring across words is converted
+    once per process.  No letter is built per token here: a parsed word
+    builds its letters from the tokens on the first read of ``letters``.
     """
     tokens = text.split()
-    distinct = dict.fromkeys(tokens)
-    if "1" in distinct:
-        del distinct["1"]
+    # collections.Counter does the same count with about a microsecond more
+    # of Python set-up per call, which short words would pay in full.
+    counts: dict[str, int] = {}
+    _count_elements(counts, tokens)
+    if counts.pop("1", None):
         tokens = [token for token in tokens if token != "1"]
-    known = dict(zip(distinct, map(letter, distinct)))
-    bound = len(tokens) * max(map(abs, map(itemgetter(-1), known.values())), default=0)
-    return list(map(known.__getitem__, tokens)), bound
+    letter_of = dict(zip(counts, map(letter, counts)))
+    bound = len(tokens) * max(map(abs, map(itemgetter(-1), letter_of.values())), default=0)
+    return _Tokens(tokens, letter_of, counts), bound
 
 
 def parse_number(digits: str) -> int:
@@ -403,15 +435,17 @@ def exponent_sums(word: BraidWord) -> tuple[int, int]:
 
     Every defining relator of SG_n balances the two counts separately, so
     the pair is a homomorphism SG_n -> Z^2 and a nonzero sum proves a word
-    nontrivial; ``is_trivial_sg3`` reads it first.  Free reduction keeps
-    both sums, so this is one pass over the letters as stored, unreduced
-    in a parsed word whose ``letters`` were never read, the kind of each
-    letter already checked by the parser or by ``BraidWord``.
+    nontrivial; ``is_trivial_sg3`` reads it first.  The sums depend only on
+    how often each letter occurs, so they add exponent times count once per
+    distinct letter, read through ``FreeWord._letter_counts``: from the
+    parser's token counts in a parsed word whose ``letters`` were never
+    read, which builds no letter and reduces nothing.  The kind of each
+    letter was already checked by the parser or by ``BraidWord``.
     """
     sigma_sum = tau_sum = 0
-    for kind, _, exponent in word._stored:
+    for (kind, _, exponent), n in word._letter_counts():
         if kind == SIGMA:
-            sigma_sum += exponent
+            sigma_sum += exponent * n
         else:
-            tau_sum += exponent
+            tau_sum += exponent * n
     return sigma_sum, tau_sum

@@ -19,7 +19,7 @@ import tracemalloc
 
 import pytest
 
-from singbraid import center_split, is_trivial_sg3, parse_braid_word, parse_sp_word
+from singbraid import center_split, is_trivial_sg3, is_trivial_sp3, parse_braid_word, parse_sp_word
 
 MAX_RATIO_PER_DOUBLING = 2.1
 
@@ -156,6 +156,26 @@ def test_counts_at_most_double_per_doubling(family):
         counts = [count(call, word) for word in words]
         for smaller, larger in zip(counts, counts[1:]):
             assert larger <= MAX_RATIO_PER_DOUBLING * smaller, (count.__name__, counts)
+
+
+def decide_sp_text(text: str) -> bool:
+    return is_trivial_sp3(parse_sp_word(text))
+
+
+@pytest.mark.parametrize(
+    "call, make",
+    [
+        FAMILIES["parse-and-refute"][:2],
+        # The SP_3 counterpart: a13 sum n + 1, a23 sum n.
+        (decide_sp_text, lambda n: "b12 a13 b12^-1 a23 " * n + "a13"),
+    ],
+    ids=["braid", "sp3"],
+)
+def test_refuted_words_decide_in_the_same_line_count_at_every_length(call, make):
+    # The sums read the token counts, which the parser makes in C, and add
+    # once per distinct token: no Python line runs once per token.
+    counts = [line_events(call, make(n)) for n in (250, 500, 1000)]
+    assert not call(make(250)) and len(set(counts)) == 1, counts
 
 
 def test_hostile_nf_word_reduces_in_the_same_line_count_at_every_exponent():

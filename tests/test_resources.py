@@ -34,6 +34,9 @@ RSS_MARGIN_SHARE = 0.5
 RSS_MARGIN_MB = 8
 
 HOSTILE_NF = "a12^131070 b12 a13 b12^-1 a12^-131070 b13"
+# 20,001 tokens of exponent +-1 in 90,002 bytes, under the 128 KiB that
+# Linux allows one argument: crossing sum 1, so the sums refute it.
+LONG_REFUTED = "s1 t2 s2^-1 t1^-1 " * 5000 + "s1"
 
 # name: (argv, exit code, stdout bytes, MB of peak resident set above a bare
 # import, read on Python 3.11 at a bare-import peak of 14.5 MB; 3.13 read
@@ -46,6 +49,7 @@ CALLS = {
     "hostile-nf": (["nf", HOSTILE_NF], 0, 2_883_565, 27.0),
     "conj-by-a-power": (["conj", "-g", "t1^131072", "a13 b23 a23 b13"], 0, 1_572_889, 25.9),
     "parse-over-the-limit": (["parse", "s1^1234567"], 2, 0, 0.1),
+    "long-refuted-word": (["trivial", LONG_REFUTED], 1, 11, 0.0),
 }
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from singbraid import (
     parse_sp_word,
     sg3_relators,
 )
-from singbraid import words
+from singbraid import normal_form, words
 from singbraid.sp3 import SP_NAMES, _sp_letter
 from singbraid.words import MAX_UNIT_LETTERS, _braid_letter, free_reduce
 from helpers import random_run_letters, random_sp_word, random_word, unit_letters
@@ -77,6 +78,10 @@ def test_parse_rejects_out_of_range_index():
         # A 7-digit exponent after tokens already seen.
         ("s1 t2 s1 t2 s1^-1234567 s1", 3, "a number has more than 6 digits, past the limit of 262144"),
         ("s1 s1 s1234567", 3, "a number has more than 6 digits, past the limit of 262144"),
+        # The tokens are counted before any is checked: a bad token that
+        # recurs, after a valid one that recurs, still raises first.
+        ("s1 s1 x2 y x2", 3, "bad token 'x2' in braid word"),
+        ("t2 s3 t2 s3 x2", 3, "token 's3' out of range for 3 strands"),
         # Tokens of the empty word, before, between and after letters.
         ("1 s1 1 x 1 s1", 3, "bad token 'x' in braid word"),
         ("1 11 1", 3, "bad token '11' in braid word"),
@@ -96,13 +101,33 @@ def test_parse_errors_name_the_first_bad_token(text, strands, message):
 
 
 def test_parse_with_repeated_and_empty_tokens():
-    assert str(parse_braid_word("1 s1 1 s1 t2^-1 1 s1 t2^-1 1", 3)) == "s1^2 t2^-1 s1 t2^-1"
-    assert parse_braid_word("1 1 1", 3).is_empty
+    word = parse_braid_word("1 s1 1 s1 t2^-1 1 s1 t2^-1 1", 3)
+    # The token 1 is neither stored nor counted.
+    assert word._stored.tokens == ["s1", "s1", "t2^-1", "s1", "t2^-1"]
+    assert word._stored.counts == {"s1": 3, "t2^-1": 2}
+    assert exponent_sums(word) == (3, -2) and str(word) == "s1^2 t2^-1 s1 t2^-1"
+    for text in ("1", "1 1 1"):
+        word = parse_braid_word(text, 3)
+        assert word._stored.tokens == [] and exponent_sums(word) == (0, 0) and word.is_empty
     assert parse_braid_word("s1 s1^-1 " * 50, 3).is_empty
     assert str(parse_sp_word("1 a12 b13 a12 1 b13")) == "a12 b13 a12 b13"
-    with pytest.raises(ValueError) as error:
-        parse_sp_word("a12 a12 a14 a12^1234567")
-    assert str(error.value) == "bad token 'a14' in SP word"
+    for text, bad in (("a12 a12 a14 a12^1234567", "a14"), ("a13 a13 x2 y x2", "x2")):
+        with pytest.raises(ValueError) as error:
+            parse_sp_word(text)
+        assert str(error.value) == f"bad token {bad!r} in SP word"
+
+
+def test_equal_letters_of_different_tokens_add_into_one_sum():
+    # s1 and s1^1 are two tokens of one letter, each with its own count.
+    word = parse_braid_word("s1 s1^1 t2 s1 t2^1 s1^1 s1^-4", 3)
+    s1, t2 = Letter("s", 1, 1), Letter("t", 2, 1)
+    assert sorted(word._letter_counts()) == [(Letter("s", 1, -4), 1), (s1, 2), (s1, 2), (t2, 1), (t2, 1)]
+    assert exponent_sums(word) == (0, 2)
+    assert is_trivial_sg3(parse_braid_word("s1 s1^1 s1^-2", 3))
+    # c b12 c b12^-1 c^-2 with c = a13 a23, which commutes with b12.
+    sp_word = parse_sp_word("a13 a23 b12 a13^1 a23^1 b12^-1 a23^-1 a13^-1 a23^-1 a13^-1")
+    assert normal_form._six_sums(sp_word) == dict.fromkeys(SP_NAMES, 0)
+    assert is_trivial_sp3(sp_word)
 
 
 def test_braid_word_names_its_first_bad_letter():
@@ -145,6 +170,9 @@ def test_parse_limits_unit_letters():
         (lambda text: parse_braid_word(text, 3), f"1 s1^{MAX_UNIT_LETTERS + 1} 1", MAX_UNIT_LETTERS + 1),
         (parse_sp_word, "a12^200000 a13 a13^-1 b12^70000", 270000),
         (parse_sp_word, "b13^-131072 b13^-131072 a23", MAX_UNIT_LETTERS + 1),
+        # Recurring tokens of exponent +-1, past the limit by one.
+        (lambda text: parse_braid_word(text, 3), "t1 " * (MAX_UNIT_LETTERS + 1), MAX_UNIT_LETTERS + 1),
+        (parse_sp_word, "a13 b12 " * (MAX_UNIT_LETTERS // 2) + "b12^-1 b12 a23", MAX_UNIT_LETTERS + 1),
     ],
 )
 def test_parse_over_the_limit_after_reduction(parse, text, length):
@@ -171,21 +199,36 @@ def test_reduce_only_constructor_equals_the_public_ones():
 
 
 def test_parsed_word_reduces_on_first_read_and_keeps_the_letters():
-    # The parser stores its letters unreduced; the first read of
-    # ``letters`` reduces them, keeps the result and drops the raw list.
+    # The parser stores the tokens, the letter of each distinct token and
+    # its count, and builds no letter list; the first read of ``letters``
+    # builds the letters from the tokens, reduces them, keeps the result
+    # and drops the tokens.
     rng = random.Random(53)
     for _ in range(200):
         letters = random_run_letters(rng, 3, max_exp=rng.choice((1, 3)))
-        text = " ".join(letter.token() for letter in letters) or "1"
-        word = parse_braid_word(text, 3)
-        assert list(word._stored) == letters
+        tokens = [letter.token() for letter in letters]
+        word = parse_braid_word(" ".join(tokens) or "1", 3)
+        stored = word._stored
+        assert type(stored) is words._Tokens and stored.tokens == tokens
+        assert list(stored.letter_of) == list(stored.counts) == list(dict.fromkeys(tokens))
+        assert stored.counts == dict(Counter(tokens))
+        assert [stored.letter_of[token] for token in tokens] == letters
         reduced = word.letters
         assert reduced == free_reduce(letters) == BraidWord(3, letters).letters
         assert word.letters is reduced and word._stored is reduced
         assert word == BraidWord(3, letters) and hash(word) == hash(BraidWord(3, letters))
-    sp_word = parse_sp_word("a12 b12 b12^-1 a12^2 a13")
-    assert sp_word.letters == (SPLetter("a12", 3), SPLetter("a13", 1)) == sp_word._stored
+    sp_word = parse_sp_word("a12 b12 b12^-1 a12^2 a12 a13")
+    assert sp_word._stored.counts == {"a12": 2, "b12": 1, "b12^-1": 1, "a12^2": 1, "a13": 1}
+    assert sp_word.letters == (SPLetter("a12", 4), SPLetter("a13", 1)) == sp_word._stored
     assert str(parse_braid_word("s1 t2 t2^-1 s1^-1 s2", 3)) == "s2"
+
+
+def test_a_late_first_read_returns_the_letters_another_read_stored():
+    # A thread whose read of ``letters`` missed the slot just before another
+    # thread stored the reduced letters finds them in ``_stored``.
+    word = parse_braid_word("s1 s1 t2 t2^-1", 3)
+    letters = word.letters
+    assert words.FreeWord.__getattr__(word, "letters") is letters == (Letter("s", 1, 2),)
 
 
 def test_sum_stages_reduce_no_word_they_refute(monkeypatch):
@@ -196,9 +239,22 @@ def test_sum_stages_reduce_no_word_they_refute(monkeypatch):
         calls.append(letters)
         return free_reduce(letters)
 
+    class WatchedLetters(dict):
+        def __getitem__(self, token):
+            raise AssertionError(f"the letter of {token!r} was looked up")
+
+    def watched(word):
+        # The map from token to letter refuses lookups, so building the
+        # letter list from the tokens fails; reading its values does not.
+        stored = word._stored._replace(letter_of=WatchedLetters(word._stored.letter_of))
+        object.__setattr__(word, "_stored", stored)
+        return word
+
     monkeypatch.setattr(words, "free_reduce", counting_free_reduce)
-    assert not is_trivial_sg3(parse_braid_word("s1 s2 s1", 3))
-    assert not is_trivial_sp3(parse_sp_word("a13 b12"))
+    with pytest.raises(AssertionError, match="was looked up"):
+        watched(parse_braid_word("s1", 3)).letters
+    assert not is_trivial_sg3(watched(parse_braid_word("s1 s2 s1 s1 t2 s1", 3)))
+    assert not is_trivial_sp3(watched(parse_sp_word("a13 b12 a13 b12^-1")))
     assert calls == []
     # A trivial word goes through pi, the walk and the reducer: its braid
     # letters are reduced once, and the rewrite reduces its SP_3 word.
@@ -402,6 +458,10 @@ def test_exponent_sums():
     assert exponent_sums(parse_braid_word("s1^2 t2", 3)) == (2, 1)
     delta_word = parse_braid_word("s1^2 s2 s1^2 s2^-1 s2^2", 3)
     assert exponent_sums(delta_word) == (6, 0)
+    # Recurring tokens count once per occurrence, parsed or built.
+    assert exponent_sums(parse_braid_word("s1 t2 s1 s1 t2^-3 s2^2 s1^-1", 3)) == (4, -2)
+    assert exponent_sums(parse_braid_word("t1 " * 7 + "s2^-1 " * 3, 3)) == (-3, 7)
+    assert exponent_sums(BraidWord(3, (Letter("s", 1, 1), Letter("t", 1, 1)) * 5)) == (5, 5)
 
 
 def test_exponent_sums_invariant_under_relators():
