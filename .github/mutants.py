@@ -58,8 +58,8 @@ MUTANTS = (
     Mutant(
         "d-exponent-counts-other-letters",
         "src/singbraid/normal_form.py",
-        "    return sum(exponent for name, exponent in word.letters if name == A12), word\n",
-        "    return sum(exponent for name, exponent in word.letters if name != A12), word\n",
+        " in word._letter_counts() if name == A12), word\n",
+        " in word._letter_counts() if name != A12), word\n",
         ("tests/test_normal_form.py::test_eliminate_a12_examples",),
     ),
     Mutant(
@@ -145,8 +145,8 @@ MUTANTS = (
     Mutant(
         "a12-run-sign",
         "src/singbraid/normal_form.py",
-        "            _push_run(entries, -letter.exponent)\n",
-        "            _push_run(entries, letter.exponent)\n",
+        "            _push_run(entries, -exponent)\n",
+        "            _push_run(entries, exponent)\n",
         ("tests/test_normal_form.py::test_britton_reads_a12_as_a_c_run",),
     ),
     Mutant(
@@ -195,8 +195,29 @@ MUTANTS = (
         "letter-counts-read-the-letters",
         "src/singbraid/words.py",
         "            return zip(stored.letter_of.values(), stored.counts.values())\n",
-        "            return Counter(self.letters).items()\n",
+        "            return ((letter, 1) for letter in self.letters)\n",
         ("tests/test_words.py::test_sum_stages_reduce_no_word_they_refute",),
+    ),
+    Mutant(
+        "built-letter-counts-drop-repeats",
+        "src/singbraid/words.py",
+        "        return _count_elements(counts := {}, stored) or counts.items()\n",
+        "        return dict.fromkeys(stored, 1).items()\n",
+        ("tests/test_normal_form.py::test_six_sums_count_each_distinct_letter_once",),
+    ),
+    Mutant(
+        "first-pass-reads-each-token-once",
+        "src/singbraid/words.py",
+        "            return stored.tokens, stored.letter_of\n",
+        "            return list(stored.counts), stored.letter_of\n",
+        ("tests/test_normal_form.py::test_parsed_words_reduce_as_their_letters_do",),
+    ),
+    Mutant(
+        "first-pass-reads-the-token-as-its-letter",
+        "src/singbraid/normal_form.py",
+        "        letter = key if letter_of is None else letter_of[key]\n",
+        "        letter = key\n",
+        ("tests/test_normal_form.py::test_parsed_words_reduce_as_their_letters_do",),
     ),
     Mutant(
         "braid-sums-drop-the-count",

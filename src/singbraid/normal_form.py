@@ -11,11 +11,13 @@ V~ is built from the free product V = <a13, b13> * <a23, b23> of two rank
 two free abelian groups by adjoining the stable letter b12, which commutes
 with c = a13 a23: an HNN extension of V with cyclic associated subgroup
 <c>.  ``britton_reduce`` reduces the V~ image of an SP_3 word with two
-stack passes.  The first reads the letters once, left to right: the base
+stack passes.  The first reads the word once, left to right: the base
 word between two stable letters keeps its syllables on a stack that merges
 same-factor neighbours, a12^e goes onto it as one run c^-e, and a stable
 power that follows an empty base merges with the power before it, which
-gives the normal form in the free product V * <b12>.
+gives the normal form in the free product V * <b12>.  That pass cancels
+whatever free reduction would, so it reads a parsed word's tokens as the
+parser stored them, unreduced, and a built word's reduced letters.
 The second reads the bases and powers of that form once and cancels every
 pinch b12^-e c^k b12^e by sliding c^k into the base to its left; a
 cancellation can only expose another at the top of the stack.  A base
@@ -42,9 +44,10 @@ defining relation balances each generator, so the sums are a homomorphism
 SP_3 -> Z^6, a nonzero sum refutes the word at once, and only a word whose
 six sums vanish goes through ``center_split``.  The sums depend only on
 how often each letter occurs, so both sum stages read each distinct letter
-with its count, from the parser's token counts in a parsed word, and a
-parsed word that they refute never builds its letters and is never freely
-reduced (see ``words.FreeWord``).
+with its count, from the parser's token counts in a parsed word, and so
+does ``eliminate_a12``; ``britton_reduce`` reads the tokens.  So a parsed
+SP_3 word never builds its letters and is never freely reduced on its way
+to a verdict (see ``words.FreeWord``).
 A word of SG_3 is trivial when its projection to the symmetric group is
 trivial and its rewrite into SP_3 is.  ``is_trivial_sg3`` first reads the crossing and singular exponent
 sums, a homomorphism SG_3 -> Z^2 for the same reason, and refutes a word
@@ -297,11 +300,13 @@ def eliminate_a12(word: SPWord) -> tuple[int, SPWord]:
     Since a12 = d c^-1 with d central, a word's coordinate in the factor
     <d> of SP_3 = V~ x <d> is its a12 exponent sum, and ``britton_reduce``
     reads each a12^e of the word as the run c^-e of its V~ part, so no
-    letter is substituted here.  The name and the pair stay because the
-    name is public and the benchmark times the two steps of
+    letter is substituted here.  The sum reads each distinct letter with
+    its count through ``FreeWord._letter_counts``, from the token counts of
+    a parsed word, which builds no letter.  The name and the pair stay
+    because the name is public and the benchmark times the two steps of
     ``center_split`` by it.
     """
-    return sum(exponent for name, exponent in word.letters if name == A12), word
+    return sum(exponent * count for (name, exponent), count in word._letter_counts() if name == A12), word
 
 
 def britton_reduce(word: SPWord) -> HNNForm:
@@ -311,7 +316,10 @@ def britton_reduce(word: SPWord) -> HNNForm:
     The first pass pushes base letters onto the syllable stack of the open
     base, and each a12^e as the run c^-e, its image in V~ = SP_3/<d>; a
     stable power b12^e that follows an empty base merges with the power
-    before it: the normal form in the free product V * <b12>.
+    before it: the normal form in the free product V * <b12>.  It merges
+    and cancels whatever free reduction would, so it reads the word as
+    stored, through ``FreeWord._letter_keys``: a parsed word's tokens,
+    unreduced, each distinct one looked up once, or a built word's letters.
     The second pass walks that form: when b12^e follows a base c^k and the
     power before the base has the opposite sign, the pinch cancels by
     sliding c^k, which commutes with b12, into the base to its left.  That
@@ -330,8 +338,13 @@ def britton_reduce(word: SPWord) -> HNNForm:
     bases: list[list[FactorSyllable | int]] = [[]]
     powers: list[int] = []
     entries = bases[-1]
-    for letter in word.letters:
-        unit = _UNITS.get(letter)
+    keys, letter_of = word._letter_keys()
+    # A parsed word's distinct tokens are looked up in _UNITS once, in C;
+    # each occurrence then hashes its str token, whose hash is cached, and
+    # no letter.  Built letters are their own keys.
+    units = _UNITS if letter_of is None else dict(zip(letter_of, map(_UNITS.get, letter_of.values())))
+    for key in keys:
+        unit = units.get(key)
         if unit is not None:
             syllable, first, sign = unit
             if first is not None and entries and entries[-1] is first:
@@ -350,14 +363,15 @@ def britton_reduce(word: SPWord) -> HNNForm:
             else:
                 _push(entries, syllable)
             continue
-        if letter.name == A12:
+        letter = key if letter_of is None else letter_of[key]
+        name, exponent = letter
+        if name == A12:
             # a12^e = d^e c^-e, and d is central: its V~ part is c^-e.
-            _push_run(entries, -letter.exponent)
+            _push_run(entries, -exponent)
             continue
-        if letter.name != B12:
+        if name != B12:
             _push(entries, _syllable(letter))
             continue
-        exponent = letter.exponent
         if powers and not entries:
             bases.pop()
             exponent += powers.pop()
@@ -410,10 +424,10 @@ def is_trivial_sp3(word: SPWord) -> bool:
 
     Each defining relation has exponent sum zero in every generator, so the
     sums are a homomorphism SP_3 -> Z^6, and a word with a nonzero sum is
-    nontrivial.  They read the token counts of a parsed word: it builds
-    and reduces its letters only on the first read of its ``letters``, so
-    a word that the sums refute is never reduced at all.
-    Only a word whose six sums vanish is reduced, and then Britton-reduced.
+    nontrivial.  They read the token counts of a parsed word, and
+    ``center_split`` reads its tokens: a parsed word builds and reduces
+    its letters only on the first read of its ``letters``, which no stage
+    here makes.  Only a word whose six sums vanish is Britton-reduced.
     """
     sums = _six_sums(word)
     if any(sums.values()):

@@ -15,7 +15,10 @@ here and the six generator sums of ``normal_form`` read each distinct
 letter with its count, through ``FreeWord._letter_counts``: every defining
 relation balances each generator, so the sums are homomorphisms that
 depend only on how often each letter occurs, and a parsed word that they
-refute never builds its letters and is never reduced.
+refute never builds its letters and is never reduced.  ``normal_form``
+reads the rest of an SP_3 decision from the tokens too: the a12 sum
+through ``_letter_counts``, and Britton reduction's first pass, which
+cancels whatever free reduction would, through ``FreeWord._letter_keys``.
 This module holds that free-group core once: ``free_reduce`` is the one
 reduction, ``FreeWord`` the one set of word operations (inverse, product,
 power, printing) and ``substitute`` the one letter-by-word substitution,
@@ -36,10 +39,10 @@ compared and hashed by their fields, printed in ``repr`` as
 from __future__ import annotations
 
 import re
-from collections import Counter, _count_elements
+from collections import _count_elements
 from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 SIGMA = "s"
 TAU = "t"
@@ -203,9 +206,11 @@ class FreeWord(Value):
     ``_letter_counts`` reads each distinct letter with its count from
     either form, and the exponent sums read only that: free reduction
     changes no sum, so a parsed word that they refute never builds a
-    letter list and is never reduced.  ``_stored`` is not a field: it is
-    not compared, hashed, printed or pickled, and a pickled or copied word
-    is rebuilt from its reduced letters.
+    letter list and is never reduced.  ``_letter_keys`` reads either form
+    in order, for a reader that reduces as it goes, as Britton reduction
+    does, and so needs no free reduction first.  ``_stored`` is not a
+    field: it is not compared, hashed, printed or pickled, and a pickled
+    or copied word is rebuilt from its reduced letters.
     """
 
     __slots__ = ("_stored",)
@@ -254,12 +259,29 @@ class FreeWord(Value):
     def _letter_counts(self) -> Iterable[tuple[tuple, int]]:
         """``(letter, count)`` pairs whose counts add up to the word's letters
         as stored: from the token counts of a parsed word whose ``letters``
-        were never read, else ``Counter`` over the reduced letters.  A letter
-        may come in more than one pair, as ``s1`` and ``s1^1`` do."""
+        were never read, else the reduced letters counted in C, as
+        ``parse_tokens`` counts tokens.  A letter may come in more than one
+        pair, as ``s1`` and ``s1^1`` do."""
         stored = self._stored
         if stored.__class__ is _Tokens:
             return zip(stored.letter_of.values(), stored.counts.values())
-        return Counter(stored).items()
+        # One line, as the branch above, so that a word costs the same line
+        # events on either side of the parse bound, which the cost tests
+        # compare: _count_elements returns None.
+        return _count_elements(counts := {}, stored) or counts.items()
+
+    def _letter_keys(self) -> tuple[Sequence, dict | None]:
+        """The word's letters as stored, each read by a key, and the map from
+        key to letter: the tokens and ``letter_of`` of a parsed word whose
+        ``letters`` were never read, unreduced, else the reduced letters and
+        None, each letter its own key.  A reader that looks a parsed word's
+        letters up once per distinct token then reads each occurrence by its
+        ``str`` key, whose hash is cached.  ``_stored`` is read once, so
+        another thread's first read of ``letters`` cannot mix the forms."""
+        stored = self._stored
+        if stored.__class__ is _Tokens:
+            return stored.tokens, stored.letter_of
+        return stored, None
 
     def _with(self: _W, letters: tuple) -> _W:
         return self.__class__(*self._key(self)[:-1], letters)

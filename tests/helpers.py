@@ -112,6 +112,35 @@ def random_sp_word(rng: random.Random, max_len: int = 20) -> SPWord:
     return SPWord(letters)
 
 
+def _token(name: str, exponent: int) -> str:
+    return name if exponent == 1 else f"{name}^{exponent}"
+
+
+def unreduced_sp_text(rng: random.Random) -> str:
+    """An SP_3 text that free reduction changes: cancelling pairs, runs
+    split over two tokens (one of them sometimes written ``a13^1``), tokens
+    ``1``, ``a12^k ... a12^-k`` and ``b12 ... b12^-1`` around a base that
+    empties, between plain tokens."""
+    tokens = []
+    for _ in range(rng.randrange(1, 10)):
+        name, e = rng.choice(SP_NAMES), rng.choice((-3, -2, -1, 1, 2, 3))
+        piece = rng.randrange(6)
+        if piece == 0:
+            tokens += [_token(name, e), _token(name, -e)]
+        elif piece == 1:
+            tokens += [_token(name, e), rng.choice((f"{name}^1", _token(name, rng.choice((-2, -1, 2)))))]
+        elif piece == 2:
+            tokens.append("1")
+        elif piece == 3:
+            tokens += [_token("a12", e), _token(name, 1), _token("a12", -e)]
+        elif piece == 4:
+            x = rng.choice(("a13", "a23", "b13", "b23"))
+            tokens += [_token("b12", e), x, "1", f"{x}^-1", _token("b12", rng.choice((-e, 1)))]
+        else:
+            tokens.append(_token(name, e))
+    return " ".join(tokens)
+
+
 def exponent_sums(word: SPWord) -> dict[str, int]:
     """The exponent sum of each of the six SP_3 generators in a word."""
     sums = dict.fromkeys(SP_NAMES, 0)

@@ -186,3 +186,38 @@ def test_hostile_nf_word_reduces_in_the_same_line_count_at_every_exponent():
         for n in (1000, 2000, 4000, 131070)
     ]
     assert len(set(counts)) == 1, counts
+
+
+def parsed_pinch_tower(m: int) -> str:
+    """The pinch tower (b12 c)^m b12^-m c^-m, c = a13 a23, written token
+    by token: 6m tokens of exponent +-1."""
+    return "b12 a13 a23 " * m + "b12^-1 " * m + "a23^-1 a13^-1 " * m
+
+
+# Line events per token of a parsed pinch tower decided by
+# is_trivial_sp3, the highest of the readings at m = 250, 500 and 1000 on
+# Python 3.11.
+PARSED_TOWER_LINE_EVENTS_PER_TOKEN = 17.72
+
+
+def test_parsed_pinch_tower_decides_under_a_constant_per_token():
+    # The reducer reads the tokens, each distinct one looked up once:
+    # no letter list is built and nothing is freely reduced first.
+    bound = PER_UNIT_LETTER_MARGIN * PARSED_TOWER_LINE_EVENTS_PER_TOKEN
+    for m in (250, 500, 1000):
+        text = parsed_pinch_tower(m)
+        assert decide_sp_text(text)
+        per_token = line_events(decide_sp_text, text) / (6 * m)
+        assert per_token <= bound, (m, per_token)
+
+
+def test_cancelling_exponents_decide_in_the_same_line_count_at_every_exponent():
+    # Zero sums, so the reducer runs; a13^n is one syllable, so its work
+    # does not depend on n, on either side of the parse bound past which
+    # the parser reduces the letters.
+    counts = [
+        line_events(is_trivial_sp3, parse_sp_word(f"a13^{n} b12 a13^-{n} b12^-1"))
+        for n in (1000, 2000, 4000, 131070)
+    ]
+    assert not is_trivial_sp3(parse_sp_word("a13^1000 b12 a13^-1000 b12^-1"))
+    assert len(set(counts)) == 1, counts

@@ -23,9 +23,18 @@ from singbraid import (
     rewrite_to_sp3,
     sg3_relators,
 )
-from singbraid import normal_form, sp3
+from singbraid import normal_form, sp3, words
 from singbraid.normal_form import F13, F23, _best_slide, canonical_display
-from helpers import CENTER, braid_exponent_sums, conjugated_relators, exponent_sums, random_run_letters, random_sp_word
+from singbraid.words import free_reduce
+from helpers import (
+    CENTER,
+    braid_exponent_sums,
+    conjugated_relators,
+    exponent_sums,
+    random_run_letters,
+    random_sp_word,
+    unreduced_sp_text,
+)
 from reference_reduction import base_word, c_power_syllables, syllables
 
 
@@ -177,6 +186,48 @@ def test_britton_output_is_reduced_and_equal():
             assert form.bases[i]
             if (form.powers[i - 1] > 0) != (form.powers[i] > 0):
                 assert cyclic_power_of_c(form.bases[i]) is None
+
+
+def test_parsed_words_reduce_as_their_letters_do():
+    # The reducer reads a parsed word's tokens, unreduced; its first pass
+    # must cancel what free reduction would, so the forms agree with those
+    # of the same word once its letters have been read.
+    rng = random.Random(211)
+    for _ in range(3000):
+        text = unreduced_sp_text(rng)
+        read = parse_sp_word(text)
+        assert read.letters is read._stored
+        for call in (britton_reduce, center_split):
+            parsed = parse_sp_word(text)
+            assert parsed._stored.__class__ is words._Tokens, text
+            assert call(parsed) == call(read), text
+            assert parsed._stored.__class__ is words._Tokens, text
+
+
+def test_zero_sum_parsed_words_build_no_letters(monkeypatch):
+    # A parsed word with six zero sums is decided from its tokens: the
+    # sums and the a12 sum read their counts, the reducer the tokens.
+    calls = []
+
+    def counting_free_reduce(letters):
+        letters = list(letters)
+        calls.append(letters)
+        return free_reduce(letters)
+
+    monkeypatch.setattr(words, "free_reduce", counting_free_reduce)
+    texts = (
+        "b12 a13 a23 b12^-1 a23^-1 a13^-1",
+        "a12^3 b12 a13 a13^-1 b12^-1 a12^-3",
+        "b12^2 a13 b13 a13^-1 b13^-1 b12^-1 b12^-1 1",
+        "b12 a13 b12^-1 a13^-1",
+    )
+    for text in texts:
+        word = parse_sp_word(text)
+        assert is_trivial_sp3(word) == (text != texts[-1])
+        split_word = parse_sp_word(text)
+        center_split(split_word)
+        assert word._stored.__class__ is split_word._stored.__class__ is words._Tokens
+    assert calls == []
 
 
 def test_is_trivial_sp3_on_relators():

@@ -22,7 +22,7 @@ from singbraid import (
 )
 from singbraid.normal_form import FactorSyllable, _push, _push_run
 import reference_reduction as reference
-from helpers import random_kernel_word, random_pi_trivial, random_relator_product, random_sp_word
+from helpers import random_kernel_word, random_pi_trivial, random_relator_product, random_sp_word, unreduced_sp_text
 
 C = parse_sp_word("a13 a23")
 B12 = parse_sp_word("b12")
@@ -41,6 +41,20 @@ def assert_same_reduction(word: SPWord) -> None:
     assert split.v == expected, str(word)
     assert str(split) == f"d^{delta_exp} | {expected}", str(word)
     assert is_trivial_sp3(word) == (delta_exp == 0 and expected.is_trivial), str(word)
+
+
+def assert_same_reduction_of_text(text: str) -> None:
+    # The engine reads a parsed word's tokens, unreduced, as long as its
+    # letters were never read; the reference reads the letters, so each
+    # engine call gets a parse of its own.
+    delta_exp, residual = reference.eliminate_a12(parse_sp_word(text))
+    expected = reference.britton_reduce(residual)
+    assert eliminate_a12(parse_sp_word(text))[0] == delta_exp, text
+    assert britton_reduce(parse_sp_word(text)) == expected, text
+    split = center_split(parse_sp_word(text))
+    assert split.v == expected, text
+    assert str(split) == f"d^{delta_exp} | {expected}", text
+    assert is_trivial_sp3(parse_sp_word(text)) == (delta_exp == 0 and expected.is_trivial), text
 
 
 def base_letter(rng: random.Random) -> SPWord:
@@ -90,6 +104,21 @@ def test_piece_words_match_reference():
         for _ in range(rng.randrange(25)):
             word = word * rng.choice(pieces)
         assert_same_reduction(word)
+
+
+def test_parsed_words_match_reference():
+    # Texts that free reduction changes, and the piece words written out
+    # piece by piece, so that pieces cancel and merge across their joins.
+    rng = random.Random(439)
+    for _ in range(2000):
+        assert_same_reduction_of_text(unreduced_sp_text(rng))
+    pieces = (
+        "b12", "b12^-1", "b12^2", "b12^-2", "a13 a23", "a23^-1 a13^-1",
+        "a13", "a13^-1", "a23", "b13", "b23^-1", "1",
+        "a13 b13 a13^-1 b13^-1", "a12", "a12^-1",
+    )
+    for _ in range(2000):
+        assert_same_reduction_of_text(" ".join(rng.choice(pieces) for _ in range(rng.randrange(1, 25))))
 
 
 def test_pinch_towers_match_reference():

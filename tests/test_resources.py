@@ -37,6 +37,9 @@ HOSTILE_NF = "a12^131070 b12 a13 b12^-1 a12^-131070 b13"
 # 20,001 tokens of exponent +-1 in 90,002 bytes, under the 128 KiB that
 # Linux allows one argument: crossing sum 1, so the sums refute it.
 LONG_REFUTED = "s1 t2 s2^-1 t1^-1 " * 5000 + "s1"
+# 20,000 tokens in 110,000 bytes with six zero sums: the reducer reads the
+# tokens and cancels every pair.
+LONG_CANCELLING = "a13 a13^-1 " * 10000
 
 # name: (argv, exit code, stdout bytes, MB of peak resident set above a bare
 # import, read on Python 3.11 at a bare-import peak of 14.5 MB; 3.13 read
@@ -50,7 +53,10 @@ CALLS = {
     "conj-by-a-power": (["conj", "-g", "t1^131072", "a13 b23 a23 b13"], 0, 1_572_889, 25.9),
     "parse-over-the-limit": (["parse", "s1^1234567"], 2, 0, 0.1),
     "long-refuted-word": (["trivial", LONG_REFUTED], 1, 11, 0.0),
+    "long-cancelling-nf": (["nf", LONG_CANCELLING], 0, 8, 0.2),
 }
+# The output of each call whose bytes are pinned as well as counted.
+STDOUT = {"long-cancelling-nf": b"d^0 | 1\n"}
 
 
 def limit_child() -> None:
@@ -94,6 +100,7 @@ def test_hostile_call_stays_in_bounds(name, bare_import_rss):
     above_mb = (rss - bare_import_rss) / MB
     report = f"exit {code}, {len(out)} B, {above_mb:.1f} MB above a bare import, {cpu:.2f} s CPU"
     assert (code, len(out)) == (exit_code, stdout_bytes), report
+    assert out == STDOUT.get(name, out), out
     assert b"Traceback" not in err, err[-500:]
     if code == 2:
         assert err.startswith(b"error: ") and err.count(b"\n") == 1 and err.endswith(b"\n"), err
