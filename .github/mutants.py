@@ -72,9 +72,16 @@ MUTANTS = (
     Mutant(
         "pi-parity",
         "src/singbraid/permutations.py",
-        "        if letter.exponent % 2:\n",
-        "        if not letter.exponent % 2:\n",
+        "            if letter.exponent % 2:\n",
+        "            if not letter.exponent % 2:\n",
         ("tests/test_permutations.py",),
+    ),
+    Mutant(
+        "pi-token-swaps-keep-even-exponents",
+        "src/singbraid/permutations.py",
+        " in letter_of.items() if exponent % 2}\n",
+        " in letter_of.items()}\n",
+        ("tests/test_permutations.py::test_pi_of_parsed_tokens_equals_pi_of_their_letters",),
     ),
     Mutant(
         "pinch-sign-test",
@@ -124,6 +131,13 @@ MUTANTS = (
         "            pairs, odd = divmod(abs(exponent), 2)\n",
         "            pairs, odd = divmod(exponent, 2)\n",
         ("tests/test_rewriting.py",),
+    ),
+    Mutant(
+        "walk-token-one-reads-the-inverse",
+        "src/singbraid/rewriting.py",
+        '{f"{a.token()}^1": self.moves[a] for a in self.letters}',
+        '{f"{a.token()}^1": self.moves[a.inverse()] for a in self.letters}',
+        ("tests/test_rewriting.py::test_walk_of_parsed_tokens_is_freely_equal_to_the_walk_of_the_letters",),
     ),
     Mutant(
         "expression-row-corrupt",

@@ -51,7 +51,9 @@ to a verdict (see ``words.FreeWord``).
 A word of SG_3 is trivial when its projection to the symmetric group is
 trivial and its rewrite into SP_3 is.  ``is_trivial_sg3`` first reads the crossing and singular exponent
 sums, a homomorphism SG_3 -> Z^2 for the same reason, and refutes a word
-with a nonzero sum before it projects or rewrites it.
+with a nonzero sum before it projects or rewrites it.  ``pi`` and the
+rewrite read a parsed word's tokens too, so a parsed SG_3 word never
+builds or freely reduces its braid letters on its way to a verdict.
 """
 
 from __future__ import annotations
@@ -448,8 +450,8 @@ def is_trivial_sg3(word: BraidWord) -> bool:
     singular letters separately, so the two sums are a homomorphism
     SG_3 -> Z^2, and a word with a nonzero sum is nontrivial before it is
     projected or rewritten.  They read a parsed word's token counts, and
-    its letters are built and reduced only on the first read of its
-    ``letters``: a word that they refute is never freely reduced.
+    ``pi``, the rewrite and the reducer read its tokens: a parsed word
+    never builds or reduces its letters on the way to a verdict.
     """
     if word.strands != 3:
         raise ValueError("the SG_3 decision needs a 3-strand word")

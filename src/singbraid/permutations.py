@@ -10,8 +10,11 @@ a permutation, that prints in cycle or one-line notation and knows whether
 it is the identity.  It has no algebra, since nothing composes or inverts
 permutations: ``pi`` swaps two entries of one list per odd-exponent letter
 and validates the image once, so it costs one step per syllable plus one
-pass over the strands.  The SG_3 decision calls ``pi`` once, as an early
-exit for words outside the kernel; rewriting a kernel word reads coset
+pass over the strands.  It reads a parsed word's tokens as the parser
+stored them, unreduced, so a parsed word builds no letters for it: free
+reduction only merges runs and cancels inverse pairs, which changes no
+product of swaps.  The SG_3 decision calls ``pi`` once, as an early exit
+for words outside the kernel; rewriting a kernel word reads coset
 indices from the coset table, which tells cosets apart by image tuples of
 its own.
 
@@ -69,10 +72,24 @@ def pi(word: BraidWord) -> Permutation:
     tau_m(... tau_1(p)), so putting a letter in front of a suffix permutes
     the positions of the suffix's image list: reading the letters from the
     last one back, each odd-exponent letter swaps two entries.
+
+    The word is read as stored, through ``FreeWord._letter_keys``: the
+    projection is a homomorphism, so free reduction changes nothing here
+    and a parsed word's tokens are read unreduced.  Each distinct token's
+    swap index is looked up once, and its occurrences are then mapped to
+    their indices in C by their ``str`` keys.  A built word's letters are
+    tested for parity one by one.
     """
     images = list(range(1, word.strands + 1))
-    for letter in reversed(word.letters):
-        if letter.exponent % 2:
-            i = letter.index
-            images[i - 1], images[i] = images[i], images[i - 1]
+    keys, letter_of = word._letter_keys()
+    if letter_of is None:
+        for letter in reversed(keys):
+            if letter.exponent % 2:
+                i = letter.index
+                images[i - 1], images[i] = images[i], images[i - 1]
+        return Permutation(tuple(images))
+    # An index is at least 1, so filter drops exactly the even tokens.
+    swaps = {key: index for key, (_, index, exponent) in letter_of.items() if exponent % 2}
+    for i in filter(None, map(swaps.get, reversed(keys))):
+        images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(tuple(images))

@@ -37,8 +37,15 @@ product.  ``sp3``, ``verify`` and the ``gens``
 command read the same table, and nothing else holds the transversal or the
 generators.
 
-The walk of a freely reduced word emits a freely reduced Schreier word
-(Magnus, Karrass and Solitar, *Combinatorial Group Theory*, ch. 2), so no
+The walk is a homomorphism on the free group (Magnus, Karrass and
+Solitar, *Combinatorial Group Theory*, ch. 2): the walk of a word and of
+its free reduction emit freely equal Schreier words.  ``rewrite_tau`` reads
+a word as stored, so a parsed word's tokens are walked unreduced, and the
+one free reduction of the SP_3 letters in ``sp3.rewrite_to_sp3`` removes
+whatever freely reducing the braid word first would have; free reduction
+is confluent, so its output is the same either way.  The walk of a freely
+reduced word, the stored form of a built word or of a parsed word whose
+tokens are freely reduced, emits a freely reduced Schreier word, so no
 cancellation pass follows it.  A unit letter emits no factor exactly when
 it crosses a tree edge of the transversal: going down, a positive s_i from
 a representative to that representative followed by s_i; going back up,
@@ -47,7 +54,8 @@ in one direction and its inverse in the other.  If the output had a factor
 F next to F^-1, the input would hold a, then a closed walk along tree
 edges, then a^-1.  A nonempty closed walk in a tree steps straight back
 somewhere, which puts x x^-1 in the input; an empty one puts a a^-1 there.
-A freely reduced ``BraidWord`` has neither.
+A freely reduced word has neither; unreduced tokens such as
+``s1^2 s1^-2`` may have either.
 
 A Schreier word is not a ``words.FreeWord``: it is only printed and
 expressed in ``sp3``, never multiplied or reduced, and equal factors stay
@@ -88,8 +96,8 @@ class SchreierGenerator(Value):
 
 
 class SchreierWord(Value):
-    """A freely reduced word over the Schreier generators; factors carry
-    exponent +1 or -1."""
+    """A word over the Schreier generators, freely reduced when it is the
+    walk of a freely reduced word; factors carry exponent +1 or -1."""
 
     __slots__ = ("factors",)
 
@@ -134,6 +142,9 @@ class CosetTable:
       coset j of rep_i a and emits S(rep_i, a) unless its ambient word is
       freely empty; ``a`` projects to an involution, so ``a^-1`` leads j
       back to i and emits the inverse.
+    - ``token_moves``: the same rows keyed by each token that spells a unit
+      letter, ``s1``, ``s1^1`` and ``s1^-1`` for s1 and its inverse: a
+      parsed word's walk reads its tokens there, with no per-call map.
     - ``generators``: one ``GeneratorEntry`` per coset and positive letter,
       coset-major; a generator's ``id`` is its position here.
     """
@@ -169,6 +180,8 @@ class CosetTable:
                 self.moves[a.inverse()][j] = (i, ((generator, -1),) if emits else ())
                 generators.append(GeneratorEntry(generator, ambient))
         self.generators = tuple(generators)
+        self.token_moves = {u.token(): row for u, row in self.moves.items()}
+        self.token_moves.update({f"{a.token()}^1": self.moves[a] for a in self.letters})
 
 
 @lru_cache(maxsize=None)
@@ -181,28 +194,41 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     """Rewrite a kernel word as a word over the Schreier generators: read
     it through its coset table from the trivial coset and return everything
     its unit letters emit.  Generators with freely empty ambient words are
-    skipped, and the output is freely reduced already (see the module
-    docstring).
+    skipped.
 
-    The walk goes syllable by syllable: a letter of exponent +-1 is its own
-    key into the moves.  A syllable a^e with |e| > 1 reads the moves of
-    a^+-1 from its coset i and from the coset j they lead to.  The action
-    of every unit letter is an involution, so the next step leads back to
-    i, and a^e emits the factors of the two steps |e| // 2 times, then those
-    of the step from i once more when |e| is odd, ending on j.  The
-    repetition is one tuple product, so the syllable costs no Python step
-    per unit letter.
+    The word is read as stored, through ``FreeWord._letter_keys``: a built
+    word's reduced letters, or a parsed word's tokens, unreduced.  The walk
+    is a homomorphism on the free group, so the factors of the unreduced
+    tokens are freely equal to those of the reduced letters, but they are
+    freely reduced only when the tokens are (see the module docstring):
+    ``s1^2 s1^-2`` emits S[s1,s1] S[s1,s1]^-1.  ``sp3.rewrite_to_sp3``
+    freely reduces what it expresses, so its output does not depend on the
+    form.
+
+    The walk goes syllable by syllable, in one loop for both forms: a unit
+    letter is its own key into the moves, and a unit token, whose ``str``
+    hash is cached, its own key into ``token_moves``.  A syllable a^e with
+    |e| > 1 reads the moves of a^+-1 from its coset i and from the coset j
+    they lead to.  The action of every unit letter is an involution, so the
+    next step leads back to i, and a^e emits the factors of the two steps
+    |e| // 2 times, then those of the step from i once more when |e| is
+    odd, ending on j.  The repetition is one tuple product, so the syllable
+    costs no Python step per unit letter.
     """
-    moves = coset_table(word.strands).moves
+    table = coset_table(word.strands)
+    moves = table.moves
+    keys, letter_of = word._letter_keys()
+    units = moves if letter_of is None else table.token_moves
     coset, emitted = 0, []
-    for letter in word.letters:
-        exponent = letter.exponent
-        if exponent == 1 or exponent == -1:
-            coset, out = moves[letter][coset]
+    for key in keys:
+        row = units.get(key)
+        if row is not None:
+            coset, out = row[coset]
             emitted += out
         else:
+            kind, index, exponent = key if letter_of is None else letter_of[key]
             # A plain tuple hashes and compares like the Letter it spells.
-            row = moves[letter.kind, letter.index, 1 if exponent > 0 else -1]
+            row = moves[kind, index, 1 if exponent > 0 else -1]
             there, out = row[coset]
             pairs, odd = divmod(abs(exponent), 2)
             emitted += (out + row[there][1]) * pairs

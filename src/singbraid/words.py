@@ -15,10 +15,14 @@ here and the six generator sums of ``normal_form`` read each distinct
 letter with its count, through ``FreeWord._letter_counts``: every defining
 relation balances each generator, so the sums are homomorphisms that
 depend only on how often each letter occurs, and a parsed word that they
-refute never builds its letters and is never reduced.  ``normal_form``
-reads the rest of an SP_3 decision from the tokens too: the a12 sum
-through ``_letter_counts``, and Britton reduction's first pass, which
-cancels whatever free reduction would, through ``FreeWord._letter_keys``.
+refute never builds its letters and is never reduced.  The rest of a
+decision reads the tokens too, so no parsed word builds or reduces its
+letters on the way to a verdict: the a12 sum of ``normal_form`` reads
+``_letter_counts``, and ``permutations.pi``, the walk of
+``rewriting.rewrite_tau`` and Britton reduction's first pass read the
+tokens in order through ``FreeWord._letter_keys``.  The first two are
+homomorphisms on the free group, and the pass cancels whatever free
+reduction would.
 This module holds that free-group core once: ``free_reduce`` is the one
 reduction, ``FreeWord`` the one set of word operations (inverse, product,
 power, printing) and ``substitute`` the one letter-by-word substitution,
@@ -41,7 +45,7 @@ from __future__ import annotations
 import re
 from collections import _count_elements
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 SIGMA = "s"
@@ -49,7 +53,8 @@ TAU = "t"
 
 # Parsed words longer than this many unit letters (exponents counted by
 # magnitude, after free reduction) are rejected: decisions cost time and
-# memory linear in the unit letters, and 2**18 of them already take seconds.
+# memory linear in the unit letters as written, or after free reduction
+# where the written ones pass the limit, and 2**18 of them take seconds.
 MAX_UNIT_LETTERS = 2**18
 # A token's index or exponent of more digits than the limit has is refused.
 MAX_DIGITS = len(str(MAX_UNIT_LETTERS))
@@ -207,10 +212,12 @@ class FreeWord(Value):
     either form, and the exponent sums read only that: free reduction
     changes no sum, so a parsed word that they refute never builds a
     letter list and is never reduced.  ``_letter_keys`` reads either form
-    in order, for a reader that reduces as it goes, as Britton reduction
-    does, and so needs no free reduction first.  ``_stored`` is not a
-    field: it is not compared, hashed, printed or pickled, and a pickled
-    or copied word is rebuilt from its reduced letters.
+    in order, for a reader that needs no free reduction first: ``pi`` and
+    ``rewrite_tau``, whose results free reduction does not change (the
+    walk's only up to free equality, which ``sp3.rewrite_to_sp3`` reduces
+    away), and Britton reduction, which reduces as it goes.  ``_stored``
+    is not a field: it is not compared, hashed, printed or pickled, and a
+    pickled or copied word is rebuilt from its reduced letters.
     """
 
     __slots__ = ("_stored",)
@@ -390,10 +397,10 @@ def _braid_letter(token: str, strands: int) -> Letter:
 
 def parse_tokens(text: str, letter: Callable[[str], tuple]) -> tuple[_Tokens, int]:
     """The whitespace-separated tokens of ``text``, skipping the token ``1``
-    of the empty word, as a parsed word stores them, and a bound on their
-    unit letters: the number of tokens times the largest ``|exponent|``
-    among them.  ``letter`` makes the letter of a token, or raises for a bad
-    one.
+    of the empty word, as a parsed word stores them, and the number of their
+    unit letters as written: ``|exponent|`` times count, added once per
+    distinct token.  ``letter`` makes the letter of a token, or raises for a
+    bad one.
 
     The tokens are counted once, in C, into a dict whose keys come in the
     order of their first occurrence; ``letter`` is called once per distinct
@@ -411,7 +418,7 @@ def parse_tokens(text: str, letter: Callable[[str], tuple]) -> tuple[_Tokens, in
     if counts.pop("1", None):
         tokens = [token for token in tokens if token != "1"]
     letter_of = dict(zip(counts, map(letter, counts)))
-    bound = len(tokens) * max(map(abs, map(itemgetter(-1), letter_of.values())), default=0)
+    bound = sum(map(mul, map(abs, map(itemgetter(-1), letter_of.values())), counts.values()))
     return _Tokens(tokens, letter_of, counts), bound
 
 
@@ -427,8 +434,9 @@ def parse_number(digits: str) -> int:
 def check_unit_length(word: _W, bound: int) -> _W:
     """Return a parsed braid or SP_3 word, refusing one of more than
     ``MAX_UNIT_LETTERS`` unit letters.  ``bound`` is at least the unit
-    letters of the word before reduction, as ``parse_tokens`` returns it,
-    so the exact count is read only past the limit."""
+    letters of the word after reduction, such as the count before reduction
+    that ``parse_tokens`` returns, so the word is reduced and counted only
+    past the limit."""
     if bound > MAX_UNIT_LETTERS and word.unit_length() > MAX_UNIT_LETTERS:
         raise ValueError(f"word has {word.unit_length()} unit letters, more than the limit of {MAX_UNIT_LETTERS}")
     return word

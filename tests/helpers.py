@@ -141,6 +141,35 @@ def unreduced_sp_text(rng: random.Random) -> str:
     return " ".join(tokens)
 
 
+def unreduced_braid_text(rng: random.Random, strands: int = 3) -> str:
+    """A braid text that free reduction changes: cancelling pairs, runs
+    split over two tokens (``s1 s1^1``, ``t2^2 t2^-3``, ``s1^3 s1^-1``),
+    tokens ``1``, and big syllables ``s2^e ... s2^-e`` around a part that
+    cancels or does not, between plain tokens; on three strands also whole
+    relators, so that trivial words are common."""
+    names = [f"{kind}{i}" for kind in (SIGMA, TAU) for i in range(1, strands)]
+    relators = [str(relator) for relator in sg3_relators()] if strands == 3 else ["1"]
+    tokens = []
+    for _ in range(rng.randrange(1, 10)):
+        name, e = rng.choice(names), rng.choice((-3, -2, -1, 1, 2, 3))
+        piece = rng.randrange(7)
+        if piece == 0:
+            tokens += [_token(name, e), _token(name, -e)]
+        elif piece == 1:
+            tokens += [_token(name, e), rng.choice((f"{name}^1", _token(name, rng.choice((-3, -2, -1, 2)))))]
+        elif piece == 2:
+            tokens.append("1")
+        elif piece == 3:
+            big, x = rng.choice((-1, 1)) * rng.randint(4, 300), rng.choice(names)
+            middle = rng.choice(([x, f"{x}^-1"], ["1"], [], [_token(x, e)]))
+            tokens += [_token(name, big), *middle, _token(name, -big)]
+        elif piece == 4:
+            tokens += rng.choice(relators).split()
+        else:
+            tokens.append(_token(name, e))
+    return " ".join(tokens)
+
+
 def exponent_sums(word: SPWord) -> dict[str, int]:
     """The exponent sum of each of the six SP_3 generators in a word."""
     sums = dict.fromkeys(SP_NAMES, 0)

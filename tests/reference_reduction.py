@@ -26,7 +26,8 @@ engine.  ``expand`` substitutes each Schreier
 factor by the ambient word that ``_ambient`` composes, so the telescoping
 check reads none of the engine's ambient words.
 ``schreier_word`` cancels adjacent inverse factors, which the engine's
-walk never emits; the tests multiply Schreier words with it.
+walk emits only for unreduced tokens; the tests multiply Schreier words
+with it and reduce the walk of such tokens with it.
 ``pi`` is the projection that the list swap replaced: it composes the
 image tuple of one transposition per odd-exponent letter, and builds no
 ``Permutation``.

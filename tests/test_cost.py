@@ -29,6 +29,9 @@ A13, A23, B12 = parse_sp_word("a13"), parse_sp_word("a23"), parse_sp_word("b12")
 # t2): a trivial word whose projection is trivial, so each power of it goes
 # through the rewrite and the reducer.
 RELATORS_1_4 = parse_braid_word("s1 t1 s1^-1 t1^-1 s1 s2 t1 s2^-1 s1^-1 t2^-1", 3)
+# A block of SP_3 letters whose powers a search for costly inputs found
+# among the dearest per unit letter for the reducer.
+SP_BLOCK = parse_sp_word("a12^-1 b12^-1 a23^-1 a12 b23^-1 a12 b12")
 
 
 def line_events(call, argument) -> int:
@@ -79,6 +82,16 @@ FAMILIES = {
         False,
     ),
     "relator-product": (is_trivial_sg3, lambda k: RELATORS_1_4**k, 250, True),
+    # The same product written out and parsed inside the counted call: pi,
+    # the walk and the reducer read its tokens, and no braid letter is
+    # built or freely reduced.
+    "parsed-relator-product": (decide_text, lambda k: f"{RELATORS_1_4} " * k, 250, True),
+    # Found by a search for costly inputs: a parsed power of a word that
+    # projects to a 3-cycle, so a kernel word when 3 divides n, which every
+    # size here is.  Its rewrite emits a factor for nearly every letter.
+    "singular-alternation": (is_trivial_sg3, lambda n: parse_braid_word("t2 t1^-1 " * n, 3), 600, False),
+    # Found by the same search: every stable letter stays in the form.
+    "sp-block-power": (center_split, lambda m: SP_BLOCK**m, 500, False),
     # A crossing power conjugating t2: the walk emits about e factors and
     # the rewrite merges their rows into 6 letters, so the cost grows with e.
     "crossing-power": (is_trivial_sg3, lambda e: parse_braid_word(f"s1^{e} t2 s1^-{e} t2^-1", 3), 500, False),
@@ -117,6 +130,9 @@ LINE_EVENTS_PER_UNIT_LETTER = {
     "pinch-tower": 16.0,
     "singular-commutator": 34.6,
     "relator-product": 19.0,
+    "parsed-relator-product": 14.1,
+    "singular-alternation": 64.3,
+    "sp-block-power": 37.8,
     "crossing-power": 2.67,
     "singular-power": 15.1,
     "parse-and-refute": 3.03,

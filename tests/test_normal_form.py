@@ -7,6 +7,7 @@ from singbraid import (
     CenterSplitForm,
     FactorSyllable,
     HNNForm,
+    Letter,
     SPLetter,
     SPWord,
     britton_reduce,
@@ -19,6 +20,7 @@ from singbraid import (
     is_trivial_sp3,
     parse_braid_word,
     parse_sp_word,
+    pi,
     presentation_relators,
     rewrite_to_sp3,
     sg3_relators,
@@ -33,6 +35,7 @@ from helpers import (
     exponent_sums,
     random_run_letters,
     random_sp_word,
+    unreduced_braid_text,
     unreduced_sp_text,
 )
 from reference_reduction import base_word, c_power_syllables, syllables
@@ -228,6 +231,49 @@ def test_zero_sum_parsed_words_build_no_letters(monkeypatch):
         center_split(split_word)
         assert word._stored.__class__ is split_word._stored.__class__ is words._Tokens
     assert calls == []
+
+
+def test_parsed_sg3_words_decide_as_their_letters_do():
+    # pi and the walk read a parsed word's tokens, unreduced; the verdict
+    # must be that of the same word once its letters have been read.
+    rng = random.Random(227)
+    verdicts = []
+    for _ in range(3000):
+        text = unreduced_braid_text(rng)
+        read = parse_braid_word(text, 3)
+        assert read.letters is read._stored
+        parsed = parse_braid_word(text, 3)
+        verdicts.append(is_trivial_sg3(parsed))
+        assert verdicts[-1] == is_trivial_sg3(read), text
+        assert parsed._stored.__class__ is words._Tokens, text
+    assert 300 < sum(verdicts) < 2700
+
+
+def test_zero_sum_parsed_sg3_words_build_no_letters(monkeypatch):
+    # A parsed SG_3 word with zero sums is decided from its tokens: the sums
+    # read their counts, pi and the walk the tokens, and only the rewrite's
+    # SP_3 letters are reduced.
+    calls = []
+
+    def counting_free_reduce(letters):
+        letters = list(letters)
+        calls.append(letters)
+        return free_reduce(letters)
+
+    monkeypatch.setattr(words, "free_reduce", counting_free_reduce)
+    texts = (
+        "s1 t1 s1^-1 t1^-1",
+        "s1^2 t2 s1^-2 t2^-1",
+        "t1 t2 t1 t2^-1 t1^-1 t2^-1",
+        "s1^3 s1^-1 s1^-2 s2 s2^1 s2^-2 t1 1 t1^-1",
+    )
+    for text in texts:
+        for call in (is_trivial_sg3, pi, rewrite_to_sp3):
+            word = parse_braid_word(text, 3)
+            call(word)
+            assert word._stored.__class__ is words._Tokens, (text, call)
+    assert [is_trivial_sg3(parse_braid_word(text, 3)) for text in texts] == [True, False, False, True]
+    assert calls and not any(type(letter) is Letter for letters in calls for letter in letters)
 
 
 def test_is_trivial_sp3_on_relators():

@@ -13,7 +13,8 @@ from singbraid import (
     pi,
 )
 import reference_reduction as reference
-from helpers import compose, coset_rep, random_word, unit_letters
+from singbraid import words
+from helpers import compose, coset_rep, random_word, unit_letters, unreduced_braid_text
 
 
 def test_pi_of_empty_word():
@@ -54,6 +55,20 @@ def test_pi_matches_composition_reference():
             )
             word = BraidWord(strands, letters)
             assert pi(word).images == reference.pi(word), str(word)
+
+
+def test_pi_of_parsed_tokens_equals_pi_of_their_letters():
+    # pi reads a parsed word's tokens unreduced, each odd one by its swap
+    # index, and must agree with the same word once its letters are read.
+    rng = random.Random(17)
+    for _ in range(3000):
+        strands = rng.choice((2, 3, 3, 4, 6))
+        text = unreduced_braid_text(rng, strands)
+        read = parse_braid_word(text, strands)
+        assert read.letters is read._stored
+        parsed = parse_braid_word(text, strands)
+        assert pi(parsed) == pi(read) == Permutation(reference.pi(read)), text
+        assert parsed._stored.__class__ is words._Tokens, text
 
 
 def test_permutation_inverse_and_strings():

@@ -2,7 +2,8 @@
 the coset-table ``rewrite_tau`` and the single-merge ``rewrite_to_sp3``
 against the composed reduction, the flag-based stack, the
 ``Permutation``-based rewriter and the left fold they replaced
-(``reference_reduction``).  Forms, renderings and verdicts must be
+(``reference_reduction``), on built words and on parsed texts whose tokens
+the engine reads unreduced.  Forms, renderings and verdicts must be
 identical, not only equal as group elements."""
 
 import random
@@ -15,14 +16,24 @@ from singbraid import (
     center_split,
     cyclic_power_of_c,
     eliminate_a12,
+    is_trivial_sg3,
     is_trivial_sp3,
+    parse_braid_word,
     parse_sp_word,
+    pi,
     rewrite_tau,
     rewrite_to_sp3,
 )
 from singbraid.normal_form import FactorSyllable, _push, _push_run
 import reference_reduction as reference
-from helpers import random_kernel_word, random_pi_trivial, random_relator_product, random_sp_word, unreduced_sp_text
+from helpers import (
+    random_kernel_word,
+    random_pi_trivial,
+    random_relator_product,
+    random_sp_word,
+    unreduced_braid_text,
+    unreduced_sp_text,
+)
 
 C = parse_sp_word("a13 a23")
 B12 = parse_sp_word("b12")
@@ -55,6 +66,24 @@ def assert_same_reduction_of_text(text: str) -> None:
     assert split.v == expected, text
     assert str(split) == f"d^{delta_exp} | {expected}", text
     assert is_trivial_sp3(parse_sp_word(text)) == (delta_exp == 0 and expected.is_trivial), text
+
+
+def assert_same_decision_of_braid_text(text: str) -> None:
+    # pi and the walk read a parsed braid word's tokens, unreduced, as the
+    # reducer does; the reference reads the letters, so each engine call
+    # gets a parse of its own.
+    word = parse_braid_word(text, 3)
+    images = reference.pi(word)
+    assert pi(parse_braid_word(text, 3)).images == images, text
+    trivial = False
+    if images == (1, 2, 3):
+        factors = rewrite_tau(parse_braid_word(text, 3)).factors
+        assert reference.schreier_word(factors) == reference.rewrite_tau(word), text
+        expected = reference.rewrite_to_sp3(word)
+        assert rewrite_to_sp3(parse_braid_word(text, 3)) == expected, text
+        delta_exp, residual = reference.eliminate_a12(expected)
+        trivial = delta_exp == 0 and reference.britton_reduce(residual).is_trivial
+    assert is_trivial_sg3(parse_braid_word(text, 3)) == trivial, text
 
 
 def base_letter(rng: random.Random) -> SPWord:
@@ -119,6 +148,14 @@ def test_parsed_words_match_reference():
     )
     for _ in range(2000):
         assert_same_reduction_of_text(" ".join(rng.choice(pieces) for _ in range(rng.randrange(1, 25))))
+
+
+def test_parsed_braid_words_match_reference():
+    # Braid texts that free reduction changes, decided through pi, the walk
+    # of their tokens, the rewrite and the reducer.
+    rng = random.Random(449)
+    for _ in range(2000):
+        assert_same_decision_of_braid_text(unreduced_braid_text(rng))
 
 
 def test_pinch_towers_match_reference():

@@ -40,6 +40,9 @@ LONG_REFUTED = "s1 t2 s2^-1 t1^-1 " * 5000 + "s1"
 # 20,000 tokens in 110,000 bytes with six zero sums: the reducer reads the
 # tokens and cancels every pair.
 LONG_CANCELLING = "a13 a13^-1 " * 10000
+# 20,000 tokens in 95,000 bytes with zero sums and a trivial projection: pi
+# and the walk read the tokens unreduced, and the rewrite cancels them.
+LONG_CANCELLING_BRAID = "s1 t1 t1^-1 s1^-1 " * 5000
 
 # name: (argv, exit code, stdout bytes, MB of peak resident set above a bare
 # import, read on Python 3.11 at a bare-import peak of 14.5 MB; 3.13 read
@@ -54,9 +57,17 @@ CALLS = {
     "parse-over-the-limit": (["parse", "s1^1234567"], 2, 0, 0.1),
     "long-refuted-word": (["trivial", LONG_REFUTED], 1, 11, 0.0),
     "long-cancelling-nf": (["nf", LONG_CANCELLING], 0, 8, 0.2),
+    "long-cancelling-trivial": (["trivial", LONG_CANCELLING_BRAID], 0, 8, 0.2),
+    # Two syllables at the unit-letter limit that cancel: the walk emits
+    # their 131,070 factors unreduced, and the rewrite cancels them.
+    "cancelling-exponents-at-the-limit": (["trivial", "s1^131070 s1^-131070"], 0, 8, 0.2),
 }
 # The output of each call whose bytes are pinned as well as counted.
-STDOUT = {"long-cancelling-nf": b"d^0 | 1\n"}
+STDOUT = {
+    "long-cancelling-nf": b"d^0 | 1\n",
+    "long-cancelling-trivial": b"trivial\n",
+    "cancelling-exponents-at-the-limit": b"trivial\n",
+}
 
 
 def limit_child() -> None:

@@ -13,10 +13,10 @@ from singbraid import (
     parse_braid_word,
     rewrite_tau,
 )
-from singbraid import permutations
+from singbraid import permutations, words
 from singbraid.rewriting import coset_table
 from singbraid.sp3 import parse_sp_word, rewrite_to_sp3
-from helpers import conjugated_relators, random_pi_trivial
+from helpers import conjugated_relators, coset_rep, random_pi_trivial, unreduced_braid_text
 import reference_reduction as reference
 
 
@@ -215,6 +215,32 @@ def test_rewrite_substitutes_back_exactly():
     for _ in range(300):
         word = random_pi_trivial(rng)
         assert reference.expand(rewrite_tau(word), 3) == word
+
+
+def test_walk_of_parsed_tokens_is_freely_equal_to_the_walk_of_the_letters():
+    # The walk reads a parsed word's tokens unreduced: its factors need not
+    # be freely reduced, but they reduce to those of the reduced letters and
+    # expand back to the word, and the SP_3 rewrite, which reduces its
+    # letters once, is the same word either way.
+    rng = random.Random(113)
+    for _ in range(3000):
+        strands = rng.choice((2, 3, 3, 3, 4))
+        text = unreduced_braid_text(rng, strands)
+        text += f" {coset_rep(parse_braid_word(text, strands)).inverse()}"
+        read = parse_braid_word(text, strands)
+        assert read.letters is read._stored
+        parsed = parse_braid_word(text, strands)
+        rewritten = rewrite_tau(parsed)
+        assert parsed._stored.__class__ is words._Tokens, text
+        assert reference.expand(rewritten, strands) == read, text
+        assert reference.schreier_word(rewritten.factors) == rewrite_tau(read), text
+        if strands == 3:
+            sp_word = rewrite_to_sp3(parse_braid_word(text, 3))
+            assert sp_word == rewrite_to_sp3(read) and str(sp_word) == str(rewrite_to_sp3(read)), text
+    # Unreduced tokens may emit an inverse pair, which the SP_3 rewrite
+    # cancels.
+    assert str(rewrite_tau(parse_braid_word("s1^2 s1^-2", 3))) == "S[s1,s1] S[s1,s1]^-1"
+    assert str(rewrite_to_sp3(parse_braid_word("t1 t1^-1 s1^2", 3))) == "a12"
 
 
 def test_rewrite_works_on_two_strands():

@@ -147,8 +147,8 @@ def test_parse_limits_unit_letters():
     assert parse_braid_word(f"s1^{limit}", 3).unit_length() == limit
     assert parse_braid_word(f"t2^-{limit - 1} s1", 3).unit_length() == limit
     # The limit applies after free reduction, which the parser counts only
-    # when the tokens times the largest |exponent| pass the limit: here
-    # 600,000 raw unit letters reduce to 5.
+    # when the unit letters as written pass the limit: here 400,005 of them
+    # reduce to 5.
     assert parse_braid_word(f"s1^{limit} t2 t2^-1", 3).unit_length() == limit
     assert str(parse_braid_word("s1^200000 s1^-200000 s2^5", 3)) == "s2^5"
     assert parse_braid_word("s1^131072 s2 s2^131071", 3).unit_length() == limit
@@ -179,6 +179,20 @@ def test_parse_over_the_limit_after_reduction(parse, text, length):
     with pytest.raises(ValueError) as error:
         parse(text)
     assert str(error.value) == f"word has {length} unit letters, more than the limit of {MAX_UNIT_LETTERS}"
+
+
+def test_parse_bound_counts_the_unit_letters_as_written():
+    # |exponent| times count, once per distinct token: a word of many short
+    # tokens and one long one stays far under the limit, and keeps its tokens.
+    rng = random.Random(41)
+    for _ in range(300):
+        letters = random_run_letters(rng, 3, max_exp=rng.choice((1, 4, 400)))
+        text = " ".join(["1"] + [letter.token() for letter in letters])
+        _, bound = words.parse_tokens(text, lambda token: _braid_letter(token, 3))
+        assert bound == sum(abs(letter.exponent) for letter in letters), text
+    text = "b12 a13 a23 " * 700 + "b12^-300 " + "a23^-1 a13^-1 " * 700
+    _, bound = words.parse_tokens(text, _sp_letter)
+    assert bound == 3800 and parse_sp_word(text)._stored.__class__ is words._Tokens
 
 
 def test_reduce_only_constructor_equals_the_public_ones():
@@ -256,11 +270,11 @@ def test_sum_stages_reduce_no_word_they_refute(monkeypatch):
     assert not is_trivial_sg3(watched(parse_braid_word("s1 s2 s1 s1 t2 s1", 3)))
     assert not is_trivial_sp3(watched(parse_sp_word("a13 b12 a13 b12^-1")))
     assert calls == []
-    # A trivial word goes through pi, the walk and the reducer: its braid
-    # letters are reduced once, and the rewrite reduces its SP_3 word.
+    # A trivial word goes through pi, the walk and the reducer, which read
+    # its tokens: no braid letter is reduced, and the rewrite reduces its
+    # SP_3 word once.
     assert is_trivial_sg3(parse_braid_word("s1 t1 s1^-1 t1^-1", 3))
-    braid_calls = [letters for letters in calls if all(type(letter) is Letter for letter in letters)]
-    assert len(braid_calls) == 1 and len(braid_calls[0]) == 4
+    assert len(calls) == 1 and all(type(letter) is SPLetter for letter in calls[0])
 
 
 def test_threads_reading_one_parsed_word_see_equal_letters():
