@@ -72,8 +72,8 @@ MUTANTS = (
     Mutant(
         "pi-parity",
         "src/singbraid/permutations.py",
-        "            if letter.exponent % 2:\n",
-        "            if not letter.exponent % 2:\n",
+        " in reversed(keys) if letter.exponent % 2]\n",
+        " in reversed(keys) if not letter.exponent % 2]\n",
         ("tests/test_permutations.py",),
     ),
     Mutant(
@@ -133,10 +133,10 @@ MUTANTS = (
         ("tests/test_rewriting.py",),
     ),
     Mutant(
-        "walk-token-one-reads-the-inverse",
+        "walk-token-keys-the-inverse-row",
         "src/singbraid/rewriting.py",
-        '{f"{a.token()}^1": self.moves[a] for a in self.letters}',
-        '{f"{a.token()}^1": self.moves[a.inverse()] for a in self.letters}',
+        "{u.token(): row for u, row in self.moves.items()}",
+        "{u.inverse().token(): row for u, row in self.moves.items()}",
         ("tests/test_rewriting.py::test_walk_of_parsed_tokens_is_freely_equal_to_the_walk_of_the_letters",),
     ),
     Mutant(

@@ -75,21 +75,22 @@ def pi(word: BraidWord) -> Permutation:
 
     The word is read as stored, through ``FreeWord._letter_keys``: the
     projection is a homomorphism, so free reduction changes nothing here
-    and a parsed word's tokens are read unreduced.  Each distinct token's
-    swap index is looked up once, and its occurrences are then mapped to
-    their indices in C by their ``str`` keys.  A built word's letters are
-    tested for parity one by one.
+    and a parsed word's tokens are read unreduced.  One loop swaps for
+    both forms; only the indices it reads differ.  A built word's letters
+    are tested for parity one by one.  A parsed word's distinct odd tokens
+    are mapped to their indices once, and the occurrences then in C by
+    their ``str`` keys, whose hashes are cached: a letter is a tuple whose
+    hash is not, so a map of a built word's letters costs more than the
+    parity test it replaces.
     """
     images = list(range(1, word.strands + 1))
     keys, letter_of = word._letter_keys()
     if letter_of is None:
-        for letter in reversed(keys):
-            if letter.exponent % 2:
-                i = letter.index
-                images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
-    # An index is at least 1, so filter drops exactly the even tokens.
-    swaps = {key: index for key, (_, index, exponent) in letter_of.items() if exponent % 2}
-    for i in filter(None, map(swaps.get, reversed(keys))):
+        indices = [letter.index for letter in reversed(keys) if letter.exponent % 2]
+    else:
+        # An index is at least 1, so filter drops exactly the even tokens.
+        swaps = {key: index for key, (_, index, exponent) in letter_of.items() if exponent % 2}
+        indices = filter(None, map(swaps.get, reversed(keys)))
+    for i in indices:
         images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(tuple(images))

@@ -142,9 +142,9 @@ class CosetTable:
       coset j of rep_i a and emits S(rep_i, a) unless its ambient word is
       freely empty; ``a`` projects to an involution, so ``a^-1`` leads j
       back to i and emits the inverse.
-    - ``token_moves``: the same rows keyed by each token that spells a unit
-      letter, ``s1``, ``s1^1`` and ``s1^-1`` for s1 and its inverse: a
-      parsed word's walk reads its tokens there, with no per-call map.
+    - ``token_moves``: the same rows keyed by the token of each unit
+      letter, ``s1`` and ``s1^-1`` for s1 and its inverse: a parsed word's
+      walk reads its tokens there, with no per-call map.
     - ``generators``: one ``GeneratorEntry`` per coset and positive letter,
       coset-major; a generator's ``id`` is its position here.
     """
@@ -181,7 +181,6 @@ class CosetTable:
                 generators.append(GeneratorEntry(generator, ambient))
         self.generators = tuple(generators)
         self.token_moves = {u.token(): row for u, row in self.moves.items()}
-        self.token_moves.update({f"{a.token()}^1": self.moves[a] for a in self.letters})
 
 
 @lru_cache(maxsize=None)
@@ -203,12 +202,15 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     freely reduced only when the tokens are (see the module docstring):
     ``s1^2 s1^-2`` emits S[s1,s1] S[s1,s1]^-1.  ``sp3.rewrite_to_sp3``
     freely reduces what it expresses, so its output does not depend on the
-    form.
+    form.  ``rewrite_tau``'s own result does: two equal words may rewrite
+    to different, freely equal Schreier words, and a parsed word's result
+    changes once anything (``str``, ``==``, ``hash``, pickling) has read
+    its ``letters``.
 
     The walk goes syllable by syllable, in one loop for both forms: a unit
     letter is its own key into the moves, and a unit token, whose ``str``
-    hash is cached, its own key into ``token_moves``.  A syllable a^e with
-    |e| > 1 reads the moves of a^+-1 from its coset i and from the coset j
+    hash is cached, its own key into ``token_moves``.  Any other syllable
+    a^e reads the moves of a^+-1 from its coset i and from the coset j
     they lead to.  The action of every unit letter is an involution, so the
     next step leads back to i, and a^e emits the factors of the two steps
     |e| // 2 times, then those of the step from i once more when |e| is

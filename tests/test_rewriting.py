@@ -243,6 +243,21 @@ def test_walk_of_parsed_tokens_is_freely_equal_to_the_walk_of_the_letters():
     assert str(rewrite_to_sp3(parse_braid_word("t1 t1^-1 s1^2", 3))) == "a12"
 
 
+def test_walk_of_equal_words_depends_on_whether_their_letters_were_read():
+    # rewrite_tau reads a word as stored, so two equal words can rewrite to
+    # different, freely equal Schreier words, and a parsed word's rewrite
+    # changes once anything reads its letters.  The SP_3 rewrite does not.
+    parsed = parse_braid_word("s1^2 s1^-2", 3)
+    read = parse_braid_word("s1^2 s1^-2", 3)
+    assert read == BraidWord(3) and hash(read) == hash(BraidWord(3))
+    assert str(rewrite_tau(parsed)) == "S[s1,s1] S[s1,s1]^-1"
+    assert str(rewrite_tau(read)) == "1"
+    assert rewrite_tau(parsed) != rewrite_tau(read)
+    assert str(parsed) == "1"
+    assert str(rewrite_tau(parsed)) == "1"
+    assert rewrite_to_sp3(parse_braid_word("s1^2 s1^-2", 3)) == rewrite_to_sp3(read)
+
+
 def test_rewrite_works_on_two_strands():
     rng = random.Random(107)
     assert str(rewrite_tau(parse_braid_word("s1^2", 2))) == "S[s1,s1]"
