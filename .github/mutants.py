@@ -72,8 +72,8 @@ MUTANTS = (
     Mutant(
         "pi-parity",
         "src/singbraid/permutations.py",
-        " in reversed(keys) if letter.exponent % 2]\n",
-        " in reversed(keys) if not letter.exponent % 2]\n",
+        " in letter_of.items() if exponent % 2}\n",
+        " in letter_of.items() if not exponent % 2}\n",
         ("tests/test_permutations.py",),
     ),
     Mutant(
@@ -135,8 +135,8 @@ MUTANTS = (
     Mutant(
         "walk-token-keys-the-inverse-row",
         "src/singbraid/rewriting.py",
-        "{u.token(): row for u, row in self.moves.items()}",
-        "{u.inverse().token(): row for u, row in self.moves.items()}",
+        " for key in (u, u.token())}",
+        " for key in (u, u.inverse().token())}",
         ("tests/test_rewriting.py::test_walk_of_parsed_tokens_is_freely_equal_to_the_walk_of_the_letters",),
     ),
     Mutant(
@@ -194,44 +194,58 @@ MUTANTS = (
     Mutant(
         "first-read-keeps-the-parsed-letters",
         "src/singbraid/words.py",
-        "        return self._store(free_reduce(map(stored.letter_of.__getitem__, stored.tokens)))\n",
-        "        return self._store(tuple(map(stored.letter_of.__getitem__, stored.tokens)))\n",
+        "        return self._store(free_reduce(map(letter_of.__getitem__, keys)))\n",
+        "        return self._store(tuple(map(letter_of.__getitem__, keys)))\n",
         ("tests/test_words.py::test_parsed_word_reduces_on_first_read_and_keeps_the_letters",),
     ),
     Mutant(
         "late-first-read-ignores-the-stored-letters",
         "src/singbraid/words.py",
-        "        if stored.__class__ is not _Tokens:\n",
-        "        if False:\n",
+        "        keys, letter_of, _ = self._tokens()\n        return self._store(",
+        "        keys, letter_of, _ = self._stored\n        return self._store(",
         ("tests/test_words.py::test_a_late_first_read_returns_the_letters_another_read_stored",),
     ),
     Mutant(
         "letter-counts-read-the-letters",
         "src/singbraid/words.py",
-        "            return zip(stored.letter_of.values(), stored.counts.values())\n",
-        "            return ((letter, 1) for letter in self.letters)\n",
+        "        return zip(letter_of.values(), counts.values())\n",
+        "        return ((letter, 1) for letter in self.letters)\n",
         ("tests/test_words.py::test_sum_stages_reduce_no_word_they_refute",),
     ),
     Mutant(
         "built-letter-counts-drop-repeats",
         "src/singbraid/words.py",
-        "        return _count_elements(counts := {}, stored) or counts.items()\n",
-        "        return dict.fromkeys(stored, 1).items()\n",
+        "        _count_elements(counts, stored)\n",
+        "        counts.update(dict.fromkeys(stored, 1))\n",
         ("tests/test_normal_form.py::test_six_sums_count_each_distinct_letter_once",),
     ),
     Mutant(
-        "first-pass-reads-each-token-once",
+        "built-tokens-not-kept",
         "src/singbraid/words.py",
-        "            return stored.tokens, stored.letter_of\n",
-        "            return list(stored.counts), stored.letter_of\n",
+        "        object.__setattr__(self, \"_stored\", tokens)\n",
+        "",
+        ("tests/test_normal_form.py::test_a_built_word_is_counted_once_per_decision",),
+    ),
+    Mutant(
+        "first-pass-reads-each-token-once",
+        "src/singbraid/normal_form.py",
+        "    keys, letter_of, _ = word._tokens()\n    for key in keys:\n        unit = _UNITS",
+        "    _, letter_of, keys = word._tokens()\n    for key in keys:\n        unit = _UNITS",
         ("tests/test_normal_form.py::test_parsed_words_reduce_as_their_letters_do",),
     ),
     Mutant(
         "first-pass-reads-the-token-as-its-letter",
         "src/singbraid/normal_form.py",
-        "        letter = key if letter_of is None else letter_of[key]\n",
+        "        letter = letter_of[key]\n",
         "        letter = key\n",
         ("tests/test_normal_form.py::test_parsed_words_reduce_as_their_letters_do",),
+    ),
+    Mutant(
+        "units-drop-their-token-keys",
+        "src/singbraid/normal_form.py",
+        "    for key in (syllable.letters()[0], syllable.letters()[0].token())\n",
+        "    for key in (syllable.letters()[0],)\n",
+        ("tests/test_normal_form.py::test_units_read_a_letter_and_its_token_alike",),
     ),
     Mutant(
         "braid-sums-drop-the-count",

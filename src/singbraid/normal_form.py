@@ -17,7 +17,8 @@ same-factor neighbours, a12^e goes onto it as one run c^-e, and a stable
 power that follows an empty base merges with the power before it, which
 gives the normal form in the free product V * <b12>.  That pass cancels
 whatever free reduction would, so it reads a parsed word's tokens as the
-parser stored them, unreduced, and a built word's reduced letters.
+parser stored them, unreduced, or a built word's reduced letters, in one
+shape (see ``words.FreeWord._tokens``).
 The second reads the bases and powers of that form once and cancels every
 pinch b12^-e c^k b12^e by sliding c^k into the base to its left; a
 cancellation can only expose another at the top of the stack.  A base
@@ -44,10 +45,11 @@ defining relation balances each generator, so the sums are a homomorphism
 SP_3 -> Z^6, a nonzero sum refutes the word at once, and only a word whose
 six sums vanish goes through ``center_split``.  The sums depend only on
 how often each letter occurs, so both sum stages read each distinct letter
-with its count, from the parser's token counts in a parsed word, and so
-does ``eliminate_a12``; ``britton_reduce`` reads the tokens.  So a parsed
-SP_3 word never builds its letters and is never freely reduced on its way
-to a verdict (see ``words.FreeWord``).
+with its count, and so does ``eliminate_a12``: the parser's token counts of
+a parsed word, or a built word's letters, counted once for all three.
+``britton_reduce`` reads the same keys in order.  So a parsed SP_3 word
+never builds its letters and is never freely reduced on its way to a
+verdict (see ``words.FreeWord``).
 A word of SG_3 is trivial when its projection to the symmetric group is
 trivial and its rewrite into SP_3 is.  ``is_trivial_sg3`` first reads the crossing and singular exponent
 sums, a homomorphism SG_3 -> Z^2 for the same reason, and refutes a word
@@ -218,15 +220,18 @@ def _syllable(letter: SPLetter) -> FactorSyllable:
 
 
 # What the first pass of ``britton_reduce`` reads for each of the eight unit
-# base letters: its syllable, so that the pass builds none, then (None, 0)
-# or, for the second letter of c^sign, the first syllable of c^sign and the
-# sign: arriving on that very syllable, it turns it into a run.  The
-# syllables of c^+-1 are the objects of _C_SYLLABLES, so that the pass can
-# find the first one at the top of the stack by identity.
+# base letters, keyed by the letter and by its token alike, so that a built
+# word's letters and a parsed word's tokens find it: its syllable, so that
+# the pass builds none, then (None, 0) or, for the second letter of c^sign,
+# the first syllable of c^sign and the sign: arriving on that very syllable,
+# it turns it into a run.  The syllables of c^+-1 are the objects of
+# _C_SYLLABLES, so that the pass can find the first one at the top of the
+# stack by identity.
 _UNITS = {
-    syllable.letters()[0]: (syllable, *_C_PAIRS.get(syllable, (None, 0)))
+    key: (syllable, *_C_PAIRS.get(syllable, (None, 0)))
     for syllable in _C_SYLLABLES[1] + _C_SYLLABLES[-1]
     + tuple(FactorSyllable(factor, 0, e) for factor in (F13, F23) for e in (1, -1))
+    for key in (syllable.letters()[0], syllable.letters()[0].token())
 }
 
 
@@ -304,9 +309,10 @@ def eliminate_a12(word: SPWord) -> tuple[int, SPWord]:
     reads each a12^e of the word as the run c^-e of its V~ part, so no
     letter is substituted here.  The sum reads each distinct letter with
     its count through ``FreeWord._letter_counts``, from the token counts of
-    a parsed word, which builds no letter.  The name and the pair stay
-    because the name is public and the benchmark times the two steps of
-    ``center_split`` by it.
+    a parsed word, which builds no letter, or from a built word's letters,
+    counted once for this sum and the six sums together.  The name and the
+    pair stay because the name is public and the benchmark times the two
+    steps of ``center_split`` by it.
     """
     return sum(exponent * count for (name, exponent), count in word._letter_counts() if name == A12), word
 
@@ -320,8 +326,11 @@ def britton_reduce(word: SPWord) -> HNNForm:
     stable power b12^e that follows an empty base merges with the power
     before it: the normal form in the free product V * <b12>.  It merges
     and cancels whatever free reduction would, so it reads the word as
-    stored, through ``FreeWord._letter_keys``: a parsed word's tokens,
-    unreduced, each distinct one looked up once, or a built word's letters.
+    stored, through ``FreeWord._tokens``, in one loop: a parsed word's
+    tokens, unreduced, or a built word's letters.  A unit key, a letter or
+    a token, finds its syllable in ``_UNITS``; a token's ``str`` hash is
+    cached.  Any other key is read as its letter, a token such as
+    ``a13^1`` among them, although it spells a unit letter.
     The second pass walks that form: when b12^e follows a base c^k and the
     power before the base has the opposite sign, the pinch cancels by
     sliding c^k, which commutes with b12, into the base to its left.  That
@@ -340,13 +349,9 @@ def britton_reduce(word: SPWord) -> HNNForm:
     bases: list[list[FactorSyllable | int]] = [[]]
     powers: list[int] = []
     entries = bases[-1]
-    keys, letter_of = word._letter_keys()
-    # A parsed word's distinct tokens are looked up in _UNITS once, in C;
-    # each occurrence then hashes its str token, whose hash is cached, and
-    # no letter.  Built letters are their own keys.
-    units = _UNITS if letter_of is None else dict(zip(letter_of, map(_UNITS.get, letter_of.values())))
+    keys, letter_of, _ = word._tokens()
     for key in keys:
-        unit = units.get(key)
+        unit = _UNITS.get(key)
         if unit is not None:
             syllable, first, sign = unit
             if first is not None and entries and entries[-1] is first:
@@ -365,7 +370,7 @@ def britton_reduce(word: SPWord) -> HNNForm:
             else:
                 _push(entries, syllable)
             continue
-        letter = key if letter_of is None else letter_of[key]
+        letter = letter_of[key]
         name, exponent = letter
         if name == A12:
             # a12^e = d^e c^-e, and d is central: its V~ part is c^-e.
@@ -413,7 +418,8 @@ def center_split(word: SPWord) -> CenterSplitForm:
 def _six_sums(word: SPWord) -> dict[str, int]:
     """The exponent sum of each of the six generators, by name: exponent
     times count, added once per distinct letter read through
-    ``FreeWord._letter_counts``, which counts in C, not once per letter."""
+    ``FreeWord._letter_counts``, which counts in C, not once per letter,
+    and keeps a built word's counts for ``eliminate_a12``."""
     sums = dict.fromkeys(SP_NAMES, 0)
     for (name, exponent), count in word._letter_counts():
         sums[name] += exponent * count

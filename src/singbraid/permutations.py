@@ -10,10 +10,10 @@ a permutation, that prints in cycle or one-line notation and knows whether
 it is the identity.  It has no algebra, since nothing composes or inverts
 permutations: ``pi`` swaps two entries of one list per odd-exponent letter
 and validates the image once, so it costs one step per syllable plus one
-pass over the strands.  It reads a parsed word's tokens as the parser
-stored them, unreduced, so a parsed word builds no letters for it: free
-reduction only merges runs and cancels inverse pairs, which changes no
-product of swaps.  The SG_3 decision calls ``pi`` once, as an early exit
+pass over the strands.  It reads the one stored shape of every word, a
+parsed word's tokens unreduced or a built word's letters, so a parsed word
+builds no letters for it: free reduction only merges runs and cancels
+inverse pairs, which changes no product of swaps.  The SG_3 decision calls ``pi`` once, as an early exit
 for words outside the kernel; rewriting a kernel word reads coset
 indices from the coset table, which tells cosets apart by image tuples of
 its own.
@@ -73,24 +73,16 @@ def pi(word: BraidWord) -> Permutation:
     the positions of the suffix's image list: reading the letters from the
     last one back, each odd-exponent letter swaps two entries.
 
-    The word is read as stored, through ``FreeWord._letter_keys``: the
+    The word is read as stored, through ``FreeWord._tokens``: the
     projection is a homomorphism, so free reduction changes nothing here
-    and a parsed word's tokens are read unreduced.  One loop swaps for
-    both forms; only the indices it reads differ.  A built word's letters
-    are tested for parity one by one.  A parsed word's distinct odd tokens
-    are mapped to their indices once, and the occurrences then in C by
-    their ``str`` keys, whose hashes are cached: a letter is a tuple whose
-    hash is not, so a map of a built word's letters costs more than the
-    parity test it replaces.
+    and a parsed word's tokens are read unreduced.  The distinct odd keys,
+    tokens or a built word's letters, are mapped to their indices once, and
+    the occurrences then in C.
     """
     images = list(range(1, word.strands + 1))
-    keys, letter_of = word._letter_keys()
-    if letter_of is None:
-        indices = [letter.index for letter in reversed(keys) if letter.exponent % 2]
-    else:
-        # An index is at least 1, so filter drops exactly the even tokens.
-        swaps = {key: index for key, (_, index, exponent) in letter_of.items() if exponent % 2}
-        indices = filter(None, map(swaps.get, reversed(keys)))
-    for i in indices:
+    keys, letter_of, _ = word._tokens()
+    swaps = {key: index for key, (_, index, exponent) in letter_of.items() if exponent % 2}
+    # An index is at least 1, so filter drops exactly the even keys.
+    for i in filter(None, map(swaps.get, reversed(keys))):
         images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(tuple(images))

@@ -30,12 +30,13 @@ letter with its ambient word rep_i a rep_j^-1, read off the move.  A coset
 is told apart from the others by its projection, kept as a tuple of
 images that the table composes itself, so this module imports nothing of
 ``permutations``.
-``rewrite_tau`` walks a word through the moves of its table.  Each unit
-letter projects to an involution, so its moves have period 2 and the walk
-reads a syllable a^e of any exponent with two lookups and one tuple
-product.  ``sp3``, ``verify`` and the ``gens``
-command read the same table, and nothing else holds the transversal or the
-generators.
+``rewrite_tau`` walks a word through the moves of its table, keyed by
+unit letter and by unit token alike, so one loop reads a built word's
+letters and a parsed word's tokens.  Each unit letter projects to an
+involution, so its moves have period 2 and the walk reads a syllable a^e
+of any exponent with two lookups and one tuple product.  ``sp3``,
+``verify`` and the ``gens`` command read the same table, and nothing else
+holds the transversal or the generators.
 
 The walk is a homomorphism on the free group (Magnus, Karrass and
 Solitar, *Combinatorial Group Theory*, ch. 2): the walk of a word and of
@@ -142,9 +143,9 @@ class CosetTable:
       coset j of rep_i a and emits S(rep_i, a) unless its ambient word is
       freely empty; ``a`` projects to an involution, so ``a^-1`` leads j
       back to i and emits the inverse.
-    - ``token_moves``: the same rows keyed by the token of each unit
-      letter, ``s1`` and ``s1^-1`` for s1 and its inverse: a parsed word's
-      walk reads its tokens there, with no per-call map.
+    - ``unit_moves``: the same rows keyed by each unit letter and by its
+      token, ``s1`` and ``s1^-1`` for s1 and its inverse, so that the walk
+      reads a built word's letters and a parsed word's tokens in one dict.
     - ``generators``: one ``GeneratorEntry`` per coset and positive letter,
       coset-major; a generator's ``id`` is its position here.
     """
@@ -180,7 +181,7 @@ class CosetTable:
                 self.moves[a.inverse()][j] = (i, ((generator, -1),) if emits else ())
                 generators.append(GeneratorEntry(generator, ambient))
         self.generators = tuple(generators)
-        self.token_moves = {u.token(): row for u, row in self.moves.items()}
+        self.unit_moves = {key: row for u, row in self.moves.items() for key in (u, u.token())}
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +196,7 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     its unit letters emit.  Generators with freely empty ambient words are
     skipped.
 
-    The word is read as stored, through ``FreeWord._letter_keys``: a built
+    The word is read as stored, through ``FreeWord._tokens``: a built
     word's reduced letters, or a parsed word's tokens, unreduced.  The walk
     is a homomorphism on the free group, so the factors of the unreduced
     tokens are freely equal to those of the reduced letters, but they are
@@ -207,30 +208,28 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     changes once anything (``str``, ``==``, ``hash``, pickling) has read
     its ``letters``.
 
-    The walk goes syllable by syllable, in one loop for both forms: a unit
-    letter is its own key into the moves, and a unit token, whose ``str``
-    hash is cached, its own key into ``token_moves``.  Any other syllable
-    a^e reads the moves of a^+-1 from its coset i and from the coset j
-    they lead to.  The action of every unit letter is an involution, so the
-    next step leads back to i, and a^e emits the factors of the two steps
-    |e| // 2 times, then those of the step from i once more when |e| is
-    odd, ending on j.  The repetition is one tuple product, so the syllable
-    costs no Python step per unit letter.
+    The walk goes syllable by syllable, in one loop: a unit key, a letter
+    or a token whose ``str`` hash is cached, finds its row in
+    ``unit_moves``.  Any other key's letter a^e reads the moves of a^+-1
+    from its coset i and from the coset j they lead to.  The action of
+    every unit letter is an involution, so the next step leads back to i,
+    and a^e emits the factors of the two steps |e| // 2 times, then those
+    of the step from i once more when |e| is odd, ending on j.  The
+    repetition is one tuple product, so the syllable costs no Python step
+    per unit letter.
     """
-    table = coset_table(word.strands)
-    moves = table.moves
-    keys, letter_of = word._letter_keys()
-    units = moves if letter_of is None else table.token_moves
+    unit_moves = coset_table(word.strands).unit_moves
+    keys, letter_of, _ = word._tokens()
     coset, emitted = 0, []
     for key in keys:
-        row = units.get(key)
+        row = unit_moves.get(key)
         if row is not None:
             coset, out = row[coset]
             emitted += out
         else:
-            kind, index, exponent = key if letter_of is None else letter_of[key]
+            kind, index, exponent = letter_of[key]
             # A plain tuple hashes and compares like the Letter it spells.
-            row = moves[kind, index, 1 if exponent > 0 else -1]
+            row = unit_moves[kind, index, 1 if exponent > 0 else -1]
             there, out = row[coset]
             pairs, odd = divmod(abs(exponent), 2)
             emitted += (out + row[there][1]) * pairs

@@ -10,19 +10,20 @@ are freely reduced with run-length exponents: adjacent letters of the same
 generator are merged and letters whose exponent cancels to zero are
 removed.  A word built by a constructor is reduced at once; a parsed word
 keeps the parser's tokens, counted once, and builds and reduces its
-letters on the first read of ``letters``.  The crossing and singular sums
-here and the six generator sums of ``normal_form`` read each distinct
-letter with its count, through ``FreeWord._letter_counts``: every defining
-relation balances each generator, so the sums are homomorphisms that
-depend only on how often each letter occurs, and a parsed word that they
-refute never builds its letters and is never reduced.  The rest of a
-decision reads the tokens too, so no parsed word builds or reduces its
-letters on the way to a verdict: the a12 sum of ``normal_form`` reads
-``_letter_counts``, and ``permutations.pi``, the walk of
-``rewriting.rewrite_tau`` and Britton reduction's first pass read the
-tokens in order through ``FreeWord._letter_keys``.  The first two are
-homomorphisms on the free group, and the pass cancels whatever free
-reduction would.
+letters on the first read of ``letters``.  Every stage of a decision reads
+a word in one shape, the ``_Tokens`` triple of ``FreeWord._tokens``: keys in
+order, the letter of each distinct key and its count.  A parsed word's keys
+are its tokens, unreduced; a built word's are its reduced letters, each
+its own key.  The crossing and singular sums here and the six generator
+sums and the a12 sum of ``normal_form`` read each distinct letter with its
+count, through ``FreeWord._letter_counts``: every defining relation
+balances each generator, so the sums are homomorphisms that depend only on
+how often each letter occurs, and a parsed word that they refute never
+builds its letters and is never reduced.  ``permutations.pi``, the walk of
+``rewriting.rewrite_tau`` and Britton reduction's first pass read the keys
+in order, so no parsed word builds or reduces its letters on the way to a
+verdict either: the first two are homomorphisms on the free group, and the
+pass cancels whatever free reduction would.
 This module holds that free-group core once: ``free_reduce`` is the one
 reduction, ``FreeWord`` the one set of word operations (inverse, product,
 power, printing) and ``substitute`` the one letter-by-word substitution,
@@ -182,13 +183,15 @@ class Value:
 
 
 class _Tokens(NamedTuple):
-    """A parsed word as ``parse_tokens`` leaves it: its tokens in order, the
-    letter of each distinct token and the number of its occurrences, both
-    keyed in the order of first occurrence."""
+    """The one shape in which every reader reads a word: its keys in order,
+    the letter of each distinct key and the number of its occurrences, both
+    keyed in the order of first occurrence.  A parsed word's keys are its
+    tokens as ``parse_tokens`` leaves them, unreduced; a built word's tokens
+    are its reduced letters, each distinct letter mapped to itself."""
 
-    tokens: list[str]
+    tokens: Sequence
     letter_of: dict
-    counts: dict[str, int]
+    counts: dict
 
 
 class FreeWord(Value):
@@ -206,18 +209,23 @@ class FreeWord(Value):
     the letters from the tokens on the first read of ``letters``, reduces
     them and stores the result in both slots, dropping the tokens.  Every
     other constructor stores the reduced letters in both slots at once.
-    ``_stored`` is one slot, read once by each reader, so a reader sees
-    either the tokens or the reduced letters, never half of each.
-    ``_letter_counts`` reads each distinct letter with its count from
-    either form, and the exponent sums read only that: free reduction
-    changes no sum, so a parsed word that they refute never builds a
-    letter list and is never reduced.  ``_letter_keys`` reads either form
-    in order, for a reader that needs no free reduction first: ``pi`` and
-    ``rewrite_tau``, whose results free reduction does not change (the
-    walk's only up to free equality, which ``sp3.rewrite_to_sp3`` reduces
-    away), and Britton reduction, which reduces as it goes.  ``_stored``
-    is not a field: it is not compared, hashed, printed or pickled, and a
-    pickled or copied word is rebuilt from its reduced letters.
+
+    Every reader of a decision reads one shape, the ``_Tokens`` triple of
+    ``_tokens``: a parsed word's tokens, or a built word's reduced letters
+    as their own keys, converted on the first such read and kept in
+    ``_stored``.  The exponent sums read each distinct key with its count
+    through ``_letter_counts``: free reduction changes no sum, so a parsed
+    word that they refute never builds a letter list and is never reduced.
+    ``pi``, ``rewrite_tau`` and Britton reduction read the keys in order,
+    each looked up in ``letter_of`` or in a table keyed by tokens and
+    letters alike; none needs free reduction first.  ``pi`` and the walk
+    are homomorphisms on the free group (the walk's result only up to free
+    equality, which ``sp3.rewrite_to_sp3`` reduces away), and Britton
+    reduction reduces as it goes.  ``_stored`` is one slot, read once by
+    each reader, so a reader sees one triple or the reduced letters, never
+    half of each.  It is not a field: it is not compared, hashed, printed
+    or pickled, and a pickled or copied word is rebuilt from its reduced
+    letters.
     """
 
     __slots__ = ("_stored",)
@@ -250,12 +258,10 @@ class FreeWord(Value):
     def __getattr__(self, name: str) -> tuple:
         if name != "letters":
             raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
-        stored = self._stored
-        if stored.__class__ is not _Tokens:
-            # Another thread stored the letters after this read missed them.
-            return stored
-        # Two threads that both read the tokens each reduce them, to equal letters.
-        return self._store(free_reduce(map(stored.letter_of.__getitem__, stored.tokens)))
+        # Two threads that both read the tokens each reduce them, to equal
+        # letters; a read that finds reduced letters reduces them again.
+        keys, letter_of, _ = self._tokens()
+        return self._store(free_reduce(map(letter_of.__getitem__, keys)))
 
     def _store(self, letters: tuple) -> tuple:
         """Store reduced letters as ``letters`` and as ``_stored``."""
@@ -263,32 +269,30 @@ class FreeWord(Value):
         object.__setattr__(self, "_stored", letters)
         return letters
 
-    def _letter_counts(self) -> Iterable[tuple[tuple, int]]:
-        """``(letter, count)`` pairs whose counts add up to the word's letters
-        as stored: from the token counts of a parsed word whose ``letters``
-        were never read, else the reduced letters counted in C, as
-        ``parse_tokens`` counts tokens.  A letter may come in more than one
-        pair, as ``s1`` and ``s1^1`` do."""
+    def _tokens(self) -> _Tokens:
+        """The word as every reader reads it: the parser's ``_Tokens``, or
+        for reduced letters a ``_Tokens`` whose keys are the letters, each
+        distinct letter its own key, counted in C as ``parse_tokens`` counts
+        tokens.  The first read of reduced letters builds that triple and
+        keeps it in ``_stored``, so a word that is only printed or
+        multiplied never counts its letters, and a word read twice counts
+        them once.  ``_stored`` is read once, so another thread's first read
+        of ``letters`` cannot mix the forms."""
         stored = self._stored
         if stored.__class__ is _Tokens:
-            return zip(stored.letter_of.values(), stored.counts.values())
-        # One line, as the branch above, so that a word costs the same line
-        # events on either side of the parse bound, which the cost tests
-        # compare: _count_elements returns None.
-        return _count_elements(counts := {}, stored) or counts.items()
+            return stored
+        counts: dict = {}
+        _count_elements(counts, stored)
+        tokens = _Tokens(stored, dict(zip(counts, counts)), counts)
+        object.__setattr__(self, "_stored", tokens)
+        return tokens
 
-    def _letter_keys(self) -> tuple[Sequence, dict | None]:
-        """The word's letters as stored, each read by a key, and the map from
-        key to letter: the tokens and ``letter_of`` of a parsed word whose
-        ``letters`` were never read, unreduced, else the reduced letters and
-        None, each letter its own key.  A reader that looks a parsed word's
-        letters up once per distinct token then reads each occurrence by its
-        ``str`` key, whose hash is cached.  ``_stored`` is read once, so
-        another thread's first read of ``letters`` cannot mix the forms."""
-        stored = self._stored
-        if stored.__class__ is _Tokens:
-            return stored.tokens, stored.letter_of
-        return stored, None
+    def _letter_counts(self) -> Iterable[tuple[tuple, int]]:
+        """``(letter, count)`` pairs whose counts add up to the word's
+        letters as ``_tokens`` reads them.  A letter may come in more than
+        one pair, as ``s1`` and ``s1^1`` do."""
+        _, letter_of, counts = self._tokens()
+        return zip(letter_of.values(), counts.values())
 
     def _with(self: _W, letters: tuple) -> _W:
         return self.__class__(*self._key(self)[:-1], letters)

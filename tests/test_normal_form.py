@@ -27,7 +27,7 @@ from singbraid import (
 )
 from singbraid import normal_form, sp3, words
 from singbraid.normal_form import F13, F23, _best_slide, canonical_display
-from singbraid.words import free_reduce
+from singbraid.words import _count_elements, free_reduce
 from helpers import (
     CENTER,
     braid_exponent_sums,
@@ -194,7 +194,8 @@ def test_britton_output_is_reduced_and_equal():
 def test_parsed_words_reduce_as_their_letters_do():
     # The reducer reads a parsed word's tokens, unreduced; its first pass
     # must cancel what free reduction would, so the forms agree with those
-    # of the same word once its letters have been read.
+    # of the same word once its letters have been read, and with those of
+    # a word freshly built from the letters, read as their own keys.
     rng = random.Random(211)
     for _ in range(3000):
         text = unreduced_sp_text(rng)
@@ -203,7 +204,7 @@ def test_parsed_words_reduce_as_their_letters_do():
         for call in (britton_reduce, center_split):
             parsed = parse_sp_word(text)
             assert parsed._stored.__class__ is words._Tokens, text
-            assert call(parsed) == call(read), text
+            assert call(parsed) == call(read) == call(SPWord(read.letters)), text
             assert parsed._stored.__class__ is words._Tokens, text
 
 
@@ -235,7 +236,8 @@ def test_zero_sum_parsed_words_build_no_letters(monkeypatch):
 
 def test_parsed_sg3_words_decide_as_their_letters_do():
     # pi and the walk read a parsed word's tokens, unreduced; the verdict
-    # must be that of the same word once its letters have been read.
+    # must be that of the same word once its letters have been read, and
+    # that of a word freshly built from the letters.
     rng = random.Random(227)
     verdicts = []
     for _ in range(3000):
@@ -244,7 +246,7 @@ def test_parsed_sg3_words_decide_as_their_letters_do():
         assert read.letters is read._stored
         parsed = parse_braid_word(text, 3)
         verdicts.append(is_trivial_sg3(parsed))
-        assert verdicts[-1] == is_trivial_sg3(read), text
+        assert verdicts[-1] == is_trivial_sg3(read) == is_trivial_sg3(BraidWord(3, read.letters)), text
         assert parsed._stored.__class__ is words._Tokens, text
     assert 300 < sum(verdicts) < 2700
 
@@ -326,6 +328,43 @@ def test_six_sums_count_each_distinct_letter_once():
     for text in ("a13 b13 a13 b13^-1 a13^-2", "b23^2 a23 b23^2 a23^-1 b23^-4", "a12^3 b12 a12^3 b12^-1 a12^-6"):
         assert normal_form._six_sums(parse_sp_word(text)) == dict.fromkeys(sp3.SP_NAMES, 0)
         assert is_trivial_sp3(parse_sp_word(text))
+
+
+def test_a_built_word_is_counted_once_per_decision(monkeypatch):
+    # A built word's letters are counted on the first read of its tokens,
+    # which the word keeps: the six sums, the a12 sum of the decision and
+    # that of a second center_split count them once in all.
+    word = rewrite_to_sp3(parse_braid_word("s1^2 s2^2 s1^-2 s2^-2", 3))
+    assert str(word) == "a12 a23 a12^-1 a23^-1" and type(word._stored) is tuple
+    form = center_split(parse_sp_word(str(word)))
+    calls = []
+
+    def counting(counts, elements):
+        calls.append(elements)
+        return _count_elements(counts, elements)
+
+    monkeypatch.setattr(words, "_count_elements", counting)
+    assert not is_trivial_sp3(word)
+    assert center_split(word) == form and not form.is_trivial
+    assert len(calls) == 1
+
+
+def test_units_read_a_letter_and_its_token_alike():
+    # Each unit base letter and its canonical token key the same row, so a
+    # parsed word's tokens are read as a built word's letters are.
+    units = [key for key in normal_form._UNITS if type(key) is SPLetter]
+    assert len(units) == 8 and len(normal_form._UNITS) == 16
+    for letter in units:
+        assert normal_form._UNITS[letter.token()] == normal_form._UNITS[letter]
+
+
+def test_words_past_the_parse_bound_decide():
+    # Past the parse bound the parser reduces the letters, so the decision
+    # reads them as a built word's letters.
+    braid = parse_braid_word("s1^200000 s1^-200000 s1 t1 s1^-1 t1^-1", 3)
+    assert type(braid._stored) is tuple and is_trivial_sg3(braid)
+    sp_word = parse_sp_word("a12^200000 a12^-200000 b12 a13 a23 b12^-1 a23^-1 a13^-1")
+    assert type(sp_word._stored) is tuple and str(center_split(sp_word)) == "d^0 | 1"
 
 
 def test_zero_sum_words_reach_the_reducer(monkeypatch):

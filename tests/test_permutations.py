@@ -59,7 +59,8 @@ def test_pi_matches_composition_reference():
 
 def test_pi_of_parsed_tokens_equals_pi_of_their_letters():
     # pi reads a parsed word's tokens unreduced, each odd one by its swap
-    # index, and must agree with the same word once its letters are read.
+    # index, and must agree with the same word once its letters are read,
+    # and with a word freshly built from the letters.
     rng = random.Random(17)
     for _ in range(3000):
         strands = rng.choice((2, 3, 3, 4, 6))
@@ -67,7 +68,7 @@ def test_pi_of_parsed_tokens_equals_pi_of_their_letters():
         read = parse_braid_word(text, strands)
         assert read.letters is read._stored
         parsed = parse_braid_word(text, strands)
-        assert pi(parsed) == pi(read) == Permutation(reference.pi(read)), text
+        assert pi(parsed) == pi(read) == pi(BraidWord(strands, read.letters)) == Permutation(reference.pi(read)), text
         assert parsed._stored.__class__ is words._Tokens, text
 
 

@@ -43,6 +43,9 @@ LONG_CANCELLING = "a13 a13^-1 " * 10000
 # 20,000 tokens in 95,000 bytes with zero sums and a trivial projection: pi
 # and the walk read the tokens unreduced, and the rewrite cancels them.
 LONG_CANCELLING_BRAID = "s1 t1 t1^-1 s1^-1 " * 5000
+# 400,004 and 400,006 unit letters as written, which reduce to 4 and 6.
+PAST_THE_BOUND_BRAID = "s1^200000 s1^-200000 s1 t1 s1^-1 t1^-1"
+PAST_THE_BOUND_SP = "a12^200000 a12^-200000 b12 a13 a23 b12^-1 a23^-1 a13^-1"
 
 # name: (argv, exit code, stdout bytes, MB of peak resident set above a bare
 # import, read on Python 3.11 at a bare-import peak of 14.5 MB; 3.13 read
@@ -61,12 +64,18 @@ CALLS = {
     # Two syllables at the unit-letter limit that cancel: the walk emits
     # their 131,070 factors unreduced, and the rewrite cancels them.
     "cancelling-exponents-at-the-limit": (["trivial", "s1^131070 s1^-131070"], 0, 8, 0.2),
+    # Past the parse bound as written, so the parser reduces the letters and
+    # the decision reads them as a built word's.
+    "trivial-past-the-parse-bound": (["trivial", PAST_THE_BOUND_BRAID], 0, 8, 0.1),
+    "nf-past-the-parse-bound": (["nf", PAST_THE_BOUND_SP], 0, 8, 0.1),
 }
 # The output of each call whose bytes are pinned as well as counted.
 STDOUT = {
     "long-cancelling-nf": b"d^0 | 1\n",
     "long-cancelling-trivial": b"trivial\n",
     "cancelling-exponents-at-the-limit": b"trivial\n",
+    "trivial-past-the-parse-bound": b"trivial\n",
+    "nf-past-the-parse-bound": b"d^0 | 1\n",
 }
 
 

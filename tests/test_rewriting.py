@@ -221,7 +221,8 @@ def test_walk_of_parsed_tokens_is_freely_equal_to_the_walk_of_the_letters():
     # The walk reads a parsed word's tokens unreduced: its factors need not
     # be freely reduced, but they reduce to those of the reduced letters and
     # expand back to the word, and the SP_3 rewrite, which reduces its
-    # letters once, is the same word either way.
+    # letters once, is the same word either way.  A word freshly built from
+    # the letters walks as the read word does.
     rng = random.Random(113)
     for _ in range(3000):
         strands = rng.choice((2, 3, 3, 3, 4))
@@ -234,6 +235,7 @@ def test_walk_of_parsed_tokens_is_freely_equal_to_the_walk_of_the_letters():
         assert parsed._stored.__class__ is words._Tokens, text
         assert reference.expand(rewritten, strands) == read, text
         assert reference.schreier_word(rewritten.factors) == rewrite_tau(read), text
+        assert rewrite_tau(BraidWord(strands, read.letters)) == rewrite_tau(read), text
         if strands == 3:
             sp_word = rewrite_to_sp3(parse_braid_word(text, 3))
             assert sp_word == rewrite_to_sp3(read) and str(sp_word) == str(rewrite_to_sp3(read)), text

@@ -239,10 +239,16 @@ def test_parsed_word_reduces_on_first_read_and_keeps_the_letters():
 
 def test_a_late_first_read_returns_the_letters_another_read_stored():
     # A thread whose read of ``letters`` missed the slot just before another
-    # thread stored the reduced letters finds them in ``_stored``.
-    word = parse_braid_word("s1 s1 t2 t2^-1", 3)
-    letters = word.letters
-    assert words.FreeWord.__getattr__(word, "letters") is letters == (Letter("s", 1, 2),)
+    # thread stored the reduced letters reduces them again, to equal
+    # letters, whether a reader has since turned them into their tokens or
+    # not, and leaves ``letters`` set.
+    for read_sums in (False, True):
+        word = parse_braid_word("s1 s1 t2 t2^-1", 3)
+        letters = word.letters
+        if read_sums:
+            assert exponent_sums(word) == (2, 0)
+        assert words.FreeWord.__getattr__(word, "letters") == letters == (Letter("s", 1, 2),)
+        assert BraidWord.letters.__get__(word) == letters
 
 
 def test_sum_stages_reduce_no_word_they_refute(monkeypatch):
@@ -284,13 +290,13 @@ def test_threads_reading_one_parsed_word_see_equal_letters():
     rng = random.Random(59)
     texts = [" ".join(letter.token() for letter in random_run_letters(rng, 3, max_exp=2)) or "1" for _ in range(1000)]
     built = [BraidWord(3, parse_braid_word(text, 3).letters) for text in texts]
-    expected = [(word.letters, exponent_sums(word), hash(word)) for word in built]
+    expected = [(word.letters, exponent_sums(word), hash(word), is_trivial_sg3(word)) for word in built]
     shared = [parse_braid_word(text, 3) for text in texts]
     seen = [[] for _ in range(8)]
 
     def read(out):
         for word in shared:
-            out.append((word.letters, exponent_sums(word), hash(word)))
+            out.append((word.letters, exponent_sums(word), hash(word), is_trivial_sg3(word)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -305,9 +311,10 @@ def test_threads_reading_one_parsed_word_see_equal_letters():
     assert not any(thread.is_alive() for thread in threads)
     assert all(out == expected for out in seen)
     # Two threads that reduce one word at once each store their own tuple,
-    # so the two slots may hold equal tuples that are not the same object.
+    # and a thread that decides it may turn either into tokens: the letters
+    # and verdicts stay those of the built word.
     assert shared == built
-    assert all(type(word._stored) is tuple and word._stored == word.letters for word in shared)
+    assert [(word.letters, is_trivial_sg3(word)) for word in shared] == [(e[0], e[-1]) for e in expected]
 
 
 def test_parse_refuses_long_numbers():
