@@ -56,6 +56,20 @@ MUTANTS = (
         ("tests/test_normal_form.py::test_sigma_tau_sums_refute_before_projection",),
     ),
     Mutant(
+        "sg3-off-kernel-walk-says-trivial",
+        "src/singbraid/normal_form.py",
+        "        # The walk ended off the trivial coset: a nontrivial projection.\n        return False\n",
+        "        # The walk ended off the trivial coset: a nontrivial projection.\n        return True\n",
+        ("tests/test_normal_form.py::test_zero_sum_words_off_the_kernel_are_refuted_by_the_walk",),
+    ),
+    Mutant(
+        "sg3-any-rewrite-error-says-nontrivial",
+        "src/singbraid/normal_form.py",
+        "    except _OffKernel:\n",
+        "    except ValueError:\n",
+        ("tests/test_normal_form.py::test_other_errors_of_the_rewrite_are_not_a_verdict",),
+    ),
+    Mutant(
         "d-exponent-counts-other-letters",
         "src/singbraid/normal_form.py",
         " in word._letter_counts() if name == A12), word\n",

@@ -5,14 +5,17 @@ group SG_3 and its pure subgroup SP_3.
 The pipeline: parse words over the crossings s1, s2 and singular crossings
 t1, t2 (``words``), refute a word whose crossing or singular exponent sum
 is nonzero (``normal_form``; each defining relation balances both sums),
-project to the symmetric group (``permutations``), rewrite kernel words
-over the Schreier generators in one walk of the coset table, which holds
-the Schreier transversal, the moves and the generators with their ambient
-words, built once per strand count (``rewriting``), express each factor by
-its row in the six-generator presentation of SP_3 (``sp3``), and decide
-triviality and equality in SP_3 (``normal_form``): a nonzero sum of the
-exponents of one of the six generators refutes a word at once, and any
-other word goes through the center splitting and Britton reduction.
+rewrite any other word into the six-generator presentation of SP_3 in one
+walk of the coset table, which holds the Schreier transversal, the moves
+and the generators with their ambient words, built once per strand count
+(``rewriting.rewrite_tau``), over moves that emit each Schreier
+generator's row of SP_3 letters in place of the generator (``sp3``),
+refuting a word whose walk ends off the trivial coset, a nontrivial
+projection, and decide triviality and equality in SP_3
+(``normal_form``): a nonzero sum of the exponents of one of the six
+generators refutes a word at once, and any other word goes through the
+center splitting and Britton reduction.  ``permutations`` projects a word
+to the symmetric group; no decision calls it.
 ``verify`` checks the presentation data against those decisions.
 Cheap matrix-quotient invariants cross-check the engine (``oracles``).
 """

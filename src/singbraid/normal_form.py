@@ -51,18 +51,21 @@ a parsed word, or a built word's letters, counted once for all three.
 never builds its letters and is never freely reduced on its way to a
 verdict (see ``words.FreeWord``).
 A word of SG_3 is trivial when its projection to the symmetric group is
-trivial and its rewrite into SP_3 is.  ``is_trivial_sg3`` first reads the crossing and singular exponent
-sums, a homomorphism SG_3 -> Z^2 for the same reason, and refutes a word
-with a nonzero sum before it projects or rewrites it.  ``pi`` and the
-rewrite read a parsed word's tokens too, so a parsed SG_3 word never
-builds or freely reduces its braid letters on its way to a verdict.
+trivial and its rewrite into SP_3 is.  ``is_trivial_sg3`` first reads the
+crossing and singular exponent sums, a homomorphism SG_3 -> Z^2 for the
+same reason, and refutes a word with a nonzero sum before it rewrites it.
+The rewrite's one coset-table walk emits SP_3 letters and ends on the
+trivial coset exactly when the projection is trivial, so the decision
+reads the projection off the walk and calls no ``pi``.  The walk reads a
+parsed word's tokens too, so a parsed SG_3 word never builds or freely
+reduces its braid letters on its way to a verdict.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .permutations import pi
+from .rewriting import _OffKernel
 from .sp3 import (
     A12,
     A13,
@@ -455,17 +458,23 @@ def is_trivial_sg3(word: BraidWord) -> bool:
     Each defining relation of SG_3 balances the crossing letters and the
     singular letters separately, so the two sums are a homomorphism
     SG_3 -> Z^2, and a word with a nonzero sum is nontrivial before it is
-    projected or rewritten.  They read a parsed word's token counts, and
-    ``pi``, the rewrite and the reducer read its tokens: a parsed word
-    never builds or reduces its letters on the way to a verdict.
+    rewritten.  They read a parsed word's token counts.  The projection is
+    read off the rewrite's one coset-table walk, with no call of ``pi``:
+    the walk ends on the trivial coset exactly when the projection is
+    trivial, and the walk refuses any other word with its own
+    ``ValueError``, which alone reads as "nontrivial".  The walk and the
+    reducer read the tokens, so a parsed word never builds or reduces its
+    letters on the way to a verdict.
     """
     if word.strands != 3:
         raise ValueError("the SG_3 decision needs a 3-strand word")
     if exponent_sums(word) != (0, 0):
         return False
-    if not pi(word).is_identity:
+    try:
+        return is_trivial_sp3(rewrite_to_sp3(word))
+    except _OffKernel:
+        # The walk ended off the trivial coset: a nontrivial projection.
         return False
-    return is_trivial_sp3(rewrite_to_sp3(word))
 
 
 def _best_slide(entries: Sequence[FactorSyllable | int]) -> int:

@@ -13,10 +13,11 @@ and validates the image once, so it costs one step per syllable plus one
 pass over the strands.  It reads the one stored shape of every word, a
 parsed word's tokens unreduced or a built word's letters, so a parsed word
 builds no letters for it: free reduction only merges runs and cancels
-inverse pairs, which changes no product of swaps.  The SG_3 decision calls ``pi`` once, as an early exit
-for words outside the kernel; rewriting a kernel word reads coset
-indices from the coset table, which tells cosets apart by image tuples of
-its own.
+inverse pairs, which changes no product of swaps.  ``pi`` serves the
+``pi`` command and the tests; no decision calls it.  The SG_3 decision
+reads the projection off the rewrite's coset-table walk, which ends on
+the trivial coset exactly when the projection is trivial, and the coset
+table tells cosets apart by image tuples of its own.
 
 Convention: words act left to right, so the image of a product applies the
 first letter's transposition first.  Any consistent choice leaves the

@@ -32,11 +32,13 @@ images that the table composes itself, so this module imports nothing of
 ``permutations``.
 ``rewrite_tau`` walks a word through the moves of its table, keyed by
 unit letter and by unit token alike, so one loop reads a built word's
-letters and a parsed word's tokens.  Each unit letter projects to an
-involution, so its moves have period 2 and the walk reads a syllable a^e
-of any exponent with two lookups and one tuple product.  ``sp3``,
-``verify`` and the ``gens`` command read the same table, and nothing else
-holds the transversal or the generators.
+letters and a parsed word's tokens; ``sp3.rewrite_to_sp3`` runs the same
+loop over a table of the same moves that emit the SP_3 letters of the
+factors' rows, so the SG_3 decision builds no factor.  Each unit letter
+projects to an involution, so its moves have period 2 and the walk reads
+a syllable a^e of any exponent with two lookups and one tuple product.
+``sp3``, ``verify`` and the ``gens`` command read the same table, and
+nothing else holds the transversal or the generators.
 
 The walk is a homomorphism on the free group (Magnus, Karrass and
 Solitar, *Combinatorial Group Theory*, ch. 2): the walk of a word and of
@@ -59,8 +61,9 @@ A freely reduced word has neither; unreduced tokens such as
 ``s1^2 s1^-2`` may have either.
 
 A Schreier word is not a ``words.FreeWord``: it is only printed and
-expressed in ``sp3``, never multiplied or reduced, and equal factors stay
-apart, so s1^4 rewrites to S[s1,s1] S[s1,s1].
+checked, never multiplied or reduced, and equal factors stay apart, so
+s1^4 rewrites to S[s1,s1] S[s1,s1].  ``sp3`` expresses no Schreier word:
+its moves emit the factors' rows directly.
 """
 
 from __future__ import annotations
@@ -98,7 +101,9 @@ class SchreierGenerator(Value):
 
 class SchreierWord(Value):
     """A word over the Schreier generators, freely reduced when it is the
-    walk of a freely reduced word; factors carry exponent +1 or -1."""
+    walk of a freely reduced word; factors carry exponent +1 or -1.  From
+    ``rewrite_tau`` over another table of moves, its factors are what that
+    table emits in their place."""
 
     __slots__ = ("factors",)
 
@@ -190,11 +195,27 @@ def coset_table(strands: int) -> CosetTable:
     return CosetTable(strands)
 
 
-def rewrite_tau(word: BraidWord) -> SchreierWord:
+class _OffKernel(ValueError):
+    """A walk that ended off the trivial coset: the word's projection is
+    not the identity.  The SG_3 decision reads it as the verdict
+    "nontrivial" and lets every other ``ValueError`` through."""
+
+
+def rewrite_tau(word: BraidWord, moves: dict | None = None) -> SchreierWord:
     """Rewrite a kernel word as a word over the Schreier generators: read
     it through its coset table from the trivial coset and return everything
     its unit letters emit.  Generators with freely empty ambient words are
-    skipped.
+    skipped.  A word whose walk ends off the trivial coset projects to a
+    nontrivial permutation and raises ``ValueError``.
+
+    ``moves`` stands in for the table's ``unit_moves``: a table of the same
+    moves, keyed alike, whose rows give for each coset the next coset and a
+    tuple of what the move emits in place of its factors.
+    ``sp3.rewrite_to_sp3`` passes one that emits the SP_3 letters of the
+    factors' rows and reads those letters as the result's factors, so the
+    SG_3 decision builds no Schreier factor, and this one loop stays the
+    rewriting step of the decision, which the benchmark's traced runs time
+    as the ``rewriting`` layer.
 
     The word is read as stored, through ``FreeWord._tokens``: a built
     word's reduced letters, or a parsed word's tokens, unreduced.  The walk
@@ -202,34 +223,34 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
     tokens are freely equal to those of the reduced letters, but they are
     freely reduced only when the tokens are (see the module docstring):
     ``s1^2 s1^-2`` emits S[s1,s1] S[s1,s1]^-1.  ``sp3.rewrite_to_sp3``
-    freely reduces what it expresses, so its output does not depend on the
+    freely reduces what it reads, so its output does not depend on the
     form.  ``rewrite_tau``'s own result does: two equal words may rewrite
     to different, freely equal Schreier words, and a parsed word's result
     changes once anything (``str``, ``==``, ``hash``, pickling) has read
     its ``letters``.
 
     The walk goes syllable by syllable, in one loop: a unit key, a letter
-    or a token whose ``str`` hash is cached, finds its row in
-    ``unit_moves``.  Any other key's letter a^e reads the moves of a^+-1
-    from its coset i and from the coset j they lead to.  The action of
-    every unit letter is an involution, so the next step leads back to i,
-    and a^e emits the factors of the two steps |e| // 2 times, then those
-    of the step from i once more when |e| is odd, ending on j.  The
-    repetition is one tuple product, so the syllable costs no Python step
-    per unit letter.
+    or a token whose ``str`` hash is cached, finds its row in the moves.
+    Any other key's letter a^e reads the moves of a^+-1 from its coset i
+    and from the coset j they lead to.  The action of every unit letter is
+    an involution, so the next step leads back to i, and a^e emits the
+    output of the two steps |e| // 2 times, then that of the step from i
+    once more when |e| is odd, ending on j.  The repetition is one tuple
+    product, so the syllable costs no Python step per unit letter.
     """
-    unit_moves = coset_table(word.strands).unit_moves
+    if moves is None:
+        moves = coset_table(word.strands).unit_moves
     keys, letter_of, _ = word._tokens()
     coset, emitted = 0, []
     for key in keys:
-        row = unit_moves.get(key)
+        row = moves.get(key)
         if row is not None:
             coset, out = row[coset]
             emitted += out
         else:
             kind, index, exponent = letter_of[key]
             # A plain tuple hashes and compares like the Letter it spells.
-            row = unit_moves[kind, index, 1 if exponent > 0 else -1]
+            row = moves[kind, index, 1 if exponent > 0 else -1]
             there, out = row[coset]
             pairs, odd = divmod(abs(exponent), 2)
             emitted += (out + row[there][1]) * pairs
@@ -237,5 +258,5 @@ def rewrite_tau(word: BraidWord) -> SchreierWord:
                 coset = there
                 emitted += out
     if coset:
-        raise ValueError("can only rewrite words with trivial projection")
+        raise _OffKernel("can only rewrite words with trivial projection")
     return SchreierWord(tuple(emitted))

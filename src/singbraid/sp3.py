@@ -11,18 +11,20 @@ is a ``words.FreeWord``: it is reduced, multiplied, inverted, powered and
 printed by the same free-group core as a braid word, and only checks its
 letter names itself.  Every Schreier generator of SP_3 equals a short word
 in these six letters: ``_EXPRESSION_ROWS`` holds the paper's literal rows,
-named by representative and letter, and ``_FACTOR_ROWS``, the one table
-built from them at import, holds the letters of each row and of its
-inverse in a list indexed by the id of each generator of
-``rewriting.coset_table(3)``; its builder refuses rows that do not name
-each generator once.  ``rewrite_to_sp3``, the table's one reader, turns a
-kernel word of SG_3 into an SP word with one coset-table walk of
-``rewriting.rewrite_tau``, one list lookup per factor and one merge of the
-letters.  ``verify --rs`` expresses the rewritten relators through it, and
-``verify --table`` reads each row through it too, as the rewrite of its
-generator's ambient word, whose walk emits that generator alone.  The merge
-builds the word through ``SPWord._reduced``, which skips the check of each
-letter's name: the rows are checked once, by ``verify --table``.
+named by representative and letter, and ``_MOVES``, the one table built
+from them at import, holds the moves of ``rewriting.coset_table(3)`` with
+each Schreier factor replaced by the letters of its row or of the row's
+inverse, keyed like the coset table's ``unit_moves``; its builder refuses
+rows that do not name each generator once.  ``rewrite_to_sp3``, the
+table's one reader, turns a kernel word of SG_3 into an SP word with one
+walk of ``rewriting.rewrite_tau`` over it, which emits the letters and no
+Schreier factor, and one merge of the letters; a word outside the kernel
+ends its walk off the trivial coset and is refused.  ``verify --rs``
+expresses the rewritten relators through it, and ``verify --table`` reads
+each row through it too, as the rewrite of its generator's ambient word,
+whose walk emits that generator's row alone.  The merge builds the word
+through ``SPWord._reduced``, which skips the check of each letter's name:
+the rows are checked once, by ``verify --table``.
 ``parse_sp_word`` skips the check too, since its token pattern admits only
 the six names, and builds its word through ``SPWord._parsed``, which keeps
 the counted tokens and builds the letters only on the first read of
@@ -163,32 +165,38 @@ _EXPRESSION_ROWS = {
 }
 
 
-def _factor_rows() -> list[dict[int, tuple[SPLetter, ...]]]:
-    """The letters of each row of ``_EXPRESSION_ROWS`` and of the row's
-    inverse, read when called, indexed by the id of the row's generator in
-    ``rewriting.coset_table(3)`` and then by the exponent +-1;
-    ``RuntimeError`` unless the rows name each generator exactly once."""
-    generators = [entry.generator for entry in rewriting.coset_table(3).generators]
+def _moves() -> dict[object, list[tuple[int, tuple[SPLetter, ...]]]]:
+    """The moves of ``rewriting.coset_table(3)`` with SP_3 letters for
+    Schreier factors, read from ``_EXPRESSION_ROWS`` when called: keyed
+    like the table's ``unit_moves``, by unit letter and by unit token, then
+    indexed by coset, each move holds the next coset and the letters of the
+    rows, or of the inverse rows, of the factors that the same move of
+    ``unit_moves`` emits.  ``RuntimeError`` unless the rows name each
+    generator exactly once."""
+    table = rewriting.coset_table(3)
+    generators = [entry.generator for entry in table.generators]
     names = [(str(g.rep), g.letter.token()) for g in generators]
     if _EXPRESSION_ROWS.keys() != set(names):
         raise RuntimeError("the expression rows do not name each Schreier generator of SP_3 once")
     rows = [parse_sp_word(_EXPRESSION_ROWS[name]) for name in names]
-    return [{e: (row**e).letters for e in (1, -1)} for row in rows]
+    return {
+        key: [(j, tuple(x for g, e in out for x in (rows[g.id] ** e).letters)) for j, out in moves]
+        for key, moves in table.unit_moves.items()
+    }
 
 
-_FACTOR_ROWS = _factor_rows()
+_MOVES = _moves()
 
 
 def rewrite_to_sp3(word: BraidWord) -> SPWord:
     """Rewrite a kernel word of SG_3 as a word in the six SP_3 generators:
-    ``rewrite_tau``'s Schreier factors, each replaced by its row or the
-    row's inverse, freely reduced once."""
+    the letters that ``rewriting.rewrite_tau`` emits on its walk through
+    ``_MOVES``, the rows of its Schreier factors without the factors,
+    freely reduced once.  ``ValueError`` for a word of another strand count
+    or one whose walk ends off the trivial coset, a nontrivial projection."""
     if word.strands != 3:
         raise ValueError("SP_3 rewriting needs a 3-strand word")
-    factors = rewriting.rewrite_tau(word).factors
-    # A list, not a generator: the comprehension fills it faster than
-    # free_reduce would resume a generator for each letter.
-    return SPWord._reduced([letter for g, e in factors for letter in _FACTOR_ROWS[g.id][e]])
+    return SPWord._reduced(rewriting.rewrite_tau(word, _MOVES).factors)
 
 
 def presentation_relators() -> list[SPWord]:

@@ -19,11 +19,11 @@ sums and the a12 sum of ``normal_form`` read each distinct letter with its
 count, through ``FreeWord._letter_counts``: every defining relation
 balances each generator, so the sums are homomorphisms that depend only on
 how often each letter occurs, and a parsed word that they refute never
-builds its letters and is never reduced.  ``permutations.pi``, the walk of
-``rewriting.rewrite_tau`` and Britton reduction's first pass read the keys
-in order, so no parsed word builds or reduces its letters on the way to a
-verdict either: the first two are homomorphisms on the free group, and the
-pass cancels whatever free reduction would.
+builds its letters and is never reduced.  ``permutations.pi``, the
+coset-table walk of ``rewriting`` and Britton reduction's first pass read
+the keys in order, so no parsed word builds or reduces its letters on the
+way to a verdict either: the first two are homomorphisms on the free
+group, and the pass cancels whatever free reduction would.
 This module holds that free-group core once: ``free_reduce`` is the one
 reduction, ``FreeWord`` the one set of word operations (inverse, product,
 power, printing) and ``substitute`` the one letter-by-word substitution,
@@ -216,7 +216,8 @@ class FreeWord(Value):
     ``_stored``.  The exponent sums read each distinct key with its count
     through ``_letter_counts``: free reduction changes no sum, so a parsed
     word that they refute never builds a letter list and is never reduced.
-    ``pi``, ``rewrite_tau`` and Britton reduction read the keys in order,
+    ``pi``, the coset-table walk of ``rewrite_tau`` and
+    ``sp3.rewrite_to_sp3``, and Britton reduction read the keys in order,
     each looked up in ``letter_of`` or in a table keyed by tokens and
     letters alike; none needs free reduction first.  ``pi`` and the walk
     are homomorphisms on the free group (the walk's result only up to free

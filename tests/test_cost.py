@@ -82,9 +82,9 @@ FAMILIES = {
         False,
     ),
     "relator-product": (is_trivial_sg3, lambda k: RELATORS_1_4**k, 250, True),
-    # The same product written out and parsed inside the counted call: pi,
-    # the walk and the reducer read its tokens, and no braid letter is
-    # built or freely reduced.
+    # The same product written out and parsed inside the counted call: the
+    # walk and the reducer read its tokens, and no braid letter is built or
+    # freely reduced.
     "parsed-relator-product": (decide_text, lambda k: f"{RELATORS_1_4} " * k, 250, True),
     # Found by a search for costly inputs: a parsed power of a word that
     # projects to a 3-cycle, so a kernel word when 3 divides n, which every
@@ -98,6 +98,10 @@ FAMILIES = {
     # A singular power conjugated by s2: zero sums and a trivial projection,
     # so it reaches the rewrite and the reducer.
     "singular-power": (is_trivial_sg3, lambda e: parse_braid_word(f"s2 t1^{e} s2^-1 t1^-{e}", 3), 500, False),
+    # Cancelling pairs, parsed: the walk reads the tokens unreduced, and
+    # each t1 t1^-1 emits a b12 row and its inverse, which only the one free
+    # reduction of the SP_3 letters cancels.
+    "cancelling-pairs": (is_trivial_sg3, lambda n: parse_braid_word("s1 t1 t1^-1 s1^-1 " * n, 3), 250, True),
     # 4n + 1 letters of exponent +-1 with crossing sum 1, parsed inside the
     # counted call: the sums refute the word before anything reduces it.
     "parse-and-refute": (decide_text, lambda n: "s1 t2 s2^-1 t1^-1 " * n + "s1", 250, False),
@@ -123,18 +127,20 @@ FAMILIES = {
 
 
 # Line events per unit letter of input, the highest of the readings at n, 2n
-# and 4n (Python 3.11 and 3.13 read the same to 0.01).  Exponents count by
-# magnitude, as the parser counts them: the exponent families have 4
-# syllables at every size, so a count per syllable would grow with e.
+# and 4n (Python 3.11 and 3.13 read the same to 0.01).  Unit letters count
+# as written, exponents by magnitude, as the parser counts them: the
+# exponent families have 4 syllables at every size, so a count per syllable
+# would grow with e, and the cancelling pairs reduce to the empty word.
 LINE_EVENTS_PER_UNIT_LETTER = {
     "pinch-tower": 16.0,
-    "singular-commutator": 34.6,
-    "relator-product": 19.0,
-    "parsed-relator-product": 14.1,
-    "singular-alternation": 64.3,
+    "singular-commutator": 32.4,
+    "relator-product": 10.7,
+    "parsed-relator-product": 10.7,
+    "singular-alternation": 59.3,
     "sp-block-power": 37.8,
-    "crossing-power": 2.67,
-    "singular-power": 15.1,
+    "crossing-power": 1.66,
+    "singular-power": 12.6,
+    "cancelling-pairs": 8.6,
     "parse-and-refute": 3.03,
     "alternating-stable-powers": 21.5,
     "nested-stable-powers": 19.5,
@@ -148,7 +154,7 @@ PER_UNIT_LETTER_MARGIN = 1.5
 def unit_letter_count(argument) -> int:
     if isinstance(argument, str):
         argument = parse_braid_word(argument, 3)
-    return sum(abs(letter.exponent) for letter in argument.letters)
+    return sum(abs(letter[-1]) * count for letter, count in argument._letter_counts())
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -25,7 +26,7 @@ from singbraid import (
     rewrite_to_sp3,
     sg3_relators,
 )
-from singbraid import normal_form, sp3, words
+from singbraid import normal_form, rewriting, sp3, words
 from singbraid.normal_form import F13, F23, _best_slide, canonical_display
 from singbraid.words import _count_elements, free_reduce
 from helpers import (
@@ -409,15 +410,66 @@ def test_is_trivial_sg3_examples():
 
 
 def test_sigma_tau_sums_refute_before_projection(monkeypatch):
-    def refuse(word):
-        raise AssertionError(f"{word} was projected or rewritten")
+    # The decision reads the projection off the rewrite's coset-table walk,
+    # so refusing the walk and the rewrite refuses every projection.
+    def refuse(*args):
+        raise AssertionError(f"{args[0]} was projected or rewritten")
 
-    monkeypatch.setattr(normal_form, "pi", refuse)
+    monkeypatch.setattr(rewriting, "rewrite_tau", refuse)
     monkeypatch.setattr(normal_form, "rewrite_to_sp3", refuse)
     kernel = parse_braid_word("s1 t1^-1", 3)
     assert sigma_tau_sums(kernel) == (1, -1)
     assert not is_trivial_sg3(kernel)
     assert not is_trivial_sg3(parse_braid_word("s1", 3))
+
+
+def test_zero_sum_words_off_the_kernel_are_refuted_by_the_walk():
+    # Zero sums but a nontrivial projection: the rewrite's walk ends off
+    # the trivial coset and refuses the word, and the decision reads that
+    # refusal as the verdict.
+    for text in ("s1 s2^-1", "t1 t2^-1", "s1 t2 s1^-1 t1^-1", "s1^3 s2^-3", "t1^5 t2^-5"):
+        word = parse_braid_word(text, 3)
+        assert sigma_tau_sums(word) == (0, 0) and not pi(word).is_identity, text
+        with pytest.raises(ValueError, match="trivial projection"):
+            rewrite_to_sp3(word)
+        assert not is_trivial_sg3(word), text
+
+
+def test_other_errors_of_the_rewrite_are_not_a_verdict(monkeypatch):
+    # Only the walk's refusal of a word off the trivial coset reads as
+    # "nontrivial"; any other ValueError of the rewrite reaches the caller.
+    def broken(word):
+        raise ValueError("a fault inside the rewrite")
+
+    monkeypatch.setattr(normal_form, "rewrite_to_sp3", broken)
+    with pytest.raises(ValueError, match="a fault inside the rewrite"):
+        is_trivial_sg3(parse_braid_word("s1 t1 s1^-1 t1^-1", 3))
+
+
+def test_the_sg3_decision_calls_no_pi_and_walks_the_sp3_moves():
+    # The projection is read off the walk that emits the SP_3 letters, so no
+    # Permutation and no Schreier factor is built on the way to a verdict:
+    # every walk of the decision goes through the moves that emit rows.
+    called, tables = set(), []
+
+    def tracer(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_name)
+            if frame.f_code.co_name == "rewrite_tau":
+                tables.append(frame.f_locals["moves"])
+
+    texts = ("s1 t1 s1^-1 t1^-1", "s1 s2^-1", "s1^2 t2 s1^-2 t2^-1", "s2 t1^5 s2^-1 t1^-5", "s1 t1^-1")
+    words = [parse_braid_word(text, 3) for text in texts]
+    built = [BraidWord(3, parse_braid_word(text, 3).letters) for text in texts]
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        verdicts = [is_trivial_sg3(word) for word in words + built]
+    finally:
+        sys.settrace(previous)
+    assert verdicts == [True, False, False, False, False] * 2
+    assert "rewrite_to_sp3" in called and "pi" not in called, called
+    assert len(tables) == 8 and all(table is sp3._MOVES for table in tables)
 
 
 def test_zero_sigma_tau_words_reach_the_rewrite(monkeypatch):

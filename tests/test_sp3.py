@@ -23,8 +23,8 @@ from singbraid import sp3 as sp3_module
 from singbraid.normal_form import eliminate_a12
 from singbraid.rewriting import coset_table
 from singbraid.verify import GROUP_CONJUGATION, GROUP_EXPRESSION, GROUP_PRESENTATION, GROUP_REWRITTEN
-from singbraid.words import MAX_UNIT_LETTERS, substitute
-from helpers import random_kernel_word, random_sp_word, unit_letters
+from singbraid.words import MAX_UNIT_LETTERS, free_reduce, substitute
+from helpers import coset_rep, random_kernel_word, random_sp_word, unit_letters, unreduced_braid_text
 
 
 def gen(rep_text: str, letter_token: str) -> SchreierGenerator:
@@ -76,6 +76,25 @@ def test_rewrite_to_sp3_rejects_bad_input():
         rewrite_to_sp3(parse_braid_word("s1", 3))
     with pytest.raises(ValueError):
         rewrite_to_sp3(parse_braid_word("s1^2", 4))
+
+
+def test_rewrite_to_sp3_is_the_reduced_rows_of_rewrite_tau():
+    # One walk over two tables of the same moves: the letters that
+    # rewrite_to_sp3 reduces are the rows of the Schreier factors that
+    # rewrite_tau emits, on built words with exponents up to +-5 and on
+    # parsed tokens that cancel, which the walk reads unreduced.
+    rng = random.Random(353)
+    words = [random_kernel_word(rng, 3, max_exp=5) for _ in range(300)]
+    for _ in range(300):
+        text = unreduced_braid_text(rng)
+        words.append(parse_braid_word(f"{text} {coset_rep(parse_braid_word(text, 3)).inverse()}", 3))
+    words += [
+        parse_braid_word(text, 3)
+        for text in ("s1 t1 t1^-1 s1^-1 " * 4, "s1^2 s1^-2", "t2^5 t2^-5", "s2 t1^3 t1^-3 s2^-1 t2 t2^-1")
+    ]
+    for word in words:
+        rows = [letter for g, e in rewrite_tau(word).factors for letter in (literal_row(g) ** e).letters]
+        assert rewrite_to_sp3(word).letters == free_reduce(rows), str(word)
 
 
 def test_sp3_to_sg3_substitution():
@@ -287,11 +306,11 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
     # asymmetrically detect it.  The expression check detects it as well:
     # ``b13 a13`` moves the crossing exponent sum of the SG_3 word by 4, and
     # is_trivial_sg3 reads the sums before any row is looked up.
-    # The one table is rebuilt from the corrupt literal rows, as if the row
-    # were wrong in the source.
+    # The one table of moves is rebuilt from the corrupt literal rows, as if
+    # the row were wrong in the source.
     corrupt = {**sp3_module._EXPRESSION_ROWS, ("s2", "t1"): "b13 a13"}
     monkeypatch.setattr(sp3_module, "_EXPRESSION_ROWS", corrupt)
-    monkeypatch.setattr(sp3_module, "_FACTOR_ROWS", sp3_module._factor_rows())
+    monkeypatch.setattr(sp3_module, "_MOVES", sp3_module._moves())
     checks = verify_presentation()
     failed_groups = {check.group for check in checks if not check.passed}
     assert GROUP_REWRITTEN in failed_groups
@@ -299,7 +318,7 @@ def test_verify_detects_corrupt_expression_row(monkeypatch):
 
 
 def test_expression_rows_must_name_each_generator_once(monkeypatch):
-    assert sp3_module._factor_rows() == sp3_module._FACTOR_ROWS
+    assert sp3_module._moves() == sp3_module._MOVES
     rows = sp3_module._EXPRESSION_ROWS
     dropped = {key: text for key, text in rows.items() if key != ("s2", "t1")}
     not_a_rep = {
@@ -309,21 +328,25 @@ def test_expression_rows_must_name_each_generator_once(monkeypatch):
     for corrupt in (dropped, not_a_rep, extra):
         monkeypatch.setattr(sp3_module, "_EXPRESSION_ROWS", corrupt)
         with pytest.raises(RuntimeError):
-            sp3_module._factor_rows()
+            sp3_module._moves()
 
 
 def test_walk_factors_find_their_rows_by_id():
-    # The rows are one list indexed by the id of each generator of the coset
-    # table, so the lookup of a factor the walk emits never compares words;
-    # each id holds the literal row named by the generator's
-    # representative and letter.
+    # The SP_3 moves are the coset table's unit moves with each factor
+    # replaced by its literal row, named by the generator's representative
+    # and letter, or by the row's inverse: for every key and coset, the same
+    # next coset, and the letters of the rows of the factors emitted there.
     table = coset_table(3)
     emitted = [factor for row in table.moves.values() for _, out in row for factor in out]
     assert len(emitted) == 2 * 19
-    for factor in emitted:
-        generator, exponent = factor
-        assert table.generators[generator.id].generator is generator
-        assert sp3_module._FACTOR_ROWS[generator.id][exponent] == (literal_row(generator) ** exponent).letters
+    assert all(table.generators[g.id].generator is g for g, _ in emitted)
+    assert sp3_module._MOVES.keys() == table.unit_moves.keys()
+    assert len(table.unit_moves) == 16
+    for key, row in table.unit_moves.items():
+        assert len(sp3_module._MOVES[key]) == len(row) == 6
+        for coset, (there, out) in enumerate(row):
+            letters = tuple(letter for g, e in out for letter in (literal_row(g) ** e).letters)
+            assert sp3_module._MOVES[key][coset] == (there, letters), (key, coset)
 
 
 def test_reduce_only_builds_equal_the_checked_constructor():
